@@ -120,13 +120,13 @@ class PipelineConfig:
     embedder: dict = field(default_factory=lambda: {"kind": HASH_EMBEDDER})
 
     _FIELD_TYPES = (
-        ("task", str), ("template", (str, type(None))), ("seed", (int, float)),
-        ("tau", (int, float)), ("samples", (int, float)),
-        ("max_iterations", (int, float)), ("metric", str),
+        ("task", str), ("template", (str, type(None))), ("seed", int),
+        ("tau", (int, float)), ("samples", int),
+        ("max_iterations", int), ("metric", str),
         ("kl_alpha", (int, float)), ("stability_temperature", (int, float)),
         ("execution_temperature", (int, float)),
-        ("reviewer_temperature", (int, float)), ("max_tokens", (int, float)),
-        ("reask_budget", (int, float)), ("augmentation_retries", (int, float)),
+        ("reviewer_temperature", (int, float)), ("max_tokens", int),
+        ("reask_budget", int), ("augmentation_retries", int),
         ("target_granularity", (int, float)), ("modules", dict),
         ("reference_answer", (str, type(None))), ("reference_match", str),
         ("reference_tolerance", (int, float)), ("generator", dict),

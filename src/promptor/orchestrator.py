@@ -26,7 +26,20 @@ from .errors import (
     TransportError,
 )
 from .metrics import StabilityScore, kl_stability_score, semantic_stability
-from .plan import Plan, Subtask, SubtaskStatus, with_status, with_subtask
+# with_subtask is unused here but stays importable: perfbench's span
+# recorder wraps orchestrator.with_subtask by name
+from .plan import (  # noqa: F401
+    NO_OP,
+    PROPAGATE_SUCCESS,
+    STRATEGY_SHIFT,
+    Plan,
+    PlanUpdate,
+    Subtask,
+    SubtaskStatus,
+    with_status,
+    with_subtask,
+    with_update,
+)
 from .prompt import (
     IoSpec,
     ModularPrompt,
@@ -43,10 +56,6 @@ KL = "kl"
 
 STABILIZED = "stabilized"
 EXHAUSTED = "exhausted"
-
-PROPAGATE_SUCCESS = "propagate-success"
-STRATEGY_SHIFT = "strategy-shift"
-NO_OP = "no-op"
 
 # reviewer tie-break when a response names several components: requirements
 # first, then knowledge, role, history
@@ -122,27 +131,6 @@ class ExecutionResult:
 
 
 @dataclass(frozen=True)
-class PlanUpdate:
-    source_subtask: str
-    kind: str
-    targets: tuple[str, ...]
-    payload: str
-
-    def __post_init__(self):
-        if self.kind not in (PROPAGATE_SUCCESS, STRATEGY_SHIFT, NO_OP):
-            raise ValueError(f"unknown update kind: {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(self.targets))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source_subtask": self.source_subtask,
-            "kind": self.kind,
-            "targets": list(self.targets),
-            "payload": self.payload,
-        }
-
-
-@dataclass(frozen=True)
 class Summary:
     source_subtask: str
     structured_text: str
@@ -162,9 +150,6 @@ class ContextStore:
 
     def add(self, summary: Summary) -> None:
         self._summaries[summary.source_subtask] = summary
-
-    def get(self, subtask_id: str) -> Summary | None:
-        return self._summaries.get(subtask_id)
 
     def history_for(self, sub: Subtask, plan: Plan) -> str:
         lines = []
@@ -330,7 +315,7 @@ class Orchestrator:
             if violations:
                 self.trace.warning("template-violation", template=template,
                                    violations=violations)
-            self._emit_plan_event(plan, update=None, note="created")
+            self._emit_plan_event("created", plan=plan)
             return plan
         raise PlanningFailure(f"planner produced no valid plan: {last_problem}")
 
@@ -458,7 +443,7 @@ class Orchestrator:
             if not (target / 2 <= sub.granularity <= 2 * target):
                 self.trace.warning("unoptimizable-granularity", subtask_id=sub.id,
                                    granularity=sub.granularity, target=target)
-        self._emit_plan_event(plan, update=None, note="optimized")
+        self._emit_plan_event("optimized", plan=plan)
         return plan
 
     # -- stability and refinement ---------------------------------------------
@@ -677,61 +662,27 @@ class Orchestrator:
     # -- plan updates -------------------------------------------------------------
 
     def apply_plan_update(self, plan: Plan, update: PlanUpdate) -> Plan:
-        """Validate and apply one update. Raises StateError when the update
-        violates plan invariants (wrong source status, executed targets)."""
-        source = plan.subtask(update.source_subtask)
-        if update.kind == NO_OP:
-            return plan
-        if update.kind == PROPAGATE_SUCCESS:
-            if source.status is not SubtaskStatus.EXECUTED_OK:
-                raise StateError("propagate-success requires an executed-ok source")
-            for target_id in update.targets:
-                if plan.subtask(target_id).status is not SubtaskStatus.PENDING:
-                    raise StateError(
-                        f"update targets already-processed subtask {target_id!r}"
-                    )
-            for target_id in update.targets:
-                target = plan.subtask(target_id)
-                plan = with_subtask(
-                    plan,
-                    dataclasses.replace(
-                        target, injected_notes=target.injected_notes + (update.payload,)
-                    ),
-                )
-            return plan
-        # strategy shift: reformulate the failed source subtask
-        if source.status is not SubtaskStatus.EXECUTED_FAILED:
-            raise StateError("strategy-shift requires an executed-failed source")
-        if update.targets != (source.id,):
-            raise StateError("strategy-shift must target exactly the failed subtask")
-        reformulated = Subtask(
-            id=source.id,
-            description=update.payload,
-            dependencies=source.dependencies,
-            io_spec=source.io_spec,
-            status=SubtaskStatus.REFORMULATED,
-            injected_notes=source.injected_notes,
-        )
-        plan = with_subtask(plan, reformulated)
-        self.trace.emit(
-            "status-change",
-            {"subtask_id": source.id, "from": SubtaskStatus.EXECUTED_FAILED.value,
-             "to": SubtaskStatus.REFORMULATED.value},
-        )
-        return plan
+        """Validate, apply and record one update. Raises StateError when the
+        update violates plan invariants (wrong source status, executed
+        targets); nothing is recorded then."""
+        updated = with_update(plan, update)
+        self._emit_plan_event(update.kind, update=update)
+        if update.kind == STRATEGY_SHIFT:
+            updated = self._apply_status(
+                updated, update.source_subtask, SubtaskStatus.REFORMULATED
+            )
+        return updated
 
     def _emit_plan_event(
-        self, plan: Plan, update: PlanUpdate | None, note: str, run_status: str | None = None
+        self, note: str, *, plan: Plan | None = None, update: PlanUpdate | None = None
     ) -> None:
-        self.trace.emit(
-            "plan-update",
-            {
-                "note": note,
-                "update": update.to_json_dict() if update else None,
-                "plan_after": plan.to_json_dict(),
-                "run_status": run_status,
-            },
-        )
+        """A plan-update event. A new plan structure ('created', 'optimized')
+        is recorded as a full plan_after snapshot; a feedback step records
+        only its update, which replay applies to the current plan."""
+        payload = {"note": note, "update": update.to_json_dict() if update else None}
+        if plan is not None:
+            payload["plan_after"] = plan.to_json_dict()
+        self.trace.emit("plan-update", payload)
 
     def update_plan(
         self, plan: Plan, result: ExecutionResult, summary_text: str = ""
@@ -747,7 +698,7 @@ class Orchestrator:
                 if s.status is SubtaskStatus.PENDING
             ]
             if not pending:
-                self._emit_plan_event(plan, no_op, note="no-pending-dependents")
+                self._emit_plan_event("no-pending-dependents", update=no_op)
                 return plan, no_op
             response = self._ask_json(
                 ap.plan_update_success_prompt(plan, source, summary_text),
@@ -755,7 +706,7 @@ class Orchestrator:
             )
             payload = str((response or {}).get("payload", "")).strip()
             if not payload:
-                self._emit_plan_event(plan, no_op, note="updater-failed")
+                self._emit_plan_event("updater-failed", update=no_op)
                 return plan, no_op
             targets = tuple(str(t) for t in (response or {}).get("targets", ())) or tuple(pending)
             update = PlanUpdate(source.id, PROPAGATE_SUCCESS, targets, payload)
@@ -770,18 +721,16 @@ class Orchestrator:
             )
             description = str((response or {}).get("description", "")).strip()
             if not description:
-                self._emit_plan_event(plan, no_op, note="updater-failed")
+                self._emit_plan_event("updater-failed", update=no_op)
                 return plan, no_op
             update = PlanUpdate(source.id, STRATEGY_SHIFT, (source.id,), description)
         try:
-            updated = self.apply_plan_update(plan, update)
+            return self.apply_plan_update(plan, update), update
         except (StateError, KeyError) as exc:
             self.trace.warning("invariant-violation", subtask_id=source.id,
                                update=update.to_json_dict(), error=str(exc))
-            self._emit_plan_event(plan, no_op, note="update-rejected")
+            self._emit_plan_event("update-rejected", update=no_op)
             return plan, no_op
-        self._emit_plan_event(updated, update, note=update.kind)
-        return updated, update
 
     # -- pipeline ------------------------------------------------------------------
 

@@ -3,18 +3,25 @@
 A Plan is immutable; every mutation helper returns a new Plan. Construction
 re-sorts subtasks into a deterministic topological order (original order
 breaks ties), so two plans with the same subtasks serialize identically.
+Replacing a subtask without touching its dependencies keeps that order, so
+status, note and description changes skip the re-sort.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import heapq
 import re
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 from .errors import PlanningFailure, StateError
 from .prompt import IoSpec
+
+
+PROPAGATE_SUCCESS = "propagate-success"
+STRATEGY_SHIFT = "strategy-shift"
+NO_OP = "no-op"
 
 
 class SubtaskStatus(str, enum.Enum):
@@ -36,10 +43,6 @@ _TRANSITIONS: dict[SubtaskStatus, frozenset[SubtaskStatus]] = {
     SubtaskStatus.REFORMULATED: frozenset({SubtaskStatus.STABLE_PROMPT_READY}),
     SubtaskStatus.EXECUTED_OK: frozenset(),
 }
-
-
-def allowed_transitions(status: SubtaskStatus) -> frozenset[SubtaskStatus]:
-    return _TRANSITIONS[status]
 
 
 _CLAUSE_SPLIT = re.compile(r"[.;!?\n]+|\bthen\b", re.IGNORECASE)
@@ -115,7 +118,7 @@ def _topological(subtasks: tuple[Subtask, ...]) -> tuple[Subtask, ...]:
         dup = next(s.id for s in subtasks if s.id in seen or seen.add(s.id))
         raise ValueError(f"duplicate subtask id: {dup!r}")
     for s in subtasks:
-        unknown = s.dependencies - index.keys()
+        unknown = [dep for dep in s.dependencies if dep not in index]
         if unknown:
             raise ValueError(
                 f"subtask {s.id!r} depends on unknown ids: {sorted(unknown)}"
@@ -150,15 +153,16 @@ class Plan:
     subtasks: tuple[Subtask, ...]
     interaction_template: str = "linear-chain"
     created_from: str = ""
+    # subtask id -> position in subtasks
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "subtasks", _topological(tuple(self.subtasks)))
+        subtasks = _topological(tuple(self.subtasks))
+        object.__setattr__(self, "subtasks", subtasks)
+        object.__setattr__(self, "_index", {s.id: i for i, s in enumerate(subtasks)})
 
     def subtask(self, subtask_id: str) -> Subtask:
-        for s in self.subtasks:
-            if s.id == subtask_id:
-                return s
-        raise KeyError(subtask_id)
+        return self.subtasks[self._index[subtask_id]]
 
     def dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
         self.subtask(subtask_id)
@@ -201,15 +205,90 @@ class Plan:
 
 
 def with_subtask(plan: Plan, new_subtask: Subtask) -> Plan:
-    """Replace the subtask with the same id; the plan is re-validated."""
-    plan.subtask(new_subtask.id)
-    updated = tuple(new_subtask if s.id == new_subtask.id else s for s in plan.subtasks)
-    return replace(plan, subtasks=updated)
+    """Replace the subtask with the same id. The plan is re-sorted and
+    re-validated only when the dependency set changes; otherwise the order
+    and validity of the old plan carry over."""
+    pos = plan._index[new_subtask.id]
+    updated = plan.subtasks[:pos] + (new_subtask,) + plan.subtasks[pos + 1:]
+    if new_subtask.dependencies != plan.subtasks[pos].dependencies:
+        return replace(plan, subtasks=updated)
+    clone = copy.copy(plan)
+    object.__setattr__(clone, "subtasks", updated)
+    return clone
 
 
 def with_status(plan: Plan, subtask_id: str, status: SubtaskStatus) -> Plan:
     return with_subtask(plan, plan.subtask(subtask_id).with_status(status))
 
 
-def with_subtasks(plan: Plan, subtasks: Iterable[Subtask]) -> Plan:
-    return replace(plan, subtasks=tuple(subtasks))
+@dataclass(frozen=True)
+class PlanUpdate:
+    """One feedback step: inject a success payload into pending subtasks,
+    rewrite a failed subtask, or change nothing."""
+
+    source_subtask: str
+    kind: str
+    targets: tuple[str, ...]
+    payload: str
+
+    def __post_init__(self):
+        if self.kind not in (PROPAGATE_SUCCESS, STRATEGY_SHIFT, NO_OP):
+            raise ValueError(f"unknown update kind: {self.kind!r}")
+        object.__setattr__(self, "targets", tuple(self.targets))
+
+    def to_json_dict(self) -> dict:
+        return {
+            "source_subtask": self.source_subtask,
+            "kind": self.kind,
+            "targets": list(self.targets),
+            "payload": self.payload,
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "PlanUpdate":
+        return cls(
+            source_subtask=data["source_subtask"],
+            kind=data["kind"],
+            targets=data["targets"],
+            payload=data["payload"],
+        )
+
+
+def with_update(plan: Plan, update: PlanUpdate) -> Plan:
+    """Apply one update. Raises StateError when the update violates plan
+    invariants (wrong source status, already-processed targets) and KeyError
+    when it names an unknown subtask. A strategy shift rewrites the failed
+    subtask's description only; its move to reformulated is a separate
+    status change."""
+    source = plan.subtask(update.source_subtask)
+    if update.kind == NO_OP:
+        return plan
+    if update.kind == PROPAGATE_SUCCESS:
+        if source.status is not SubtaskStatus.EXECUTED_OK:
+            raise StateError("propagate-success requires an executed-ok source")
+        for target_id in update.targets:
+            if plan.subtask(target_id).status is not SubtaskStatus.PENDING:
+                raise StateError(
+                    f"update targets already-processed subtask {target_id!r}"
+                )
+        for target_id in update.targets:
+            target = plan.subtask(target_id)
+            plan = with_subtask(
+                plan, replace(target, injected_notes=target.injected_notes + (update.payload,))
+            )
+        return plan
+    if source.status is not SubtaskStatus.EXECUTED_FAILED:
+        raise StateError("strategy-shift requires an executed-failed source")
+    if update.targets != (source.id,):
+        raise StateError("strategy-shift must target exactly the failed subtask")
+    return with_subtask(
+        plan,
+        Subtask(
+            id=source.id,
+            description=update.payload,
+            dependencies=source.dependencies,
+            io_spec=source.io_spec,
+            status=source.status,
+            injected_notes=source.injected_notes,
+        ),
+    )

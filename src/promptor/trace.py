@@ -3,6 +3,11 @@
 A trace is one header record followed by typed event records with strictly
 increasing sequence numbers. Timestamps are excluded from determinism
 comparisons via canonicalize(); everything else is replayable state.
+
+Version 2 records a plan-update as a full plan_after snapshot only when the
+plan's structure is new; feedback steps carry just their update, which
+replay applies to the current plan. Version 1 traces, with a snapshot on
+every plan-update, still replay.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import MalformedTraceError
-from .plan import Plan, SubtaskStatus, with_status
+from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
 from .prompt import ModularPrompt
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 EVENT_TYPES = (
     "generation",
@@ -199,7 +204,21 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
         payload = event.payload
         try:
             if event.type == "plan-update":
-                state.plan = Plan.from_json_dict(payload["plan_after"])
+                if "plan_after" in payload:
+                    state.plan = Plan.from_json_dict(payload["plan_after"])
+                elif state.plan is None:
+                    raise MalformedTraceError(
+                        f"event {event.seq}: plan-update delta before any plan"
+                    )
+                elif not payload.get("update"):
+                    raise MalformedTraceError(
+                        f"event {event.seq}: plan-update carries neither plan_after nor update"
+                    )
+                else:
+                    state.plan = with_update(
+                        state.plan, PlanUpdate.from_json_dict(payload["update"])
+                    )
+                # only version 1 traces carry run_status here
                 if payload.get("run_status"):
                     state.run_status = payload["run_status"]
             elif event.type == "status-change":

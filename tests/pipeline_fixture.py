@@ -66,6 +66,15 @@ def pipeline_prompts():
     return parse_prompt, net_prompt, balance_prompt
 
 
+def _success_update_rules():
+    return [
+        prefix_json(ap.PLAN_UPDATE_SUCCESS_MARK, "Subtask: parse",
+                    {"payload": "keep totals as integers."}),
+        prefix_json(ap.PLAN_UPDATE_SUCCESS_MARK, "Subtask: net",
+                    {"payload": "carry the net forward."}),
+    ]
+
+
 def pipeline_generator(run_seed=0):
     """Scripted backends for the three-subtask happy path: every executor
     prompt is a point mass, updater payloads flow downstream."""
@@ -76,14 +85,32 @@ def pipeline_generator(run_seed=0):
         point_mass(render_prompt(net_prompt), "93"),
         point_mass(render_prompt(balance_prompt), "87"),
     ]
-    rules = [
-        prefix_json(ap.PLAN_UPDATE_SUCCESS_MARK, "Subtask: parse",
-                    {"payload": "keep totals as integers."}),
-        prefix_json(ap.PLAN_UPDATE_SUCCESS_MARK, "Subtask: net",
-                    {"payload": "carry the net forward."}),
-    ]
-    return ScriptedGenerator(behaviors=behaviors, prefix_rules=rules,
+    return ScriptedGenerator(behaviors=behaviors, prefix_rules=_success_update_rules(),
                              run_seed=run_seed)
+
+
+# two clauses where the original has one, so the rewrite changes granularity
+REFORMULATED_PARSE = "Split the list into lines. Sum the signed amounts."
+
+
+def strategy_shift_generator():
+    """The happy path, except that parse first answers in words: with the
+    reviewer off, the plan updater rewrites parse (strategy shift), the
+    rewrite succeeds, and success payloads then reach net and balance
+    (propagate success)."""
+    parse_prompt, net_prompt, balance_prompt = pipeline_prompts()
+    behaviors = [
+        planner_behavior(PIPELINE_SUBTASKS),
+        point_mass(render_prompt(parse_prompt), "one hundred"),
+        point_mass(render_prompt(executor_prompt("parse", REFORMULATED_PARSE)), "100"),
+        point_mass(render_prompt(net_prompt), "93"),
+        point_mass(render_prompt(balance_prompt), "87"),
+    ]
+    rules = _success_update_rules() + [
+        prefix_json(ap.PLAN_UPDATE_FAILURE_MARK, "Subtask: parse",
+                    {"description": REFORMULATED_PARSE}),
+    ]
+    return ScriptedGenerator(behaviors=behaviors, prefix_rules=rules)
 
 
 def pipeline_config_dict(**overrides):

@@ -239,7 +239,10 @@ class TestExitCodes:
 
     def test_wrong_typed_config_value(self, tmp_path, capsys):
         # valid JSON, wrong shapes: still a clean config error, not a crash
-        for payload in ('{"task": [1, 2]}', '{"task": "t", "tau": "0.9"}'):
+        # a fractional sample count used to pass validation and then crash
+        # inside the scripted generator
+        for payload in ('{"task": [1, 2]}', '{"task": "t", "tau": "0.9"}',
+                        json.dumps(pipeline_config_dict(samples=5.5))):
             bad = tmp_path / "typed.json"
             bad.write_text(payload, encoding="utf-8")
             code, _, err = invoke(["run", "--config", str(bad)], capsys)

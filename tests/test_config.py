@@ -50,6 +50,12 @@ class TestPipelineConfig:
         ("reference_answer", 87),
         ("generator", "scripted"),
         ("template", 3),
+        ("seed", 1.5),
+        ("samples", 5.5),
+        ("max_iterations", 2.0),
+        ("max_tokens", 512.5),
+        ("reask_budget", 1.5),
+        ("augmentation_retries", 0.5),
     ])
     def test_wrong_typed_fields_rejected(self, field, value):
         # JSON accepts any shape; every mistake must still exit as ConfigError

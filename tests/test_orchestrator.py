@@ -40,6 +40,7 @@ from promptor.trace import TraceWriter, canonical_trace_bytes, replay_trace
 from .pipeline_fixture import (
     NUMERIC_SPEC,
     PIPELINE_SUBTASKS,
+    REFORMULATED_PARSE,
     TASK,
     executor_prompt,
     json_behavior,
@@ -47,6 +48,7 @@ from .pipeline_fixture import (
     planner_behavior,
     point_mass,
     prefix_json,
+    strategy_shift_generator,
 )
 
 TAU = 0.7
@@ -945,6 +947,61 @@ class TestRunPipeline:
         ]
         assert ("executed-failed", "reformulated") in transitions
         assert transitions[-1] == ("stable-prompt-ready", "executed-ok")
+
+    def test_replayed_final_plan_equals_the_orchestrators(self):
+        class PlanRecorder(Orchestrator):
+            """Keeps the plan each recorded mutation returns."""
+
+            def _apply_status(self, plan, subtask_id, status):
+                self.final_plan = super()._apply_status(plan, subtask_id, status)
+                return self.final_plan
+
+            def apply_plan_update(self, plan, update):
+                self.final_plan = super().apply_plan_update(plan, update)
+                return self.final_plan
+
+        orch = PlanRecorder(strategy_shift_generator(), HashEmbedder(),
+                            TraceWriter({"run": "test"}),
+                            self.settings(reviewer_enabled=False))
+        trace = orch.run_pipeline(TASK, template="linear-chain")
+        kinds = [e.payload["note"] for e in trace.events_of_type("plan-update")]
+        assert {"strategy-shift", "propagate-success"} <= set(kinds)
+        replayed = replay_trace(trace).plan
+        assert replayed == orch.final_plan
+        parse = replayed.subtask("parse")
+        assert parse.status is SubtaskStatus.EXECUTED_OK
+        assert parse.description == REFORMULATED_PARSE
+        assert parse.granularity == 2
+        assert replayed.subtask("net").injected_notes == ("keep totals as integers.",)
+        assert replayed.subtask("balance").injected_notes == ("carry the net forward.",)
+
+    @staticmethod
+    def chain_trace_bytes(n):
+        ids = [f"s{i:03d}" for i in range(n)]
+        subtasks = [
+            {"id": sid, "description": f"Carry step {i} forward.",
+             "dependencies": [ids[i - 1]] if i else []}
+            for i, sid in enumerate(ids)
+        ]
+        rules = [
+            (prefix, ScriptedBehavior(prompt_fingerprint=f"prefix:{prefix}",
+                                      outcomes=((text, 1.0),)))
+            for prefix, text in (
+                ("## Role\nYou are the executor agent", "carried"),
+                (f"{ap.PLAN_UPDATE_SUCCESS_MARK}\nSubtask: ",
+                 json.dumps({"payload": "keep the units."})),
+            )
+        ]
+        gen = ScriptedGenerator(behaviors=[planner_behavior(subtasks)], prefix_rules=rules)
+        orch = make_orchestrator(gen, OrchestratorSettings(knowledge_enabled=False))
+        trace = orch.run_pipeline(TASK, template="linear-chain")
+        assert replay_trace(trace).run_status == "succeeded"
+        # created, optimized, then one feedback event per subtask
+        assert len(trace.events_of_type("plan-update")) == n + 2
+        return len(canonical_trace_bytes(trace))
+
+    def test_trace_bytes_grow_linearly_with_the_plan_updater_on(self):
+        assert self.chain_trace_bytes(100) / self.chain_trace_bytes(50) <= 2.2
 
     def test_planning_failure_fails_the_run(self):
         cyclic = [

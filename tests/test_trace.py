@@ -1,15 +1,20 @@
 import json
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from promptor.backends import HashEmbedder
 from promptor.errors import MalformedTraceError
+from promptor.orchestrator import Orchestrator, OrchestratorSettings
 from promptor.plan import Plan, Subtask, SubtaskStatus
 from promptor.prompt import ModularPrompt
+from promptor.reports import compute_run_metrics, render_run_report
 from promptor.trace import (
     EVENT_TYPES,
+    TRACE_VERSION,
     ExecutionTrace,
     TraceEvent,
     TraceWriter,
@@ -20,6 +25,23 @@ from promptor.trace import (
     replay_trace,
     write_trace,
 )
+
+from .pipeline_fixture import REFORMULATED_PARSE, TASK, strategy_shift_generator
+
+# The strategy-shift fixture run as written by trace version 1, which put a
+# full plan_after snapshot (and a null run_status) on every plan-update.
+V1_TRACE = Path(__file__).parent / "data" / "trace_v1_strategy_shift.jsonl"
+V1_REPORT = """runs: 1
+execution success rate: 1.000000
+completion rate: 1.000000 (1/1 reference checks passed)
+
+run 1: succeeded
+  final output: '87'
+  reference check: pass
+  parse: executed-ok stability=[1.000000, 1.000000] refinements=0 augmentations=0
+  net: executed-ok stability=[1.000000] refinements=0 augmentations=0
+  balance: executed-ok stability=[1.000000] refinements=0 augmentations=0
+"""
 
 
 def make_trace(events):
@@ -89,7 +111,7 @@ class TestWriter:
             writer.warning("b", detail=1)
             trace = writer.trace()
         assert [e.seq for e in trace.events] == [0, 1]
-        assert trace.header["version"] == 1
+        assert trace.header["version"] == TRACE_VERSION
         assert trace.header["run"] == "w"
         assert "created_at" in trace.header
         assert trace.events[1].payload == {"reason": "b", "detail": 1}
@@ -258,4 +280,59 @@ class TestReplay:
             TraceEvent(1, "status-change", {"subtask_id": "a", "from": "pending", "to": "executed-ok"}, 0.0),
         ]
         with pytest.raises(MalformedTraceError, match="replay failed"):
+            replay_trace(make_trace(events))
+
+    def test_version_1_trace_replays_to_the_same_report(self):
+        trace = read_trace(V1_TRACE)
+        assert trace.header["version"] == 1
+        updates = trace.events_of_type("plan-update")
+        assert len(updates) == 6
+        assert all("plan_after" in e.payload for e in updates)
+        assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
+        assert replay_trace(trace).plan.subtask("parse").description == REFORMULATED_PARSE
+
+    def test_version_2_run_of_the_same_fixture_gives_the_same_report(self):
+        writer = TraceWriter(dict(read_trace(V1_TRACE).header, version=TRACE_VERSION))
+        orch = Orchestrator(
+            strategy_shift_generator(), HashEmbedder(), writer,
+            OrchestratorSettings(knowledge_enabled=False, reviewer_enabled=False),
+        )
+        trace = orch.run_pipeline(TASK, template="linear-chain")
+        snapshots = [e.payload["note"] for e in trace.events_of_type("plan-update")
+                     if "plan_after" in e.payload]
+        assert snapshots == ["created", "optimized"]
+        assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
+        assert replay_trace(trace).plan == replay_trace(read_trace(V1_TRACE)).plan
+
+    def executed_a_events(self):
+        return [
+            TraceEvent(0, "plan-update", {"note": "created", "update": None, "plan_after": self.plan().to_json_dict()}, 0.0),
+            TraceEvent(1, "status-change", {"subtask_id": "a", "from": "pending", "to": "stable-prompt-ready"}, 0.0),
+            TraceEvent(2, "status-change", {"subtask_id": "a", "from": "stable-prompt-ready", "to": "executed-ok"}, 0.0),
+        ]
+
+    def test_delta_update_is_applied_to_the_current_plan(self):
+        update = {"source_subtask": "a", "kind": "propagate-success", "targets": ["b"], "payload": "use units"}
+        events = self.executed_a_events() + [
+            TraceEvent(3, "plan-update", {"note": "propagate-success", "update": update}, 0.0),
+        ]
+        plan = replay_trace(make_trace(events)).plan
+        assert plan.subtask("a").status is SubtaskStatus.EXECUTED_OK
+        assert plan.subtask("b").injected_notes == ("use units",)
+
+    @pytest.mark.parametrize("payload", [
+        {"note": "no-op"},
+        {"note": "no-op", "update": None},
+        {"note": "propagate-success", "update": {"source_subtask": "a", "kind": "propagate-success", "targets": ["ghost"], "payload": "x"}},
+        {"note": "no-op", "update": {"source_subtask": "ghost", "kind": "no-op", "targets": [], "payload": ""}},
+    ])
+    def test_delta_without_update_or_with_unknown_target_is_malformed(self, payload):
+        events = self.executed_a_events() + [TraceEvent(3, "plan-update", payload, 0.0)]
+        with pytest.raises(MalformedTraceError):
+            replay_trace(make_trace(events))
+
+    def test_delta_before_any_plan_is_malformed(self):
+        update = {"source_subtask": "a", "kind": "no-op", "targets": [], "payload": ""}
+        events = [TraceEvent(0, "plan-update", {"note": "no-op", "update": update}, 0.0)]
+        with pytest.raises(MalformedTraceError, match="before any plan"):
             replay_trace(make_trace(events))
