@@ -8,6 +8,7 @@ Embedder protocols.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -248,6 +249,7 @@ class HashEmbedder:
         self.descriptor = BackendDescriptor(kind=HASH_EMBEDDER)
 
     @staticmethod
+    @functools.lru_cache(maxsize=1 << 16)
     def _bucket(token: str) -> int:
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % HASH_EMBEDDER_DIM

@@ -7,8 +7,8 @@ All functions here are pure and reentrant; nothing touches a backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .errors import (
     UndefinedCorrelationError,
     ZeroVectorError,
 )
-
-VectorLike = "EmbeddingVector | Sequence[float] | np.ndarray"
-
 
 @dataclass(frozen=True)
 class EmbeddingVector:
@@ -54,29 +51,41 @@ class EmbeddingVector:
 
 
 def _as_array(v) -> np.ndarray:
-    if isinstance(v, EmbeddingVector):
-        return np.asarray(v.components, dtype=float)
-    return np.asarray(v, dtype=float)
+    return np.asarray(v.components if isinstance(v, EmbeddingVector) else v, dtype=float)
+
+
+def _pair_sums(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k (x[i,k] - x[j,k]) * (y[i,k] - y[j,k]) for every row pair i < j,
+    in np.triu_indices order: the one pair loop of both stability metrics.
+    Each value depends only on its two rows (not on where they sit), is
+    exactly symmetric, and is exactly 0 when the two rows of x are equal. One
+    row at a time keeps memory at O(N * width)."""
+    return np.concatenate(
+        [((x[i] - x[i + 1:]) * (y[i] - y[i + 1:])).sum(axis=1) for i in range(len(x) - 1)]
+    )
+
+
+def _cosine_distances(vectors: Sequence) -> np.ndarray:
+    """1 - cos(v_i, v_j) for every pair i < j, as |u_i - u_j|^2 / 2 over the
+    unit vectors u, clamped to [0, 2]."""
+    arrays = [_as_array(v) for v in vectors]
+    if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+        raise DimensionMismatchError(f"dims differ: {sorted({a.shape for a in arrays})}")
+    m = np.stack(arrays)
+    norms = np.sqrt((m * m).sum(axis=1))
+    if not norms.all():
+        raise ZeroVectorError("cosine distance undefined for zero-norm vectors")
+    unit = m / norms[:, None]
+    # float error can push d a hair outside [0, 2]; the contract says it can't.
+    return np.clip(0.5 * _pair_sums(unit, unit), 0.0, 2.0)
 
 
 def cosine_distance(v, w) -> float:
-    """1 - cos(v, w). Result lies in [0, 2]; symmetric; invariant under
-    positive rescaling of either argument.
-
+    """1 - cos(v, w). Result lies in [0, 2]; exactly symmetric; exactly 0 for
+    equal vectors; invariant under positive rescaling of either argument.
     Raises DimensionMismatchError on unequal dims and ZeroVectorError if
-    either argument has zero norm.
-    """
-    a = _as_array(v)
-    b = _as_array(w)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionMismatchError(f"dims differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine distance undefined for zero-norm vectors")
-    d = 1.0 - float(np.dot(a, b)) / (float(na) * float(nb))
-    # float error can push d a hair outside [0, 2]; the contract says it can't.
-    return min(2.0, max(0.0, d))
+    either argument has zero norm."""
+    return float(_cosine_distances([v, w])[0])
 
 
 @dataclass(frozen=True)
@@ -115,23 +124,25 @@ class StabilityScore:
         )
 
 
+def _score(n: int, distances: np.ndarray) -> StabilityScore:
+    i, j = np.triu_indices(n, 1)
+    pairs = tuple(zip(i.tolist(), j.tolist(), distances.tolist()))
+    value = 1.0 - math.fsum(distances.tolist()) / len(pairs)
+    return StabilityScore(value=value, sample_count=n, pair_distances=pairs)
+
+
 def semantic_stability(vectors: Sequence) -> StabilityScore:
     """Average pairwise cosine similarity over N >= 2 output embeddings.
 
     value = 1 - (2 / (N (N-1))) * sum_{i<j} d_ij, i.e. 1 minus the mean pair
-    distance. Permutation of the input list leaves the value exactly unchanged
-    (the mean is computed with an exactly rounded sum over the pair multiset).
+    distance. Permuting the input leaves the value exactly unchanged: each
+    d_ij depends only on its two vectors, and the mean is an exactly rounded
+    sum. Equal vectors have d_ij exactly 0, so N equal vectors score 1.
     """
     n = len(vectors)
     if n < 2:
         raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-    arrays = [_as_array(v) for v in vectors]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((i, j, cosine_distance(arrays[i], arrays[j])))
-    mean_d = math.fsum(d for _, _, d in pairs) / len(pairs)
-    return StabilityScore(value=1.0 - mean_d, sample_count=n, pair_distances=tuple(pairs))
+    return _score(n, _cosine_distances(vectors))
 
 
 def tokenize(text: str) -> list[str]:
@@ -171,13 +182,30 @@ class TokenDistribution:
 
 
 def symmetrized_kl(p: TokenDistribution, q: TokenDistribution) -> float:
-    """KL(p||q) + KL(q||p), natural log, over a shared vocabulary."""
+    """KL(p||q) + KL(q||p) = sum (p - q)(ln p - ln q) over a shared vocabulary."""
     if p.vocabulary != q.vocabulary:
         raise DimensionMismatchError("distributions must share a vocabulary")
-    total = 0.0
-    for pi, qi in zip(p.probabilities, q.probabilities):
-        total += pi * math.log(pi / qi) + qi * math.log(qi / pi)
-    return total
+    probs = np.array([p.probabilities, q.probabilities])
+    return float(_pair_sums(probs, np.log(probs))[0])
+
+
+def _kl_divergences(outputs: Sequence[str], alpha: float) -> np.ndarray:
+    """Symmetrized KL divergence of every output pair i < j, between add-alpha
+    smoothed unigram distributions over the union vocabulary; exactly 0 when
+    a pair's token multisets agree. Shared by both KL metrics."""
+    if len(outputs) < 2:
+        raise InsufficientSamplesError(f"need at least 2 outputs, got {len(outputs)}")
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if any(not out.strip() for out in outputs):
+        raise EmptyOutputError("cannot build a token distribution from an empty output")
+    tokens = [tokenize(out) for out in outputs]
+    column = {tok: k for k, tok in enumerate(sorted({t for toks in tokens for t in toks}))}
+    n, width = len(tokens), len(column)
+    flat = [row * width + column[t] for row, toks in enumerate(tokens) for t in toks]
+    counts = np.bincount(flat, minlength=n * width).reshape(n, width)
+    probs = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * width)
+    return np.maximum(_pair_sums(probs, np.log(probs)), 0.0)
 
 
 def kl_stability(outputs: Sequence[str], alpha: float = 1.0) -> float:
@@ -187,22 +215,8 @@ def kl_stability(outputs: Sequence[str], alpha: float = 1.0) -> float:
     Returns 0 iff all outputs have identical token multisets; always >= 0.
     Lower means more stable. Tokenization is whitespace + lowercase.
     """
-    if len(outputs) < 2:
-        raise InsufficientSamplesError(f"need at least 2 outputs, got {len(outputs)}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    for out in outputs:
-        if not out.strip():
-            raise EmptyOutputError("cannot build a token distribution from an empty output")
-    vocab = sorted({tok for out in outputs for tok in tokenize(out)})
-    dists = [TokenDistribution.from_text(out, vocab, alpha) for out in outputs]
-    n = len(dists)
-    divergences = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            divergences.append(symmetrized_kl(dists[i], dists[j]))
-    value = math.fsum(divergences) / len(divergences)
-    return max(0.0, value)
+    divergences = _kl_divergences(outputs, alpha)
+    return math.fsum(divergences.tolist()) / len(divergences)
 
 
 def kl_stability_score(outputs: Sequence[str], alpha: float = 1.0) -> StabilityScore:
@@ -213,23 +227,8 @@ def kl_stability_score(outputs: Sequence[str], alpha: float = 1.0) -> StabilityS
     [0, 1) and is 0 iff the pair's token multisets agree; the score value is
     1 minus the mean squashed divergence. Identical outputs score exactly 1.
     """
-    if len(outputs) < 2:
-        raise InsufficientSamplesError(f"need at least 2 outputs, got {len(outputs)}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    for out in outputs:
-        if not out.strip():
-            raise EmptyOutputError("cannot build a token distribution from an empty output")
-    vocab = sorted({tok for out in outputs for tok in tokenize(out)})
-    dists = [TokenDistribution.from_text(out, vocab, alpha) for out in outputs]
-    n = len(dists)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            divergence = max(0.0, symmetrized_kl(dists[i], dists[j]))
-            pairs.append((i, j, divergence / (1.0 + divergence)))
-    value = 1.0 - math.fsum(d for _, _, d in pairs) / len(pairs)
-    return StabilityScore(value=value, sample_count=n, pair_distances=tuple(pairs))
+    divergences = _kl_divergences(outputs, alpha)
+    return _score(len(outputs), divergences / (1.0 + divergences))
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

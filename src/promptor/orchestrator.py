@@ -152,11 +152,8 @@ class ContextStore:
         self._summaries[summary.source_subtask] = summary
 
     def history_for(self, sub: Subtask, plan: Plan) -> str:
-        lines = []
-        for other in plan.subtasks:
-            if other.id in sub.dependencies and other.id in self._summaries:
-                lines.append(f"- {other.id}: {self._summaries[other.id].structured_text}")
-        return "\n".join(lines)
+        done = sorted((d for d in sub.dependencies if d in self._summaries), key=plan.position)
+        return "\n".join(f"- {d}: {self._summaries[d].structured_text}" for d in done)
 
 
 @dataclass(frozen=True)
@@ -471,13 +468,7 @@ class Orchestrator:
             score = kl_stability_score(outputs, alpha=cfg.kl_alpha)
         self.trace.emit(
             "score",
-            {
-                "subtask_id": subtask_id,
-                "metric": cfg.metric,
-                "value": score.value,
-                "sample_count": score.sample_count,
-                "pair_distances": [[i, j, d] for i, j, d in score.pair_distances],
-            },
+            {"subtask_id": subtask_id, "metric": cfg.metric, **score.to_json_dict()},
         )
         return score, outputs
 

@@ -3,8 +3,9 @@
 A Plan is immutable; every mutation helper returns a new Plan. Construction
 re-sorts subtasks into a deterministic topological order (original order
 breaks ties), so two plans with the same subtasks serialize identically.
-Replacing a subtask without touching its dependencies keeps that order, so
-status, note and description changes skip the re-sort.
+Replacing a subtask without touching its dependencies keeps that order and
+the id and dependents indexes, so status, note and description changes skip
+the re-sort.
 """
 
 from __future__ import annotations
@@ -155,18 +156,31 @@ class Plan:
     created_from: str = ""
     # subtask id -> position in subtasks
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # subtask id -> ids of its direct dependents, in plan order
+    _dependents: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subtasks = _topological(tuple(self.subtasks))
+        index: dict[str, int] = {}
+        dependents: dict[str, list[str]] = {}
+        for pos, s in enumerate(subtasks):
+            index[s.id] = pos
+            dependents[s.id] = []
+            # topological order: every dependency already has its entry
+            for dep in s.dependencies:
+                dependents[dep].append(s.id)
         object.__setattr__(self, "subtasks", subtasks)
-        object.__setattr__(self, "_index", {s.id: i for i, s in enumerate(subtasks)})
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_dependents", dependents)
 
     def subtask(self, subtask_id: str) -> Subtask:
         return self.subtasks[self._index[subtask_id]]
 
+    def position(self, subtask_id: str) -> int:
+        return self._index[subtask_id]
+
     def dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
-        self.subtask(subtask_id)
-        return tuple(s for s in self.subtasks if subtask_id in s.dependencies)
+        return tuple(self.subtask(sid) for sid in self._dependents[subtask_id])
 
     def transitive_dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
         reached = {subtask_id}

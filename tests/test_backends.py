@@ -214,6 +214,18 @@ def test_hash_embedder_matches_independent_oracle():
     assert abs(cosine_distance(vectors[0], vectors[1]) - oracle_distance) <= 1e-12
 
 
+def test_hash_embedder_cached_buckets_match_oracle():
+    # repeated tokens within and across calls hit the bucket cache
+    texts = ["Alpha beta beta", "beta ALPHA gamma gamma gamma", "alpha beta beta"]
+    embedder = HashEmbedder()
+    for _ in range(2):
+        vectors = embedder.embed(texts)
+        assert [list(v.components) for v in vectors] == [
+            independent_hash_vector(t) for t in texts
+        ]
+    assert vectors[0] == vectors[2]
+
+
 def test_hash_embedder_rejects_empty_input():
     with pytest.raises(ValueError):
         HashEmbedder().embed([])

@@ -20,11 +20,13 @@ from promptor import (
     ZeroVectorError,
     cosine_distance,
     kl_stability,
+    kl_stability_score,
     pearson_correlation,
     semantic_stability,
     symmetrized_kl,
     tokenize,
 )
+from promptor.metrics import _kl_divergences
 
 TOL = 1e-9
 
@@ -134,6 +136,18 @@ def test_stability_identical_vectors():
     assert len(score.pair_distances) == 3
 
 
+def test_stability_equal_vectors_exact_zero():
+    # 1 - v.v / (|v| |v|) is 1.1e-16 for this v, not 0: the zero must not
+    # hang on rounding
+    v = (0.1, 0.7, 0.2, 0.9)
+    score = semantic_stability([v, (1.0, 0.0, 0.0, 0.0), v, v])
+    same = {(0, 2), (0, 3), (2, 3)}
+    assert all(d == 0.0 for i, j, d in score.pair_distances if (i, j) in same)
+    assert all(d > 0.0 for i, j, d in score.pair_distances if (i, j) not in same)
+    assert semantic_stability([v] * 5).value == 1.0
+    assert cosine_distance(v, v) == 0.0
+
+
 def test_stability_basis_triple():
     score = semantic_stability([(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     assert abs(score.value - BASIS_TRIPLE_STABILITY) <= TOL
@@ -183,6 +197,32 @@ def test_stability_permutation_exact(vectors, rnd):
     shuffled = list(vectors)
     rnd.shuffle(shuffled)
     assert semantic_stability(shuffled).value == semantic_stability(vectors).value
+
+
+def _reference_cosine(v, w) -> float:
+    dot = math.fsum(a * b for a, b in zip(v, w))
+    norms = math.sqrt(math.fsum(a * a for a in v)) * math.sqrt(math.fsum(b * b for b in w))
+    return 1.0 - dot / norms
+
+
+def _random_vectors(n: int, dim: int = 16) -> list[tuple[float, ...]]:
+    rng = np.random.default_rng(n)
+    return [tuple(row) for row in rng.normal(size=(n, dim))]
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_stability_matches_reference_pair_loop(n):
+    vectors = _random_vectors(n)
+    score = semantic_stability(vectors)
+    expected = [
+        (i, j, _reference_cosine(vectors[i], vectors[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    assert [(i, j) for i, j, _ in score.pair_distances] == [(i, j) for i, j, _ in expected]
+    for (_, _, d), (_, _, ref) in zip(score.pair_distances, expected):
+        assert abs(d - ref) <= 1e-12
+    assert abs(score.value - (1.0 - math.fsum(d for _, _, d in expected) / len(expected))) <= 1e-12
 
 
 @given(vector_lists)
@@ -277,6 +317,58 @@ def test_kl_zero_iff_identical_multisets(text):
     assert kl_stability([text, text]) == 0.0
     other = text + " zzz"
     assert kl_stability([text, other]) > 0.0
+
+
+def _reference_jeffreys(a: str, b: str, vocab: list[str], alpha: float) -> float:
+    # per-pair loop over the definition: sum p ln(p/q) + q ln(q/p)
+    def dist(text):
+        toks = text.lower().split()
+        total = len(toks) + alpha * len(vocab)
+        return [(toks.count(t) + alpha) / total for t in vocab]
+
+    p, q = dist(a), dist(b)
+    return math.fsum(pi * math.log(pi / qi) + qi * math.log(qi / pi) for pi, qi in zip(p, q))
+
+
+def _random_outputs(n: int) -> list[str]:
+    rng = np.random.default_rng(n)
+    words = ["alpha", "beta", "Gamma", "delta", "eps", "zeta", "eta", "theta"]
+    return [" ".join(rng.choice(words, size=rng.integers(1, 12))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 5, 50])
+def test_kl_score_matches_reference_pair_loop(n):
+    outputs = _random_outputs(n)
+    vocab = sorted({t for out in outputs for t in out.lower().split()})
+    score = kl_stability_score(outputs, alpha=0.5)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert [(i, j) for i, j, _ in score.pair_distances] == pairs
+    jeffreys = [_reference_jeffreys(outputs[i], outputs[j], vocab, 0.5) for i, j in pairs]
+    for (_, _, d), ref in zip(score.pair_distances, jeffreys):
+        assert abs(d - ref / (1.0 + ref)) <= 1e-12
+    assert abs(kl_stability(outputs, alpha=0.5) - math.fsum(jeffreys) / len(pairs)) <= 1e-12
+
+
+def test_kl_metrics_share_one_divergence_loop():
+    outputs = _random_outputs(7)
+    divergences = _kl_divergences(outputs, 1.0)
+    assert len(divergences) == 21
+    assert kl_stability(outputs) == math.fsum(divergences.tolist()) / len(divergences)
+    squashed = [d for _, _, d in kl_stability_score(outputs).pair_distances]
+    assert squashed == (divergences / (1.0 + divergences)).tolist()
+
+
+def test_kl_score_identical_multisets_exact():
+    score = kl_stability_score(["b a c", "a b c", "C A B"])
+    assert score.value == 1.0
+    assert all(d == 0.0 for _, _, d in score.pair_distances)
+
+
+@given(texts, st.randoms(use_true_random=False))
+def test_kl_score_permutation_exact(outputs, rnd):
+    shuffled = list(outputs)
+    rnd.shuffle(shuffled)
+    assert kl_stability_score(shuffled).value == kl_stability_score(outputs).value
 
 
 # -- pearson_correlation ------------------------------------------------------

@@ -16,7 +16,7 @@ from promptor.errors import (
     StateError,
     TransportError,
 )
-from promptor.metrics import semantic_stability
+from promptor.metrics import StabilityScore, semantic_stability
 from promptor.orchestrator import (
     ContextStore,
     ExecutionResult,
@@ -119,10 +119,13 @@ class TestRefineUntilStable:
         assert refined == prompt
         assert history.outcome == "stabilized"
         assert history.steps == ()
-        assert history.final_score.value == pytest.approx(1.0)
+        assert history.final_score.value == 1.0
         events = orch.trace.trace()
         assert len(events.events_of_type("score")) == 1
-        assert events.events_of_type("score")[0].payload["metric"] == "semantic"
+        payload = events.events_of_type("score")[0].payload
+        assert payload["metric"] == "semantic"
+        assert payload["subtask_id"] == "sA"
+        assert StabilityScore.from_json_dict(payload) == history.final_score
         assert len(events.events_of_type("embedding")) == 1
 
     def test_single_reviewer_step_stabilizes(self):
@@ -657,6 +660,23 @@ class TestContextStore:
         history = store.history_for(plan.subtask("c"), plan)
         assert history == "- a: A result\n- b: B result"
         assert store.history_for(plan.subtask("a"), plan) == ""
+
+    def test_history_follows_plan_position_not_id_order(self):
+        plan = Plan(
+            task_description=TASK,
+            subtasks=(
+                Subtask(id="z", description="First."),
+                Subtask(id="m", description="Second."),
+                Subtask(id="k", description="Unsummarized."),
+                Subtask(id="c", description="Last.",
+                        dependencies=frozenset({"m", "k", "z"})),
+            ),
+        )
+        store = ContextStore()
+        store.add(Summary("m", "M result"))
+        store.add(Summary("z", "Z result"))
+        history = store.history_for(plan.subtask("c"), plan)
+        assert history == "- z: Z result\n- m: M result"
 
     def test_build_subtask_prompt_assembles_components(self):
         plan = Plan(

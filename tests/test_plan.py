@@ -130,6 +130,32 @@ def test_plan_lookup_and_dependents():
         plan.subtask("ghost")
 
 
+def test_dependents_in_plan_order_across_updates():
+    plan = Plan(
+        task_description="t",
+        subtasks=(
+            Subtask(id="root", description="Start."),
+            Subtask(id="zeta", description="Z.", dependencies=frozenset({"root"})),
+            Subtask(id="alpha", description="A.", dependencies=frozenset({"root"})),
+            Subtask(id="mid", description="M.", dependencies=frozenset({"zeta"})),
+        ),
+    )
+    assert [s.id for s in plan.dependents("root")] == ["zeta", "alpha"]
+    assert plan.dependents("alpha") == ()
+    # a status change keeps the order and the index, and returns fresh subtasks
+    ready = with_status(plan, "zeta", SubtaskStatus.STABLE_PROMPT_READY)
+    assert [s.id for s in ready.dependents("root")] == ["zeta", "alpha"]
+    assert ready.dependents("root")[0].status is SubtaskStatus.STABLE_PROMPT_READY
+    # a dependency change re-sorts and rebuilds the index
+    rewired = with_subtask(
+        plan, Subtask(id="mid", description="M.", dependencies=frozenset({"alpha"}))
+    )
+    assert [s.id for s in rewired.dependents("zeta")] == []
+    assert [s.id for s in rewired.dependents("alpha")] == ["mid"]
+    with pytest.raises(KeyError):
+        plan.dependents("ghost")
+
+
 def test_ready_subtasks_respects_dependencies():
     plan = chain_plan()
     assert [s.id for s in plan.ready_subtasks()] == ["load"]
