@@ -16,7 +16,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 import requests

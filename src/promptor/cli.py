@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import PipelineConfig
+from .config import MODULE_KEYS, PipelineConfig
 from .deviation import AgentOutputModel, AggregationSpec, simulate_deviation_tails
 from .errors import BackendError, ConfigError, MalformedTraceError
 from .orchestrator import KL, SEMANTIC, Orchestrator
@@ -39,12 +39,8 @@ exit codes:
   4  malformed trace
 """
 
-_DISABLE_CHOICES = ("subtask-optimizer", "reviewer", "plan-updater")
-_DISABLE_ALIAS = {
-    "subtask-optimizer": "subtask_optimizer",
-    "reviewer": "reviewer",
-    "plan-updater": "plan_updater",
-}
+# --disable takes the config's module keys in kebab case
+_DISABLE_CHOICES = tuple(key.replace("_", "-") for key in MODULE_KEYS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +136,7 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     if getattr(args, "disable", None):
         modules = dict(cfg.modules)
         for name in args.disable:
-            modules[_DISABLE_ALIAS[name]] = False
+            modules[name.replace("-", "_")] = False
         updates["modules"] = modules
     return dataclasses.replace(cfg, **updates) if updates else cfg
 

@@ -28,7 +28,7 @@ from .orchestrator import KL, SEMANTIC, OrchestratorSettings, RefinementConfig
 EXACT = "exact"
 NUMERIC_MATCH = "numeric"
 
-_MODULE_KEYS = ("subtask_optimizer", "reviewer", "plan_updater", "knowledge_generator")
+MODULE_KEYS = ("subtask_optimizer", "reviewer", "plan_updater", "knowledge_generator")
 
 
 def _behavior_from_config(entry: dict) -> ScriptedBehavior:
@@ -111,7 +111,7 @@ class PipelineConfig:
     augmentation_retries: int = 2
     target_granularity: float = 2.0
     modules: dict = field(
-        default_factory=lambda: {key: True for key in _MODULE_KEYS}
+        default_factory=lambda: {key: True for key in MODULE_KEYS}
     )
     reference_answer: str | None = None
     reference_match: str = EXACT
@@ -150,9 +150,9 @@ class PipelineConfig:
             )
         if self.reference_tolerance < 0:
             raise ConfigError("reference_tolerance must be >= 0")
-        modules = {key: True for key in _MODULE_KEYS}
+        modules = {key: True for key in MODULE_KEYS}
         for key, value in dict(self.modules).items():
-            if key not in _MODULE_KEYS:
+            if key not in MODULE_KEYS:
                 raise ConfigError(f"unknown module toggle: {key!r}")
             modules[key] = bool(value)
         object.__setattr__(self, "modules", modules)
@@ -198,20 +198,8 @@ class PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid refinement settings: {exc}") from exc
 
-    def orchestrator_settings(self, disabled: tuple[str, ...] = ()) -> OrchestratorSettings:
-        """Module toggles from the config, minus any disabled on top (CLI
-        --disable flags use the kebab-case module names)."""
-        toggles = dict(self.modules)
-        alias = {
-            "subtask-optimizer": "subtask_optimizer",
-            "reviewer": "reviewer",
-            "plan-updater": "plan_updater",
-            "knowledge-generator": "knowledge_generator",
-        }
-        for name in disabled:
-            if name not in alias:
-                raise ConfigError(f"unknown module to disable: {name!r}")
-            toggles[alias[name]] = False
+    def orchestrator_settings(self) -> OrchestratorSettings:
+        """Run settings and module toggles for the orchestrator."""
         try:
             return OrchestratorSettings(
                 refinement=self.refinement_config(),
@@ -220,10 +208,10 @@ class PipelineConfig:
                 reask_budget=self.reask_budget,
                 augmentation_retries=self.augmentation_retries,
                 target_granularity=self.target_granularity,
-                subtask_optimizer_enabled=toggles["subtask_optimizer"],
-                reviewer_enabled=toggles["reviewer"],
-                plan_updater_enabled=toggles["plan_updater"],
-                knowledge_enabled=toggles["knowledge_generator"],
+                subtask_optimizer_enabled=self.modules["subtask_optimizer"],
+                reviewer_enabled=self.modules["reviewer"],
+                plan_updater_enabled=self.modules["plan_updater"],
+                knowledge_enabled=self.modules["knowledge_generator"],
             )
         except ValueError as exc:
             raise ConfigError(f"invalid orchestrator settings: {exc}") from exc

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EncodeError
-from .metrics import EmbeddingVector, tokenize
+from .errors import DimensionMismatchError
 
 GAUSSIAN = "gaussian"
 UNIFORM_BOUNDED = "uniform-bounded"
@@ -194,20 +192,6 @@ def _block_deviations(
     return np.abs(dev)
 
 
-def exceedance_count_for_block(
-    models: Sequence[AgentOutputModel],
-    spec: AggregationSpec,
-    epsilon: float,
-    seed: int,
-    block_index: int,
-    block_trials: int,
-) -> int:
-    """Count of trials in one block with deviation >= epsilon. Safe to call
-    from parallel workers; depends only on (seed, block_index)."""
-    dev = _block_deviations(models, spec, seed, block_index, block_trials)
-    return int(np.count_nonzero(dev >= epsilon))
-
-
 def _check_simulation_args(models, spec, trials):
     if len(models) != spec.n:
         raise DimensionMismatchError(f"got {len(models)} models for n={spec.n}")
@@ -257,67 +241,3 @@ def simulate_deviation_tails(
         )
         for k, eps in enumerate(epsilons)
     ]
-
-
-def simulate_deviation_tail(
-    models: Sequence[AgentOutputModel],
-    spec: AggregationSpec,
-    epsilon: float,
-    trials: int,
-    seed: int,
-) -> DeviationReport:
-    """Single-threshold Monte-Carlo verification; bit-identical for identical
-    (models, spec, epsilon, trials, seed)."""
-    return simulate_deviation_tails(models, spec, [epsilon], trials, seed)[0]
-
-
-# -- Output encoding schemes -------------------------------------------------
-
-_LEADING_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-@dataclass(frozen=True)
-class NumericParse:
-    """Parse a leading decimal number from the output text."""
-
-    def encode(self, output: str) -> float:
-        match = _LEADING_NUMBER.match(output.lstrip())
-        if match is None:
-            raise EncodeError(f"no leading decimal number in {output[:40]!r}")
-        return float(match.group(0))
-
-
-@dataclass(frozen=True)
-class TokenLength:
-    """Scalar = number of whitespace tokens."""
-
-    def encode(self, output: str) -> float:
-        return float(len(tokenize(output)))
-
-
-@dataclass(frozen=True)
-class EmbeddingProjection:
-    """Scalar = dot product of the output's embedding with a fixed axis."""
-
-    axis: tuple[float, ...]
-    embedder: object
-
-    def encode(self, output: str) -> float:
-        vector = self.embedder.embed([output])[0]
-        axis = np.asarray(self.axis, dtype=float)
-        comps = np.asarray(
-            vector.components if isinstance(vector, EmbeddingVector) else vector, dtype=float
-        )
-        if comps.shape != axis.shape:
-            raise DimensionMismatchError(
-                f"axis dim {axis.shape} != embedding dim {comps.shape}"
-            )
-        return float(np.dot(comps, axis))
-
-
-EncodingScheme = NumericParse | TokenLength | EmbeddingProjection
-
-
-def encode_output(output: str, scheme: EncodingScheme) -> float:
-    """Deterministically encode a text output into a scalar."""
-    return scheme.encode(output)

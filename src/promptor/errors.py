@@ -48,10 +48,6 @@ class MalformedTraceError(PromptorError):
     """A trace file violates the JSON-lines trace schema."""
 
 
-class EncodeError(PromptorError):
-    """An output could not be encoded into a scalar under the requested scheme."""
-
-
 class InvalidComponentError(PromptorError, ValueError):
     """A prompt component replacement violated its invariants."""
 

@@ -151,44 +151,6 @@ def tokenize(text: str) -> list[str]:
     return text.lower().split()
 
 
-@dataclass(frozen=True)
-class TokenDistribution:
-    """Add-alpha smoothed unigram distribution over a fixed vocabulary."""
-
-    vocabulary: tuple[str, ...]
-    probabilities: tuple[float, ...]
-    smoothing_alpha: float
-
-    def __post_init__(self):
-        if self.smoothing_alpha <= 0:
-            raise ValueError("smoothing_alpha must be positive")
-        if len(self.vocabulary) != len(self.probabilities):
-            raise ValueError("vocabulary and probabilities must align")
-        total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p <= 0 for p in self.probabilities):
-            raise ValueError("smoothed probabilities must all be positive")
-
-    @classmethod
-    def from_text(cls, text: str, vocabulary: Sequence[str], alpha: float) -> "TokenDistribution":
-        vocab = tuple(vocabulary)
-        counts = {tok: 0 for tok in vocab}
-        for tok in tokenize(text):
-            counts[tok] += 1
-        total = sum(counts.values()) + alpha * len(vocab)
-        probs = tuple((counts[tok] + alpha) / total for tok in vocab)
-        return cls(vocabulary=vocab, probabilities=probs, smoothing_alpha=alpha)
-
-
-def symmetrized_kl(p: TokenDistribution, q: TokenDistribution) -> float:
-    """KL(p||q) + KL(q||p) = sum (p - q)(ln p - ln q) over a shared vocabulary."""
-    if p.vocabulary != q.vocabulary:
-        raise DimensionMismatchError("distributions must share a vocabulary")
-    probs = np.array([p.probabilities, q.probabilities])
-    return float(_pair_sums(probs, np.log(probs))[0])
-
-
 def _kl_divergences(outputs: Sequence[str], alpha: float) -> np.ndarray:
     """Symmetrized KL divergence of every output pair i < j, between add-alpha
     smoothed unigram distributions over the union vocabulary; exactly 0 when

@@ -806,20 +806,36 @@ class Orchestrator:
     def run_pipeline(self, task: str, template: str | None = None) -> ExecutionTrace:
         """The full loop: plan, optimize, then per subtask refine-execute-
         summarize with feedback plan updates; failed subtasks get one
-        strategy-shift retry when the plan updater is enabled."""
+        strategy-shift retry when the plan updater is enabled.
+
+        The run's terminal status is written in one place, whatever happens:
+        an unexpected exception is recorded as a run-aborted warning, the run
+        ends failed, and the exception propagates."""
         self.trace.emit(
             "status-change", {"subtask_id": "__run__", "from": None, "to": "running"}
         )
+        status, final_output = "failed", ""
+        try:
+            status, final_output = self._run_plan(task, template)
+        except Exception as exc:
+            self.trace.warning("run-aborted", error=f"{type(exc).__name__}: {exc}")
+            raise
+        finally:
+            self.trace.emit(
+                "status-change",
+                {"subtask_id": "__run__", "from": "running", "to": status,
+                 "final_output": final_output},
+            )
+        return self.trace.trace()
+
+    def _run_plan(self, task: str, template: str | None) -> tuple[str, str]:
+        """Plan and execute the task; returns the run's terminal status and
+        final output."""
         try:
             plan = self.decompose_task(task, template)
         except PlanningFailure as exc:
             self.trace.warning("planning-failure", error=str(exc))
-            self.trace.emit(
-                "status-change",
-                {"subtask_id": "__run__", "from": "running", "to": "failed",
-                 "final_output": ""},
-            )
-            return self.trace.trace()
+            return "failed", ""
         if self.settings.subtask_optimizer_enabled:
             plan = self.optimize_subtasks(plan)
         context = ContextStore()
@@ -845,11 +861,4 @@ class Orchestrator:
                 outputs[subtask_id] = result.output
                 plan = self._after_success(plan, result, context)
         succeeded = all(s.status is SubtaskStatus.EXECUTED_OK for s in plan.subtasks)
-        final_output = outputs.get(plan.subtasks[-1].id, "")
-        self.trace.emit(
-            "status-change",
-            {"subtask_id": "__run__", "from": "running",
-             "to": "succeeded" if succeeded else "failed",
-             "final_output": final_output},
-        )
-        return self.trace.trace()
+        return "succeeded" if succeeded else "failed", outputs.get(plan.subtasks[-1].id, "")

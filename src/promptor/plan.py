@@ -182,24 +182,6 @@ class Plan:
     def dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
         return tuple(self.subtask(sid) for sid in self._dependents[subtask_id])
 
-    def transitive_dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
-        reached = {subtask_id}
-        # subtasks are topologically ordered, so one forward pass suffices
-        out = []
-        for s in self.subtasks:
-            if s.id != subtask_id and s.dependencies & reached:
-                reached.add(s.id)
-                out.append(s)
-        return tuple(out)
-
-    def ready_subtasks(self) -> tuple[Subtask, ...]:
-        done = {s.id for s in self.subtasks if s.status is SubtaskStatus.EXECUTED_OK}
-        return tuple(
-            s
-            for s in self.subtasks
-            if s.status is SubtaskStatus.PENDING and s.dependencies <= done
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "task_description": self.task_description,

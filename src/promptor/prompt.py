@@ -11,7 +11,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import InvalidComponentError
 

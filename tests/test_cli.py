@@ -80,6 +80,52 @@ class TestRun:
         assert modules["subtask_optimizer"] is False
         assert modules["plan_updater"] is True
 
+    def test_disable_takes_kebab_module_names(self, tmp_path, capsys):
+        # start from all modules on; the fixture config turns one off
+        config_path = write_json(tmp_path / "all-on.json", pipeline_config_dict(modules={}))
+        trace_path = tmp_path / "run.jsonl"
+        code, _, _ = invoke(
+            ["run", "--config", config_path, "--trace", str(trace_path),
+             "--disable", "knowledge-generator", "--disable", "reviewer"],
+            capsys,
+        )
+        assert code == 0
+        assert read_trace(trace_path).header["modules"] == {
+            "subtask_optimizer": True,
+            "reviewer": False,
+            "plan_updater": True,
+            "knowledge_generator": False,
+        }
+
+    def test_disable_unknown_module_is_usage_error(self, config_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", config_path, "--disable", "summarizer"])
+        assert exc.value.code == 1
+
+    def test_aborted_run_still_writes_a_terminal_status(self, tmp_path, capsys):
+        # the planner answers, but no behavior covers the executor prompt
+        # that stability sampling sends, so the run aborts mid-way
+        config = pipeline_config_dict()
+        config["generator"] = {"kind": "scripted",
+                               "behaviors": config["generator"]["behaviors"][:1]}
+        config_path = write_json(tmp_path / "planner-only.json", config)
+        trace_path = tmp_path / "aborted.jsonl"
+        code, _, err = invoke(
+            ["run", "--config", config_path, "--trace", str(trace_path)], capsys
+        )
+        assert code == 3
+        assert err.startswith("backend error:")
+        events = read_trace(trace_path).events
+        aborted = [e for e in events if e.type == "warning"
+                   and e.payload["reason"] == "run-aborted"]
+        assert len(aborted) == 1
+        assert aborted[0].payload["error"].startswith("UnknownPromptError: ")
+        assert events[-1].payload == {"subtask_id": "__run__", "from": "running",
+                                      "to": "failed", "final_output": ""}
+        code, out, _ = invoke(["replay", "--trace", str(trace_path)], capsys)
+        assert code == 0
+        assert "run 1: failed\n" in out
+
 
 class TestReplayAndReport:
     def test_replay_reproduces_the_run_report(self, tmp_path, config_path, capsys):

@@ -116,18 +116,6 @@ class TestOrchestratorSettings:
         assert settings.knowledge_enabled is False
         assert settings.reviewer_enabled is True
 
-    def test_disable_flags_use_kebab_names(self):
-        cfg = PipelineConfig.from_json_dict({"task": "t"})
-        settings = cfg.orchestrator_settings(disabled=("reviewer", "plan-updater"))
-        assert settings.reviewer_enabled is False
-        assert settings.plan_updater_enabled is False
-        assert settings.subtask_optimizer_enabled is True
-
-    def test_unknown_disable_name_rejected(self):
-        cfg = PipelineConfig.from_json_dict({"task": "t"})
-        with pytest.raises(ConfigError, match="disable"):
-            cfg.orchestrator_settings(disabled=("summarizer",))
-
     def test_refinement_settings_flow_through(self):
         cfg = PipelineConfig.from_json_dict(
             {"task": "t", "tau": 0.9, "samples": 7, "max_iterations": 3}

@@ -6,25 +6,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from promptor import (
     AgentOutputModel,
     AggregationSpec,
     DimensionMismatchError,
-    EmbeddingProjection,
-    EmbeddingVector,
-    EncodeError,
-    NumericParse,
-    TokenLength,
     aggregate,
     deviation_bound,
-    encode_output,
-    simulate_deviation_tail,
     simulate_deviation_tails,
 )
-from promptor.deviation import _BLOCK_SIZE, _block_layout, exceedance_count_for_block
+from promptor.deviation import _BLOCK_SIZE, _block_deviations, _block_layout
 
 # n=1, weight 1, Var 1, eps 2: 2 exp(-4/2) = 2 e^-2
 BOUND_N1_EPS2 = 2.0 * math.exp(-2.0)
@@ -185,11 +178,11 @@ def test_model_json_round_trip():
         assert AgentOutputModel.from_json_dict(model.to_json_dict()) == model
 
 
-# -- simulate_deviation_tail ----------------------------------------------------
+# -- simulate_deviation_tails ---------------------------------------------------
 
 
 def test_simulation_normal_tail_oracle():
-    report = simulate_deviation_tail([STD_GAUSSIAN], UNIT, 2.0, trials=20000, seed=11)
+    report = simulate_deviation_tails([STD_GAUSSIAN], UNIT, [2.0], trials=20000, seed=11)[0]
     assert abs(report.empirical_tail - NORMAL_TAIL_EPS2) <= 0.008
     assert report.empirical_tail <= report.analytic_bound
     assert abs(report.analytic_bound - BOUND_N1_EPS2) <= 1e-12
@@ -197,21 +190,21 @@ def test_simulation_normal_tail_oracle():
 
 def test_simulation_zero_variance():
     models = [AgentOutputModel.gaussian(3.0, 0.0)]
-    report = simulate_deviation_tail(models, UNIT, 0.5, trials=1000, seed=1)
+    report = simulate_deviation_tails(models, UNIT, [0.5], trials=1000, seed=1)[0]
     assert report.empirical_tail == 0.0
     assert report.analytic_bound == 0.0
 
 
 def test_simulation_deterministic():
-    a = simulate_deviation_tail([STD_GAUSSIAN], UNIT, 1.0, trials=5000, seed=42)
-    b = simulate_deviation_tail([STD_GAUSSIAN], UNIT, 1.0, trials=5000, seed=42)
+    a = simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0], trials=5000, seed=42)[0]
+    b = simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0], trials=5000, seed=42)[0]
     assert a == b
-    c = simulate_deviation_tail([STD_GAUSSIAN], UNIT, 1.0, trials=5000, seed=43)
+    c = simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0], trials=5000, seed=43)[0]
     assert c.empirical_tail != a.empirical_tail
 
 
 def test_simulation_records_rng_algorithm():
-    report = simulate_deviation_tail([STD_GAUSSIAN], UNIT, 1.0, trials=10, seed=0)
+    report = simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0], trials=10, seed=0)[0]
     data = report.to_json_dict()
     assert data["rng_algorithm"]
     assert data["seed"] == 0 and data["trials"] == 10 and data["n"] == 1
@@ -223,12 +216,12 @@ def test_block_merge_equals_single_threaded():
     models = [STD_GAUSSIAN, AgentOutputModel.uniform(-2.0, 2.0)]
     spec = AggregationSpec(u=(1.0, 0.5), v=(1.0, 1.0))
     eps = 1.2
-    report = simulate_deviation_tail(models, spec, eps, trials=trials, seed=99)
+    report = simulate_deviation_tails(models, spec, [eps], trials=trials, seed=99)[0]
+    # blocks computed in reverse order must merge to the single-threaded count
     merged = sum(
-        exceedance_count_for_block(models, spec, eps, 99, index, size)
-        for index, size in _block_layout(trials)
+        int(np.count_nonzero(_block_deviations(models, spec, 99, index, size) >= eps))
+        for index, size in reversed(_block_layout(trials))
     )
-    # block workers in any order must merge to the single-threaded count
     assert merged == round(report.empirical_tail * trials)
 
 
@@ -244,7 +237,7 @@ def test_multi_epsilon_shares_draws():
     tails = [r.empirical_tail for r in reports]
     # same draws, so tail frequency is exactly non-increasing in epsilon
     assert tails == sorted(tails, reverse=True)
-    single = simulate_deviation_tail([STD_GAUSSIAN], UNIT, 1.0, trials=4000, seed=5)
+    single = simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0], trials=4000, seed=5)[0]
     assert single == reports[1]
 
 
@@ -253,7 +246,7 @@ def test_simulation_respects_bound_on_mixed_instance():
     spec = AggregationSpec(u=(1.0, -1.0, 0.5), v=(1.0, 1.0, 1.0))
     trials = 20000
     for eps in (0.5, 1.0, 2.0):
-        report = simulate_deviation_tail(models, spec, eps, trials=trials, seed=3)
+        report = simulate_deviation_tails(models, spec, [eps], trials=trials, seed=3)[0]
         b = report.analytic_bound
         margin = 3.0 * math.sqrt(b * (1.0 - b) / trials)
         assert report.empirical_tail <= b + margin
@@ -261,48 +254,8 @@ def test_simulation_respects_bound_on_mixed_instance():
 
 def test_simulation_validates_arguments():
     with pytest.raises(DimensionMismatchError):
-        simulate_deviation_tail([STD_GAUSSIAN], AggregationSpec((1.0, 1.0), (1.0, 1.0)), 1.0, 10, 0)
+        simulate_deviation_tails([STD_GAUSSIAN], AggregationSpec((1.0, 1.0), (1.0, 1.0)), [1.0], 10, 0)
     with pytest.raises(ValueError):
-        simulate_deviation_tail([STD_GAUSSIAN], UNIT, 1.0, trials=0, seed=0)
+        simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0], trials=0, seed=0)
     with pytest.raises(ValueError):
-        simulate_deviation_tail([STD_GAUSSIAN], UNIT, -1.0, trials=10, seed=0)
-
-
-# -- encode_output ----------------------------------------------------------------
-
-
-def test_numeric_parse():
-    assert encode_output("42 apples", NumericParse()) == 42.0
-    assert encode_output("  -3.5e2 remainder", NumericParse()) == -350.0
-    assert encode_output(".5", NumericParse()) == 0.5
-
-
-def test_numeric_parse_failure():
-    with pytest.raises(EncodeError):
-        encode_output("apples", NumericParse())
-
-
-def test_token_length():
-    assert encode_output("a b c", TokenLength()) == 3.0
-    assert encode_output("  spaced   out  ", TokenLength()) == 2.0
-
-
-class FixedEmbedder:
-    """Stub embedder returning one canned vector regardless of input."""
-
-    def __init__(self, vector):
-        self.vector = vector
-
-    def embed(self, texts):
-        return [EmbeddingVector(tuple(self.vector)) for _ in texts]
-
-
-def test_embedding_projection():
-    scheme = EmbeddingProjection(axis=(1.0, 0.0, 2.0), embedder=FixedEmbedder((3.0, 5.0, 0.5)))
-    assert encode_output("anything", scheme) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_embedding_projection_dim_check():
-    scheme = EmbeddingProjection(axis=(1.0, 0.0), embedder=FixedEmbedder((3.0, 5.0, 0.5)))
-    with pytest.raises(DimensionMismatchError):
-        encode_output("anything", scheme)
+        simulate_deviation_tails([STD_GAUSSIAN], UNIT, [-1.0], trials=10, seed=0)

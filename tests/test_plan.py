@@ -125,7 +125,6 @@ def test_plan_lookup_and_dependents():
     plan = chain_plan()
     assert plan.subtask("clean").description == "Drop malformed rows."
     assert [s.id for s in plan.dependents("load")] == ["clean"]
-    assert [s.id for s in plan.transitive_dependents("load")] == ["clean", "plot"]
     with pytest.raises(KeyError):
         plan.subtask("ghost")
 
@@ -154,14 +153,6 @@ def test_dependents_in_plan_order_across_updates():
     assert [s.id for s in rewired.dependents("alpha")] == ["mid"]
     with pytest.raises(KeyError):
         plan.dependents("ghost")
-
-
-def test_ready_subtasks_respects_dependencies():
-    plan = chain_plan()
-    assert [s.id for s in plan.ready_subtasks()] == ["load"]
-    plan = with_status(plan, "load", SubtaskStatus.STABLE_PROMPT_READY)
-    plan = with_status(plan, "load", SubtaskStatus.EXECUTED_OK)
-    assert [s.id for s in plan.ready_subtasks()] == ["clean"]
 
 
 def test_with_subtask_replaces_by_id():
