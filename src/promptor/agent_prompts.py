@@ -70,7 +70,8 @@ def classifier_prompt(task: str) -> str:
 def reviewer_stability_prompt(
     subtask_id: str, p: ModularPrompt, score: StabilityScore, samples: list[str]
 ) -> str:
-    distances = "\n".join(f"d({i},{j}) = {d:.6f}" for i, j, d in score.pair_distances)
+    distances = "\n".join(f"sample {k}: {d:.6f}" for k, d in enumerate(score.sample_distances))
+    farthest = max(range(score.sample_count), key=score.sample_distances.__getitem__)
     numbered = "\n\n".join(f"[sample {i}]\n{s}" for i, s in enumerate(samples))
     return (
         f"{REVIEWER_STABILITY_MARK}\n"
@@ -78,7 +79,8 @@ def reviewer_stability_prompt(
         f"Stability: {score.value:.6f} over {score.sample_count} samples\n\n"
         f"Current prompt:\n{render_prompt(p)}\n\n"
         f"Samples:\n{numbered}\n\n"
-        f"Pairwise distances:\n{distances}\n\n"
+        f"Mean distance from each sample to the others:\n{distances}\n"
+        f"Farthest from the rest: sample {farthest}\n\n"
         "The outputs diverge. Name the one prompt component responsible and give "
         "its full replacement. Respond with "
         '{"component": "role|requirements|knowledge|history", "replacement": "..."}. '

@@ -36,6 +36,9 @@ HASH_EMBEDDER_OFFSET = 1e-3
 
 AUTH_ENV_VAR = "PROMPTOR_API_KEY"
 
+# client errors worth another attempt: request timeout, too many requests
+_RETRIED_4XX = (408, 429)
+
 
 @dataclass(frozen=True)
 class GenerationRequest:
@@ -336,6 +339,8 @@ class _HttpBase:
             logger.warning(
                 "attempt %d/%d to %s failed: %s", attempt + 1, attempts, url, last_failure
             )
+            if 400 <= response.status_code < 500 and response.status_code not in _RETRIED_4XX:
+                raise TransportError(f"{url} rejected the request: {last_failure}")
         raise TransportError(f"{url} failed after {attempts} attempts: {last_failure}")
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from .config import MODULE_KEYS, PipelineConfig
 from .deviation import AgentOutputModel, AggregationSpec, simulate_deviation_tails
 from .errors import BackendError, ConfigError, MalformedTraceError
-from .orchestrator import KL, SEMANTIC, Orchestrator
+from .orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, Orchestrator
 from .prompt import ModularPrompt
 from .reports import (
     compute_run_metrics,
@@ -58,7 +58,7 @@ def _add_override_flags(sub):
     sub.add_argument("--tau", type=float, default=None,
                      help="override the stability gate threshold")
     sub.add_argument("--samples", type=int, default=None,
-                     help="override the per-evaluation sample count")
+                     help=f"override the per-evaluation sample count (2 to {MAX_SAMPLE_COUNT})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,9 +142,10 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
 
 
 def _make_orchestrator(cfg: PipelineConfig, trace_path: str | None) -> Orchestrator:
+    settings = cfg.orchestrator_settings()
     generator, embedder = cfg.build_backends()
     writer = TraceWriter(cfg.header(), path=trace_path)
-    return Orchestrator(generator, embedder, writer, cfg.orchestrator_settings())
+    return Orchestrator(generator, embedder, writer, settings)
 
 
 def cmd_run(args) -> int:

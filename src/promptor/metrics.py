@@ -6,6 +6,7 @@ All functions here are pure and reentrant; nothing touches a backend.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,22 +33,6 @@ class EmbeddingVector:
     @property
     def dim(self) -> int:
         return len(self.components)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.components)))
-
-    def to_json_dict(self) -> dict:
-        return {"components": list(self.components), "dim": self.dim}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "EmbeddingVector":
-        vec = cls(tuple(data["components"]))
-        if "dim" in data and int(data["dim"]) != vec.dim:
-            raise DimensionMismatchError(
-                f"declared dim {data['dim']} != component count {vec.dim}"
-            )
-        return vec
 
 
 def _as_array(v) -> np.ndarray:
@@ -90,59 +75,78 @@ def cosine_distance(v, w) -> float:
 
 @dataclass(frozen=True)
 class StabilityScore:
-    """Semantic stability of a prompt: 1 minus the mean pairwise cosine
-    distance over N repeated outputs, with full per-pair provenance."""
+    """Semantic stability of a prompt: 1 minus the mean pairwise distance over
+    N repeated outputs, with each sample's mean distance to the other N - 1.
+    The mean of sample_distances is 1 - value, up to rounding."""
 
     value: float
     sample_count: int
-    pair_distances: tuple[tuple[int, int, float], ...]
+    sample_distances: tuple[float, ...]
 
     def __post_init__(self):
-        n = self.sample_count
-        expected = n * (n - 1) // 2
-        if len(self.pair_distances) != expected:
-            raise ValueError(
-                f"expected {expected} pair distances for N={n}, got {len(self.pair_distances)}"
-            )
-        for i, j, d in self.pair_distances:
-            if not 0.0 <= d <= 2.0:
-                raise ValueError(f"pair distance d_{i}{j}={d} outside [0, 2]")
+        d = self.sample_distances
+        if len(d) != self.sample_count:
+            raise ValueError(f"expected {self.sample_count} sample distances, got {len(d)}")
+        if d and not (0.0 <= min(d) and max(d) <= 2.0):
+            raise ValueError(f"sample distances outside [0, 2]: {min(d)}..{max(d)}")
 
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
             "sample_count": self.sample_count,
-            "pair_distances": [[i, j, d] for i, j, d in self.pair_distances],
+            "sample_distances": list(self.sample_distances),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StabilityScore":
-        return cls(
-            value=float(data["value"]),
-            sample_count=int(data["sample_count"]),
-            pair_distances=tuple((int(i), int(j), float(d)) for i, j, d in data["pair_distances"]),
-        )
 
-
-def _score(n: int, distances: np.ndarray) -> StabilityScore:
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every pair i < j in np.triu_indices order."""
     i, j = np.triu_indices(n, 1)
-    pairs = tuple(zip(i.tolist(), j.tolist(), distances.tolist()))
-    value = 1.0 - math.fsum(distances.tolist()) / len(pairs)
-    return StabilityScore(value=value, sample_count=n, pair_distances=pairs)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
-def semantic_stability(vectors: Sequence) -> StabilityScore:
+def _score(n: int, distances: np.ndarray, empty: Sequence[int], ceiling: float) -> StabilityScore:
+    """The score of N samples from the pair distances of the non-empty ones.
+    A pair with an empty sample (position listed in `empty`) gets the
+    ceiling, the largest distance the metric can give."""
+    i, j = _pairs(n)
+    if empty:
+        blank = np.zeros(n, dtype=bool)
+        blank[list(empty)] = True
+        full = np.full(len(i), ceiling)
+        full[~(blank[i] | blank[j])] = distances
+        distances = full
+    value = 1.0 - math.fsum(distances.tolist()) / len(distances)
+    totals = np.bincount(i, distances, n) + np.bincount(j, distances, n)
+    return StabilityScore(value=value, sample_count=n,
+                          sample_distances=tuple((totals / (n - 1)).tolist()))
+
+
+def _sample_count(kept: int, empty: Sequence[int]) -> int:
+    n = kept + len(empty)
+    if n < 2:
+        raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
+    if len(set(empty)) != len(empty) or not all(0 <= k < n for k in empty):
+        raise ValueError(f"empty sample positions {list(empty)} do not fit N={n}")
+    return n
+
+
+def semantic_stability(vectors: Sequence, empty: Sequence[int] = ()) -> StabilityScore:
     """Average pairwise cosine similarity over N >= 2 output embeddings.
 
     value = 1 - (2 / (N (N-1))) * sum_{i<j} d_ij, i.e. 1 minus the mean pair
     distance. Permuting the input leaves the value exactly unchanged: each
     d_ij depends only on its two vectors, and the mean is an exactly rounded
     sum. Equal vectors have d_ij exactly 0, so N equal vectors score 1.
+
+    `empty` holds the positions, among N = len(vectors) + len(empty), of
+    samples with no text to embed; the vectors fill the other positions in
+    order. An empty sample is at the maximum distance 2 from every other.
     """
-    n = len(vectors)
-    if n < 2:
-        raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-    return _score(n, _cosine_distances(vectors))
+    n = _sample_count(len(vectors), empty)
+    distances = _cosine_distances(vectors) if len(vectors) >= 2 else np.empty(0)
+    return _score(n, distances, empty, 2.0)
 
 
 def tokenize(text: str) -> list[str]:
@@ -181,16 +185,25 @@ def kl_stability(outputs: Sequence[str], alpha: float = 1.0) -> float:
     return math.fsum(divergences.tolist()) / len(divergences)
 
 
-def kl_stability_score(outputs: Sequence[str], alpha: float = 1.0) -> StabilityScore:
+def kl_stability_score(
+    outputs: Sequence[str], alpha: float = 1.0, empty: Sequence[int] = ()
+) -> StabilityScore:
     """kl_stability repackaged on the same scale as semantic_stability, so the
     two metrics are interchangeable behind one threshold gate.
 
     Each pairwise divergence J is squashed to J / (1 + J), which lies in
     [0, 1) and is 0 iff the pair's token multisets agree; the score value is
     1 minus the mean squashed divergence. Identical outputs score exactly 1.
+    `empty` works as in semantic_stability: an empty sample is at the
+    maximum distance 1 from every other.
     """
-    divergences = _kl_divergences(outputs, alpha)
-    return _score(len(outputs), divergences / (1.0 + divergences))
+    n = _sample_count(len(outputs), empty)
+    if len(outputs) >= 2:
+        divergences = _kl_divergences(outputs, alpha)
+        squashed = divergences / (1.0 + divergences)
+    else:
+        squashed = np.empty(0)
+    return _score(n, squashed, empty, 1.0)
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

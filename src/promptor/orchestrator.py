@@ -63,6 +63,9 @@ _COMPONENT_PRIORITY = ("requirements", "knowledge", "role", "history")
 
 SUMMARY_PASS_THROUGH_LIMIT = 200
 
+# upper bound on the stability samples per measurement
+MAX_SAMPLE_COUNT = 1000
+
 
 @dataclass(frozen=True)
 class RefinementConfig:
@@ -77,8 +80,8 @@ class RefinementConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.sample_count < 2:
-            raise ValueError("sample_count must be >= 2")
+        if not 2 <= self.sample_count <= MAX_SAMPLE_COUNT:
+            raise ValueError(f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.reviewer_temperature < 0 or self.stability_temperature < 0:
@@ -456,16 +459,20 @@ class Orchestrator:
             purpose="stability",
             subtask_id=subtask_id,
         )
+        # an empty sample is scored as maximally distant, not embedded
+        empty = [k for k, out in enumerate(outputs) if not out.strip()]
+        kept = [out for out in outputs if out.strip()]
         if cfg.metric == SEMANTIC:
-            vectors = self.embedder.embed(outputs)
-            self.trace.emit(
-                "embedding",
-                {"subtask_id": subtask_id, "purpose": "stability",
-                 "count": len(vectors), "dim": vectors[0].dim},
-            )
-            score = semantic_stability(vectors)
+            vectors = self.embedder.embed(kept) if kept else []
+            if vectors:
+                self.trace.emit(
+                    "embedding",
+                    {"subtask_id": subtask_id, "purpose": "stability",
+                     "count": len(vectors), "dim": vectors[0].dim},
+                )
+            score = semantic_stability(vectors, empty)
         else:
-            score = kl_stability_score(outputs, alpha=cfg.kl_alpha)
+            score = kl_stability_score(kept, alpha=cfg.kl_alpha, empty=empty)
         self.trace.emit(
             "score",
             {"subtask_id": subtask_id, "metric": cfg.metric, **score.to_json_dict()},

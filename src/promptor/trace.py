@@ -7,7 +7,9 @@ comparisons via canonicalize(); everything else is replayable state.
 Version 2 records a plan-update as a full plan_after snapshot only when the
 plan's structure is new; feedback steps carry just their update, which
 replay applies to the current plan. Version 1 traces, with a snapshot on
-every plan-update, still replay.
+every plan-update, still replay. Version 3 summarizes a score event per
+sample (sample_distances) where earlier versions listed every pair
+(pair_distances); replay reads only the score value, so both replay.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import MalformedTraceError
 from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
 from .prompt import ModularPrompt
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 EVENT_TYPES = (
     "generation",

@@ -19,6 +19,7 @@ class StubConfig:
     embedding_dim: int = 4
     fail_first: int = 0  # reply 500 to this many requests before succeeding
     always_fail: bool = False
+    fail_status: int = 500  # the status of the induced failures above
     delay: float = 0.0
     choices_override: int | None = None  # force a wrong choice count
     drop_last_embedding: bool = False
@@ -65,7 +66,7 @@ class _Handler(BaseHTTPRequestHandler):
             if cfg.delay:
                 time.sleep(cfg.delay)
             if cfg.always_fail or count <= cfg.fail_first:
-                self._reply(500, b'{"error": "induced failure"}')
+                self._reply(cfg.fail_status, b'{"error": "induced failure"}')
                 return
             if cfg.raw_response is not None:
                 self._reply(200, cfg.raw_response)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import threading
 
 import pytest
@@ -188,7 +189,7 @@ def test_hash_embedder_identical_texts_distance_zero():
 def test_hash_embedder_shape_and_norm():
     (vec,) = HashEmbedder().embed(["hello world"])
     assert vec.dim == HASH_EMBEDDER_DIM
-    assert vec.norm > 0
+    assert math.hypot(*vec.components) > 0
 
 
 def independent_hash_vector(text: str) -> list[float]:
@@ -283,6 +284,22 @@ def test_http_generator_exhausts_retries():
         with pytest.raises(TransportError):
             gen.generate(GenerationRequest(prompt_text="x"))
         assert server.request_count == 2  # initial try + 1 retry
+
+
+def test_http_generator_does_not_retry_a_client_error():
+    with StubApiServer(StubConfig(always_fail=True, fail_status=400)) as server:
+        gen = HttpGenerator(http_descriptor(server.base_url, max_retries=3))
+        with pytest.raises(TransportError, match="HTTP 400"):
+            gen.generate(GenerationRequest(prompt_text="x"))
+        assert server.request_count == 1
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_generator_retries_timeout_and_rate_limit(status):
+    with StubApiServer(StubConfig(fail_first=1, fail_status=status)) as server:
+        gen = HttpGenerator(http_descriptor(server.base_url, max_retries=2))
+        assert gen.generate(GenerationRequest(prompt_text="x")) == ["canned completion"]
+        assert server.request_count == 2
 
 
 def test_http_generator_rejects_malformed_success():

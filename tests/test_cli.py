@@ -3,6 +3,7 @@ import json
 import pytest
 
 from promptor.cli import main
+from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
 from promptor.trace import canonical_trace_bytes, read_trace, write_trace
 
@@ -125,6 +126,27 @@ class TestRun:
         code, out, _ = invoke(["replay", "--trace", str(trace_path)], capsys)
         assert code == 0
         assert "run 1: failed\n" in out
+
+
+    def test_an_empty_stability_sample_does_not_abort_the_run(self, tmp_path, capsys):
+        # parse's stability draws mix "100" with a blank answer; execution
+        # at temperature 0 takes "100"
+        config = pipeline_config_dict(
+            execution_temperature=0.0,
+            modules={"knowledge_generator": False, "reviewer": False})
+        config["generator"]["behaviors"][1]["outcomes"] = [["100", 0.75], ["   ", 0.25]]
+        config_path = write_json(tmp_path / "blank.json", config)
+        for metric in ("semantic", "kl"):
+            trace_path = tmp_path / f"{metric}.jsonl"
+            code, out, err = invoke(["run", "--config", config_path, "--metric", metric,
+                                     "--trace", str(trace_path)], capsys)
+            assert (code, err) == (0, "")
+            assert "run 1: succeeded" in out
+            events = read_trace(trace_path).events
+            draws = [e.payload["outputs"] for e in events if e.type == "generation"
+                     and e.payload["purpose"] == "stability" and e.payload["subtask_id"] == "parse"]
+            assert any(not text.strip() for outs in draws for text in outs)
+            assert any(e.type == "score" and e.payload["subtask_id"] == "parse" for e in events)
 
 
 class TestReplayAndReport:
@@ -294,6 +316,15 @@ class TestExitCodes:
             code, _, err = invoke(["run", "--config", str(bad)], capsys)
             assert code == 2
             assert err.startswith("config error:")
+
+    def test_samples_above_the_bound_are_a_config_error(self, tmp_path, config_path, capsys):
+        trace_path = tmp_path / "never.jsonl"
+        code, _, err = invoke(["run", "--config", config_path,
+                               "--samples", str(MAX_SAMPLE_COUNT + 1),
+                               "--trace", str(trace_path)], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and "sample_count" in err
+        assert not trace_path.exists()
 
     def test_backend_failure(self, tmp_path, capsys):
         # default config has a scripted generator with no behaviors at all

@@ -11,7 +11,7 @@ from promptor.backends import (
 )
 from promptor.config import PipelineConfig, build_embedder, build_generator
 from promptor.errors import ConfigError
-from promptor.orchestrator import KL, SEMANTIC
+from promptor.orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, RefinementConfig
 
 
 class TestPipelineConfig:
@@ -85,6 +85,15 @@ class TestPipelineConfig:
         # range checks live in RefinementConfig; the config surfaces them
         cfg = PipelineConfig.from_json_dict({"task": "t", "tau": 1.5})
         with pytest.raises(ConfigError, match="tau"):
+            cfg.refinement_config()
+
+    def test_samples_have_an_upper_bound(self):
+        # validation only: nothing is ever sampled at this size
+        assert RefinementConfig(sample_count=MAX_SAMPLE_COUNT).sample_count == MAX_SAMPLE_COUNT
+        with pytest.raises(ValueError, match="sample_count"):
+            RefinementConfig(sample_count=MAX_SAMPLE_COUNT + 1)
+        cfg = PipelineConfig.from_json_dict({"task": "t", "samples": MAX_SAMPLE_COUNT + 1})
+        with pytest.raises(ConfigError, match="sample_count"):
             cfg.refinement_config()
 
     def test_from_file_round_trip(self, tmp_path):

@@ -24,7 +24,7 @@ from promptor import (
     semantic_stability,
     tokenize,
 )
-from promptor.metrics import _kl_divergences
+from promptor.metrics import _cosine_distances, _kl_divergences
 
 TOL = 1e-9
 
@@ -131,17 +131,17 @@ def test_stability_identical_vectors():
     score = semantic_stability([(1.0, 2.0, 3.0)] * 3)
     assert abs(score.value - 1.0) <= TOL
     assert score.sample_count == 3
-    assert len(score.pair_distances) == 3
+    assert score.sample_distances == (0.0, 0.0, 0.0)
 
 
 def test_stability_equal_vectors_exact_zero():
     # 1 - v.v / (|v| |v|) is 1.1e-16 for this v, not 0: the zero must not
     # hang on rounding
     v = (0.1, 0.7, 0.2, 0.9)
-    score = semantic_stability([v, (1.0, 0.0, 0.0, 0.0), v, v])
+    distances = _pair_dict(4, _cosine_distances([v, (1.0, 0.0, 0.0, 0.0), v, v]))
     same = {(0, 2), (0, 3), (2, 3)}
-    assert all(d == 0.0 for i, j, d in score.pair_distances if (i, j) in same)
-    assert all(d > 0.0 for i, j, d in score.pair_distances if (i, j) not in same)
+    assert all(d == 0.0 for pair, d in distances.items() if pair in same)
+    assert all(d > 0.0 for pair, d in distances.items() if pair not in same)
     assert semantic_stability([v] * 5).value == 1.0
     assert cosine_distance(v, v) == 0.0
 
@@ -163,11 +163,13 @@ def test_stability_opposed_pair_is_negative_one():
 
 
 def test_stability_pair_provenance():
-    score = semantic_stability([(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    as_dict = {(i, j): d for i, j, d in score.pair_distances}
+    vectors = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    as_dict = _pair_dict(3, _cosine_distances(vectors))
     assert set(as_dict) == {(0, 1), (0, 2), (1, 2)}
     assert abs(as_dict[(0, 1)]) <= TOL
     assert abs(as_dict[(0, 2)] - 1.0) <= TOL
+    # sample 2 is the odd one out: mean distances (0 + 1) / 2, (0 + 1) / 2, (1 + 1) / 2
+    assert semantic_stability(vectors).sample_distances == pytest.approx((0.5, 0.5, 1.0), abs=TOL)
 
 
 def test_stability_insufficient_samples():
@@ -175,14 +177,10 @@ def test_stability_insufficient_samples():
         semantic_stability([(1.0, 0.0)])
 
 
-def test_stability_score_validates_pair_count():
-    with pytest.raises(ValueError):
-        StabilityScore(value=1.0, sample_count=3, pair_distances=((0, 1, 0.0),))
-
-
-def test_stability_score_json_round_trip():
-    score = semantic_stability([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-    assert StabilityScore.from_json_dict(score.to_json_dict()) == score
+def test_stability_score_validates_sample_distances():
+    for distances in ((0.0, 0.0), (0.0, 0.0, 2.5), (-0.1, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            StabilityScore(value=1.0, sample_count=3, sample_distances=distances)
 
 
 vector_lists = st.integers(min_value=2, max_value=6).flatmap(
@@ -208,19 +206,34 @@ def _random_vectors(n: int, dim: int = 16) -> list[tuple[float, ...]]:
     return [tuple(row) for row in rng.normal(size=(n, dim))]
 
 
+def _pair_dict(n: int, distances) -> dict[tuple[int, int], float]:
+    i, j = np.triu_indices(n, 1)
+    assert len(distances) == len(i)
+    return dict(zip(zip(i.tolist(), j.tolist()), distances.tolist()))
+
+
+def _reference_sample_means(n: int, pair_refs: dict) -> list[float]:
+    return [
+        math.fsum(d for pair, d in pair_refs.items() if k in pair) / (n - 1) for k in range(n)
+    ]
+
+
 @pytest.mark.parametrize("n", [2, 5, 50])
 def test_stability_matches_reference_pair_loop(n):
     vectors = _random_vectors(n)
-    score = semantic_stability(vectors)
-    expected = [
-        (i, j, _reference_cosine(vectors[i], vectors[j]))
+    expected = {
+        (i, j): _reference_cosine(vectors[i], vectors[j])
         for i in range(n)
         for j in range(i + 1, n)
-    ]
-    assert [(i, j) for i, j, _ in score.pair_distances] == [(i, j) for i, j, _ in expected]
-    for (_, _, d), (_, _, ref) in zip(score.pair_distances, expected):
+    }
+    distances = _pair_dict(n, _cosine_distances(vectors))
+    assert list(distances) == list(expected)
+    for pair, ref in expected.items():
+        assert abs(distances[pair] - ref) <= 1e-12
+    score = semantic_stability(vectors)
+    assert abs(score.value - (1.0 - math.fsum(expected.values()) / len(expected))) <= 1e-12
+    for d, ref in zip(score.sample_distances, _reference_sample_means(n, expected), strict=True):
         assert abs(d - ref) <= 1e-12
-    assert abs(score.value - (1.0 - math.fsum(d for _, _, d in expected) / len(expected))) <= 1e-12
 
 
 @given(vector_lists)
@@ -228,11 +241,27 @@ def test_stability_range(vectors):
     assert -1.0 <= semantic_stability(vectors).value <= 1.0
 
 
-def test_embedding_vector_json_round_trip():
-    v = EmbeddingVector((0.5, -1.25, 3.0))
-    assert EmbeddingVector.from_json_dict(v.to_json_dict()) == v
-    with pytest.raises(DimensionMismatchError):
-        EmbeddingVector.from_json_dict({"components": [1.0, 2.0], "dim": 3})
+def test_empty_samples_are_maximally_distant():
+    # N=3 with sample 1 empty: pairs (0,1) and (1,2) at the ceiling, (0,2) at 0
+    score = semantic_stability([(1.0, 0.0), (1.0, 0.0)], empty=[1])
+    assert score.value == 1.0 - 4.0 / 3.0
+    assert score.sample_distances == (1.0, 2.0, 1.0)
+    score = kl_stability_score(["a b", "b a"], empty=[1])
+    assert score.value == 1.0 - 2.0 / 3.0
+    assert score.sample_distances == (0.5, 1.0, 0.5)
+
+
+def test_fewer_than_two_non_empty_samples_score_the_ceiling():
+    assert semantic_stability([(1.0, 0.0)], empty=[0, 2]).sample_distances == (2.0,) * 3
+    assert semantic_stability([], empty=[0, 1]).value == -1.0
+    score = kl_stability_score([], empty=[0, 1, 2])
+    assert (score.value, score.sample_distances) == (0.0, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("empty", [[3], [-1], [0, 0]])
+def test_empty_positions_must_fit_the_samples(empty):
+    with pytest.raises(ValueError):
+        semantic_stability([(1.0, 0.0), (0.0, 1.0)], empty=empty)
 
 
 # -- kl_stability -------------------------------------------------------------
@@ -261,6 +290,8 @@ def test_kl_case_insensitive():
 def test_kl_empty_output_rejected():
     with pytest.raises(EmptyOutputError):
         kl_stability(["a b", "   "])
+    with pytest.raises(EmptyOutputError):
+        kl_stability_score(["a b", "   "])
 
 
 def test_kl_insufficient_samples():
@@ -324,13 +355,19 @@ def _random_outputs(n: int) -> list[str]:
 def test_kl_score_matches_reference_pair_loop(n):
     outputs = _random_outputs(n)
     vocab = sorted({t for out in outputs for t in out.lower().split()})
-    score = kl_stability_score(outputs, alpha=0.5)
+    divergences = _pair_dict(n, _kl_divergences(outputs, 0.5))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert [(i, j) for i, j, _ in score.pair_distances] == pairs
-    jeffreys = [_reference_jeffreys(outputs[i], outputs[j], vocab, 0.5) for i, j in pairs]
-    for (_, _, d), ref in zip(score.pair_distances, jeffreys):
-        assert abs(d - ref / (1.0 + ref)) <= 1e-12
-    assert abs(kl_stability(outputs, alpha=0.5) - math.fsum(jeffreys) / len(pairs)) <= 1e-12
+    assert list(divergences) == pairs
+    jeffreys = {(i, j): _reference_jeffreys(outputs[i], outputs[j], vocab, 0.5) for i, j in pairs}
+    for pair, ref in jeffreys.items():
+        assert abs(divergences[pair] - ref) <= 1e-12
+    mean_jeffreys = math.fsum(jeffreys.values()) / len(pairs)
+    assert abs(kl_stability(outputs, alpha=0.5) - mean_jeffreys) <= 1e-12
+    squashed = {pair: ref / (1.0 + ref) for pair, ref in jeffreys.items()}
+    score = kl_stability_score(outputs, alpha=0.5)
+    assert abs(score.value - (1.0 - math.fsum(squashed.values()) / len(pairs))) <= 1e-12
+    for d, ref in zip(score.sample_distances, _reference_sample_means(n, squashed), strict=True):
+        assert abs(d - ref) <= 1e-12
 
 
 def test_kl_metrics_share_one_divergence_loop():
@@ -338,14 +375,16 @@ def test_kl_metrics_share_one_divergence_loop():
     divergences = _kl_divergences(outputs, 1.0)
     assert len(divergences) == 21
     assert kl_stability(outputs) == math.fsum(divergences.tolist()) / len(divergences)
-    squashed = [d for _, _, d in kl_stability_score(outputs).pair_distances]
-    assert squashed == (divergences / (1.0 + divergences)).tolist()
+    squashed = (divergences / (1.0 + divergences)).tolist()
+    assert kl_stability_score(outputs).value == 1.0 - math.fsum(squashed) / len(squashed)
 
 
 def test_kl_score_identical_multisets_exact():
-    score = kl_stability_score(["b a c", "a b c", "C A B"])
+    outputs = ["b a c", "a b c", "C A B"]
+    assert _kl_divergences(outputs, 1.0).tolist() == [0.0, 0.0, 0.0]
+    score = kl_stability_score(outputs)
     assert score.value == 1.0
-    assert all(d == 0.0 for _, _, d in score.pair_distances)
+    assert score.sample_distances == (0.0, 0.0, 0.0)
 
 
 @given(texts, st.randoms(use_true_random=False))
@@ -353,6 +392,13 @@ def test_kl_score_permutation_exact(outputs, rnd):
     shuffled = list(outputs)
     rnd.shuffle(shuffled)
     assert kl_stability_score(shuffled).value == kl_stability_score(outputs).value
+
+
+@given(vector_lists, texts)
+def test_sample_distances_average_to_one_minus_value(vectors, outputs):
+    for score in (semantic_stability(vectors), kl_stability_score(outputs)):
+        mean = math.fsum(score.sample_distances) / score.sample_count
+        assert abs(1.0 - mean - score.value) <= 1e-12
 
 
 # -- pearson_correlation ------------------------------------------------------

@@ -16,7 +16,7 @@ from promptor.errors import (
     StateError,
     TransportError,
 )
-from promptor.metrics import StabilityScore, semantic_stability
+from promptor.metrics import semantic_stability
 from promptor.orchestrator import (
     ContextStore,
     ExecutionResult,
@@ -78,6 +78,21 @@ class CountingGenerator:
         return self.inner.generate(request)
 
 
+class BlankingGenerator:
+    """Wraps a generator and blanks one sample of every multi-sample call."""
+
+    def __init__(self, inner, position):
+        self.inner = inner
+        self.position = position
+        self.descriptor = inner.descriptor
+
+    def generate(self, request):
+        outputs = self.inner.generate(request)
+        if request.sample_count > 1:
+            outputs[self.position] = "   "
+        return outputs
+
+
 class TransportFailingGenerator:
     def __init__(self):
         self.descriptor = None
@@ -125,7 +140,9 @@ class TestRefineUntilStable:
         payload = events.events_of_type("score")[0].payload
         assert payload["metric"] == "semantic"
         assert payload["subtask_id"] == "sA"
-        assert StabilityScore.from_json_dict(payload) == history.final_score
+        assert payload == {"subtask_id": "sA", "metric": "semantic",
+                           "value": 1.0, "sample_count": 5, "sample_distances": [0.0] * 5}
+        assert payload["sample_distances"] == list(history.final_score.sample_distances)
         assert len(events.events_of_type("embedding")) == 1
 
     def test_single_reviewer_step_stabilizes(self):
@@ -286,6 +303,34 @@ class TestRefineUntilStable:
         assert generation["sample_count"] == 5
         assert generation["fingerprint"] == prompt_fingerprint(render_prompt(prompt))
         assert trace.events_of_type("embedding")[0].payload["count"] == 5
+
+
+    def measure(self, n):
+        """The score payload and reviewer prompt of one N-sample measure."""
+        prompt = ModularPrompt(role="You answer questions about colors.",
+                               requirements=("Pick a color word.",))
+        gen = ScriptedGenerator(behaviors=[
+            ScriptedBehavior.for_prompt(render_prompt(prompt), UNSTABLE_OUTCOMES)])
+        orch = make_orchestrator(gen)
+        score = orch.evaluate_prompt_stability(prompt, RefinementConfig(sample_count=n), "sJ")
+        trace = orch.trace.trace()
+        samples = trace.events_of_type("generation")[0].payload["outputs"]
+        payload = trace.events_of_type("score")[0].payload
+        review = ap.reviewer_stability_prompt("sJ", prompt, score, samples)
+        return len(json.dumps(payload, sort_keys=True)), len(review.splitlines())
+
+    def test_score_payload_and_reviewer_prompt_grow_linearly_in_samples(self):
+        # N 10 -> 50 is 5x the samples but 27x the pairs
+        (bytes10, lines10), (bytes50, lines50) = self.measure(10), self.measure(50)
+        assert bytes50 / bytes10 <= 6
+        assert lines50 / lines10 <= 6
+
+    def test_reviewer_prompt_points_at_the_farthest_sample(self):
+        prompt = ModularPrompt(role="You echo numbers.", requirements=("Say 7.",))
+        score = semantic_stability([(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+        text = ap.reviewer_stability_prompt("sK", prompt, score, ["7", "seven", "7"])
+        assert "sample 0: 0.500000\nsample 1: 1.000000\nsample 2: 0.500000\n" in text
+        assert "Farthest from the rest: sample 1\n" in text
 
 
 class TestDecomposeTask:
@@ -1022,6 +1067,25 @@ class TestRunPipeline:
 
     def test_trace_bytes_grow_linearly_with_the_plan_updater_on(self):
         assert self.chain_trace_bytes(100) / self.chain_trace_bytes(50) <= 2.2
+
+    @pytest.mark.parametrize("metric, ceiling", [("semantic", 2.0), ("kl", 1.0)])
+    def test_one_empty_sample_is_scored_maximally_distant(self, metric, ceiling):
+        gen = BlankingGenerator(pipeline_generator(), position=2)
+        settings = self.settings(reviewer_enabled=False,
+                                 refinement=RefinementConfig(metric=metric))
+        orch = make_orchestrator(gen, settings)
+        trace = orch.run_pipeline(TASK, template="linear-chain")
+        assert replay_trace(trace).run_status == "succeeded"
+        scores = trace.events_of_type("score")
+        assert len(scores) == 3
+        for event in scores:
+            # four equal samples and one empty: 4 of the 10 pairs at the ceiling
+            quarter = ceiling / 4
+            assert event.payload["sample_distances"] == [quarter, quarter, ceiling, quarter, quarter]
+            assert event.payload["value"] == pytest.approx(1.0 - 0.4 * ceiling)
+        embedded = [e.payload["count"] for e in trace.events_of_type("embedding")]
+        assert embedded == ([4, 4, 4] if metric == "semantic" else [])
+        assert len(warnings_with_reason(orch, "gate-exhausted")) == 3
 
     def test_planning_failure_fails_the_run(self):
         cyclic = [

@@ -31,6 +31,9 @@ from .pipeline_fixture import REFORMULATED_PARSE, TASK, strategy_shift_generator
 # The strategy-shift fixture run as written by trace version 1, which put a
 # full plan_after snapshot (and a null run_status) on every plan-update.
 V1_TRACE = Path(__file__).parent / "data" / "trace_v1_strategy_shift.jsonl"
+# The same run as written by trace version 2, whose score events list every
+# pair distance (pair_distances) instead of one mean per sample.
+V2_TRACE = Path(__file__).parent / "data" / "trace_v2_strategy_shift.jsonl"
 V1_REPORT = """runs: 1
 execution success rate: 1.000000
 completion rate: 1.000000 (1/1 reference checks passed)
@@ -291,7 +294,16 @@ class TestReplay:
         assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
         assert replay_trace(trace).plan.subtask("parse").description == REFORMULATED_PARSE
 
-    def test_version_2_run_of_the_same_fixture_gives_the_same_report(self):
+    def test_version_2_trace_with_pair_distances_replays_to_the_same_report(self):
+        trace = read_trace(V2_TRACE)
+        assert trace.header["version"] == 2
+        scores = trace.events_of_type("score")
+        assert scores and all("pair_distances" in e.payload for e in scores)
+        assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
+        # version 1 predates exactly-zero distances: its scores differ in the last ulp
+        assert replay_trace(trace).plan == replay_trace(read_trace(V1_TRACE)).plan
+
+    def test_current_version_run_of_the_same_fixture_gives_the_same_report(self):
         writer = TraceWriter(dict(read_trace(V1_TRACE).header, version=TRACE_VERSION))
         orch = Orchestrator(
             strategy_shift_generator(), HashEmbedder(), writer,
@@ -302,7 +314,12 @@ class TestReplay:
                      if "plan_after" in e.payload]
         assert snapshots == ["created", "optimized"]
         assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
-        assert replay_trace(trace).plan == replay_trace(read_trace(V1_TRACE)).plan
+        assert replay_trace(trace) == replay_trace(read_trace(V2_TRACE))
+        scores = [e.payload for e in trace.events_of_type("score")]
+        assert all(set(p) == {"subtask_id", "metric", "value", "sample_count",
+                              "sample_distances"} for p in scores)
+        assert [p["value"] for p in scores] == [
+            e.payload["value"] for e in read_trace(V2_TRACE).events_of_type("score")]
 
     def executed_a_events(self):
         return [
