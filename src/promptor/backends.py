@@ -94,16 +94,6 @@ class BackendDescriptor:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "endpoint_url": self.endpoint_url,
-            "model_name": self.model_name,
-            "timeout": self.timeout,
-            "max_retries": self.max_retries,
-            "max_inflight": self.max_inflight,
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "BackendDescriptor":
         return cls(
@@ -144,21 +134,6 @@ class ScriptedBehavior:
         cls, prompt_text: str, outcomes: Sequence[tuple[str, float]], seed: int = 0
     ) -> "ScriptedBehavior":
         return cls(prompt_fingerprint=prompt_fingerprint(prompt_text), outcomes=tuple(outcomes), seed=seed)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prompt_fingerprint": self.prompt_fingerprint,
-            "outcomes": [[t, p] for t, p in self.outcomes],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ScriptedBehavior":
-        return cls(
-            prompt_fingerprint=data["prompt_fingerprint"],
-            outcomes=tuple((t, p) for t, p in data["outcomes"]),
-            seed=int(data.get("seed", 0)),
-        )
 
 
 def _keyed_uniform(run_seed: int, behavior_seed: int, fingerprint: str, index: int) -> float:
@@ -234,11 +209,6 @@ class ScriptedGenerator:
             )
             for k in range(request.sample_count)
         ]
-
-    def call_count(self, prompt_text: str) -> int:
-        """Samples drawn so far for this exact prompt text."""
-        with self._lock:
-            return self._counters.get(prompt_fingerprint(prompt_text), 0)
 
 
 class HashEmbedder:
@@ -354,11 +324,17 @@ class HttpGenerator(_HttpBase):
             outputs = [choice["message"]["content"] for choice in data["choices"]]
         except (KeyError, TypeError) as exc:
             raise BackendError(f"malformed chat-completions response: {exc}") from exc
+        if not all(isinstance(out, str) for out in outputs):
+            raise BackendError("malformed chat-completions response: content is not a string")
         if len(outputs) != request.sample_count:
             raise BackendError(
                 f"asked for {request.sample_count} choices, got {len(outputs)}"
             )
         return outputs
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 class HttpEmbedder(_HttpBase):
@@ -371,9 +347,15 @@ class HttpEmbedder(_HttpBase):
             raise ValueError("cannot embed an empty string")
         data = self._post("/embeddings", embeddings_body(self.descriptor.model_name, texts))
         try:
-            vectors = [EmbeddingVector(tuple(row["embedding"])) for row in data["data"]]
+            rows = [row["embedding"] for row in data["data"]]
         except (KeyError, TypeError) as exc:
             raise BackendError(f"malformed embeddings response: {exc}") from exc
+        if not all(isinstance(row, list) and row and all(map(_finite_number, row))
+                   for row in rows):
+            raise BackendError(
+                "malformed embeddings response: a row is not a non-empty list of finite numbers"
+            )
+        vectors = [EmbeddingVector(tuple(row)) for row in rows]
         if len(vectors) != len(texts):
             raise BackendError(f"asked for {len(texts)} embeddings, got {len(vectors)}")
         dims = {v.dim for v in vectors}

@@ -172,9 +172,7 @@ def cmd_eval_stability(args) -> int:
     cfg = _apply_overrides(cfg, args)
     orch = _make_orchestrator(cfg, args.trace)
     try:
-        score = orch.evaluate_prompt_stability(
-            prompt, cfg.refinement_config(), subtask_id="eval"
-        )
+        score = orch.evaluate_prompt_stability(prompt, subtask_id="eval")
     finally:
         orch.trace.close()
     verdict = "stable" if score.value >= cfg.tau else "unstable"

@@ -22,9 +22,6 @@ from .errors import DimensionMismatchError
 GAUSSIAN = "gaussian"
 UNIFORM_BOUNDED = "uniform-bounded"
 
-# Identifies the exact pseudo-random scheme stored in reports, so a report can
-# be regenerated bit-for-bit by any compliant implementation.
-RNG_ALGORITHM = "philox4x64/block8192/sha256(seed:block)"
 _BLOCK_SIZE = 8192
 
 
@@ -95,22 +92,6 @@ class AgentOutputModel:
             bounds=(lo, hi),
         )
 
-    def to_json_dict(self) -> dict:
-        data = {"mean": self.mean, "variance": self.variance, "family": self.family}
-        if self.bounds is not None:
-            data["bounds"] = list(self.bounds)
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AgentOutputModel":
-        bounds = tuple(data["bounds"]) if data.get("bounds") is not None else None
-        return cls(
-            mean=float(data["mean"]),
-            variance=float(data["variance"]),
-            family=data["family"],
-            bounds=bounds,
-        )
-
 
 @dataclass(frozen=True)
 class DeviationReport:
@@ -123,18 +104,6 @@ class DeviationReport:
     empirical_tail: float
     trials: int
     seed: int
-    rng_algorithm: str = RNG_ALGORITHM
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "analytic_bound": self.analytic_bound,
-            "empirical_tail": self.empirical_tail,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rng_algorithm": self.rng_algorithm,
-        }
 
 
 def aggregate(x: Sequence[float], spec: AggregationSpec) -> float:

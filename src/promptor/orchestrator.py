@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from . import agent_prompts as ap
 from .backends import (
@@ -50,6 +51,8 @@ from .prompt import (
     validate_output,
 )
 from .trace import ExecutionTrace, TraceWriter
+
+T = TypeVar("T")
 
 SEMANTIC = "semantic"
 KL = "kl"
@@ -181,6 +184,25 @@ class OrchestratorSettings:
             raise ValueError("execution_temperature must be >= 0")
 
 
+def _rewire(plan: Plan, replaced_ids: tuple[str, ...], pieces: list[Subtask]) -> Plan:
+    """The plan with the replaced subtasks swapped for the pieces, which
+    stand where the first replaced subtask stood; every other subtask that
+    depended on a replaced one depends on the last piece instead."""
+    replaced = frozenset(replaced_ids)
+    rewired = []
+    for other in plan.subtasks:
+        if other.id == replaced_ids[0]:
+            rewired.extend(pieces)
+        elif other.id in replaced:
+            continue
+        elif replaced & other.dependencies:
+            deps = (other.dependencies - replaced) | {pieces[-1].id}
+            rewired.append(dataclasses.replace(other, dependencies=deps))
+        else:
+            rewired.append(other)
+    return dataclasses.replace(plan, subtasks=tuple(rewired))
+
+
 class Orchestrator:
     def __init__(
         self,
@@ -221,10 +243,14 @@ class Orchestrator:
         return outputs
 
     def _ask_json(
-        self, prompt_text: str, *, temperature: float, purpose: str, subtask_id: str
-    ) -> dict | None:
-        """One agent call parsed as JSON, re-asked with the identical prompt up
-        to the budget; None when the budget is spent."""
+        self, prompt_text: str, *, temperature: float, purpose: str, subtask_id: str,
+        accept: Callable[[dict], T | None] | None = None,
+    ) -> dict | T | None:
+        """One agent call: the reply parsed as JSON and passed through accept,
+        re-asked with the identical prompt until accept takes it. An
+        unparseable reply and a rejected one (accept records its own warning
+        and returns None) each spend one of reask_budget + 1 attempts. None
+        when the attempts are spent, or at once on a backend error."""
         for _ in range(self.settings.reask_budget + 1):
             try:
                 outputs = self._generate(
@@ -239,10 +265,14 @@ class Orchestrator:
                                    subtask_id=subtask_id, error=str(exc))
                 return None
             try:
-                return ap.extract_json(outputs[0])
+                response = ap.extract_json(outputs[0])
             except ValueError:
                 self.trace.warning("unparseable-agent-response", purpose=purpose,
                                    subtask_id=subtask_id, response=outputs[0][:200])
+                continue
+            value = response if accept is None else accept(response)
+            if value is not None:
+                return value
         return None
 
     # -- planning ----------------------------------------------------------
@@ -299,25 +329,26 @@ class Orchestrator:
         prompt_text = ap.planner_prompt(task, template)
         created_from = prompt_fingerprint(prompt_text)
         last_problem = "no parseable response"
-        for _ in range(self.settings.reask_budget + 1):
-            response = self._ask_json(
-                prompt_text, temperature=0.0, purpose="planning", subtask_id="__plan__"
-            )
-            if response is None:
-                break
+
+        def accept(response: dict) -> Plan | None:
+            nonlocal last_problem
             try:
-                plan = self._parse_plan(response, task, template, created_from)
+                return self._parse_plan(response, task, template, created_from)
             except (KeyError, TypeError, ValueError, PlanningFailure) as exc:
                 last_problem = str(exc)
                 self.trace.warning("invalid-plan", error=last_problem)
-                continue
-            violations = ap.TEMPLATES[template].violations(plan)
-            if violations:
-                self.trace.warning("template-violation", template=template,
-                                   violations=violations)
-            self._emit_plan_event("created", plan=plan)
-            return plan
-        raise PlanningFailure(f"planner produced no valid plan: {last_problem}")
+                return None
+
+        plan = self._ask_json(prompt_text, temperature=0.0, purpose="planning",
+                              subtask_id="__plan__", accept=accept)
+        if plan is None:
+            raise PlanningFailure(f"planner produced no valid plan: {last_problem}")
+        violations = ap.TEMPLATES[template].violations(plan)
+        if violations:
+            self.trace.warning("template-violation", template=template,
+                               violations=violations)
+        self._emit_plan_event("created", plan=plan)
+        return plan
 
     # -- granularity optimization -------------------------------------------
 
@@ -328,7 +359,8 @@ class Orchestrator:
         )
         return bool(response and response.get("preserved") is True)
 
-    def _try_split(self, plan: Plan, sub: Subtask, target: float) -> Plan | None:
+    def _try_split(self, plan: Plan, sub: Subtask) -> Plan | None:
+        target = self.settings.target_granularity
         response = self._ask_json(
             ap.optimizer_split_prompt(sub, target),
             temperature=0.0, purpose="optimizer-split", subtask_id=sub.id,
@@ -358,26 +390,18 @@ class Orchestrator:
         ):
             self.trace.warning("split-not-preserving", subtask_id=sub.id)
             return None
-        # pieces form a chain standing where the original stood
-        chained = []
-        for k, piece in enumerate(pieces):
-            deps = sub.dependencies if k == 0 else frozenset({pieces[k - 1].id})
-            chained.append(dataclasses.replace(piece, dependencies=deps))
-        last_id = chained[-1].id
-        rewired = []
-        for other in plan.subtasks:
-            if other.id == sub.id:
-                rewired.extend(chained)
-            elif sub.id in other.dependencies:
-                deps = (other.dependencies - {sub.id}) | {last_id}
-                rewired.append(dataclasses.replace(other, dependencies=deps))
-            else:
-                rewired.append(other)
-        return dataclasses.replace(plan, subtasks=tuple(rewired))
+        # the pieces form a chain standing where the original stood
+        chained = [
+            dataclasses.replace(
+                piece, dependencies=frozenset({pieces[k - 1].id}) if k else sub.dependencies
+            )
+            for k, piece in enumerate(pieces)
+        ]
+        return _rewire(plan, (sub.id,), chained)
 
-    def _try_merge(self, plan: Plan, a: Subtask, b: Subtask, target: float) -> Plan | None:
+    def _try_merge(self, plan: Plan, a: Subtask, b: Subtask) -> Plan | None:
         response = self._ask_json(
-            ap.optimizer_merge_prompt(a, b, target),
+            ap.optimizer_merge_prompt(a, b, self.settings.target_granularity),
             temperature=0.0, purpose="optimizer-merge", subtask_id=a.id,
         )
         if not response or response.get("action") != "merge":
@@ -398,29 +422,18 @@ class Orchestrator:
             io_spec=b.io_spec,
             injected_notes=a.injected_notes + b.injected_notes,
         )
-        rewired = []
-        for other in plan.subtasks:
-            if other.id == a.id:
-                rewired.append(merged)
-            elif other.id == b.id:
-                continue
-            elif b.id in other.dependencies or a.id in other.dependencies:
-                deps = (other.dependencies - {a.id, b.id}) | {merged.id}
-                rewired.append(dataclasses.replace(other, dependencies=deps))
-            else:
-                rewired.append(other)
-        return dataclasses.replace(plan, subtasks=tuple(rewired))
+        return _rewire(plan, (a.id, b.id), [merged])
 
-    def optimize_subtasks(self, plan: Plan, target_granularity: float | None = None) -> Plan:
+    def optimize_subtasks(self, plan: Plan) -> Plan:
         """Bring every subtask's granularity into [target/2, 2*target] by
         scripted splits and merges; anything still outside the band is flagged
         and left as-is. Only valid before execution starts."""
-        target = target_granularity or self.settings.target_granularity
+        target = self.settings.target_granularity
         if any(s.status is not SubtaskStatus.PENDING for s in plan.subtasks):
             raise StateError("optimize_subtasks requires an unexecuted plan")
         for sub in list(plan.subtasks):
             if sub.granularity > 2 * target:
-                split = self._try_split(plan, plan.subtask(sub.id), target)
+                split = self._try_split(plan, plan.subtask(sub.id))
                 if split is not None:
                     plan = split
         while True:
@@ -433,7 +446,7 @@ class Orchestrator:
                 b = dependents[0]
                 if b.granularity >= target / 2 or b.dependencies != frozenset({a.id}):
                     continue
-                merged = self._try_merge(plan, a, b, target)
+                merged = self._try_merge(plan, a, b)
                 if merged is not None:
                     plan = merged
                     break
@@ -448,9 +461,8 @@ class Orchestrator:
 
     # -- stability and refinement ---------------------------------------------
 
-    def _measure(
-        self, p: ModularPrompt, cfg: RefinementConfig, subtask_id: str
-    ) -> tuple[StabilityScore, list[str]]:
+    def _measure(self, p: ModularPrompt, subtask_id: str) -> tuple[StabilityScore, list[str]]:
+        cfg = self.settings.refinement
         rendered = render_prompt(p)
         outputs = self._generate(
             rendered,
@@ -480,13 +492,12 @@ class Orchestrator:
         return score, outputs
 
     def evaluate_prompt_stability(
-        self, p: ModularPrompt, cfg: RefinementConfig | None = None,
-        subtask_id: str = "adhoc",
+        self, p: ModularPrompt, subtask_id: str = "adhoc"
     ) -> StabilityScore:
         """N samples of the rendered prompt, embedded and scored. The samples
         come back from one generate() call, so concurrency in the backend
         cannot reorder them."""
-        score, _ = self._measure(p, cfg or self.settings.refinement, subtask_id)
+        score, _ = self._measure(p, subtask_id)
         return score
 
     def _pick_component(self, named) -> PromptComponentKind | None:
@@ -502,41 +513,39 @@ class Orchestrator:
         return None
 
     def _reviewer_revision(
-        self, p: ModularPrompt, score: StabilityScore, samples: list[str],
-        cfg: RefinementConfig, subtask_id: str,
+        self, p: ModularPrompt, score: StabilityScore, samples: list[str], subtask_id: str,
     ) -> tuple[ModularPrompt, PromptComponentKind] | None:
         """One reviewer cycle: name a component, apply its replacement.
         None when the reviewer never produced a usable revision."""
-        prompt_text = ap.reviewer_stability_prompt(subtask_id, p, score, samples)
-        for _ in range(self.settings.reask_budget + 1):
-            response = self._ask_json(
-                prompt_text, temperature=cfg.reviewer_temperature,
-                purpose="review", subtask_id=subtask_id,
-            )
-            if response is None:
-                return None
+
+        def accept(response: dict) -> tuple[ModularPrompt, PromptComponentKind] | None:
             kind = self._pick_component(response.get("component"))
             replacement = response.get("replacement")
             if kind is None or not isinstance(replacement, str):
                 self.trace.warning("invalid-review", subtask_id=subtask_id,
                                    component=response.get("component"))
-                continue
+                return None
             try:
                 return replace_component(p, kind, replacement), kind
             except ValueError as exc:
                 self.trace.warning("invalid-review", subtask_id=subtask_id, error=str(exc))
-        return None
+                return None
+
+        return self._ask_json(
+            ap.reviewer_stability_prompt(subtask_id, p, score, samples),
+            temperature=self.settings.refinement.reviewer_temperature,
+            purpose="review", subtask_id=subtask_id, accept=accept,
+        )
 
     def refine_until_stable(
-        self, p: ModularPrompt, cfg: RefinementConfig | None = None,
-        subtask_id: str = "adhoc",
+        self, p: ModularPrompt, subtask_id: str = "adhoc"
     ) -> tuple[ModularPrompt, RefinementHistory]:
         """Evaluate-and-revise until the stability gate passes or the
         iteration budget runs out; returns the best-scoring revision seen.
         Raises ReviewFailure (carrying best prompt and history) when the
         reviewer never names a usable component."""
-        cfg = cfg or self.settings.refinement
-        current, (score, samples) = p, self._measure(p, cfg, subtask_id)
+        cfg = self.settings.refinement
+        current, (score, samples) = p, self._measure(p, subtask_id)
         best_prompt, best_value = current, score.value
         steps: list[RefinementStep] = []
         if score.value >= cfg.tau:
@@ -546,7 +555,7 @@ class Orchestrator:
                                value=score.value)
             return current, RefinementHistory((), EXHAUSTED, score, cfg.tau)
         for _ in range(cfg.max_iterations):
-            revised = self._reviewer_revision(current, score, samples, cfg, subtask_id)
+            revised = self._reviewer_revision(current, score, samples, subtask_id)
             if revised is None:
                 history = RefinementHistory(tuple(steps), EXHAUSTED, score, cfg.tau)
                 raise ReviewFailure(
@@ -560,7 +569,7 @@ class Orchestrator:
                  "revision": revised_prompt.revision,
                  "prompt_after": revised_prompt.to_json_dict()},
             )
-            new_score, samples = self._measure(revised_prompt, cfg, subtask_id)
+            new_score, samples = self._measure(revised_prompt, subtask_id)
             steps.append(
                 RefinementStep(revised_prompt.revision, kind.value, score, new_score)
             )

@@ -81,9 +81,6 @@ class ValidationResult:
     reason: str | None = None
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "reason": self.reason, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class ModularPrompt:
@@ -105,15 +102,6 @@ class ModularPrompt:
             raise InvalidComponentError("requirement clauses must be non-empty")
         if self.revision < 0:
             raise ValueError("revision must be non-negative")
-
-    def component(self, kind: PromptComponentKind):
-        if kind is PromptComponentKind.ROLE:
-            return self.role
-        if kind is PromptComponentKind.REQUIREMENTS:
-            return self.requirements
-        if kind is PromptComponentKind.KNOWLEDGE:
-            return self.knowledge
-        return self.history
 
     def to_json_dict(self) -> dict:
         return {

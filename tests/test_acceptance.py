@@ -221,10 +221,11 @@ def test_criterion_5_refinement_step_counts():
     assert_gate_stays_shut(render_prompt(looping), behaviors, blocks=4)
     rules = [prefix_json(ap.REVIEWER_STABILITY_MARK, "Subtask: sC",
                          {"component": "knowledge", "replacement": "Colors vary."})]
-    orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, prefix_rules=rules))
-    refined, history = orch.refine_until_stable(
-        looping, RefinementConfig(max_iterations=3), subtask_id="sC"
+    orch = make_orchestrator(
+        ScriptedGenerator(behaviors=behaviors, prefix_rules=rules),
+        OrchestratorSettings(refinement=RefinementConfig(max_iterations=3)),
     )
+    refined, history = orch.refine_until_stable(looping, subtask_id="sC")
     assert (history.outcome, len(history.steps)) == ("exhausted", 3)
     seen = [history.steps[0].score_before.value]
     seen.extend(step.score_after.value for step in history.steps)

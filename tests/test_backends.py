@@ -62,10 +62,10 @@ def test_descriptor_validation():
         BackendDescriptor(kind="grpc")
     with pytest.raises(ValueError):
         BackendDescriptor(kind="scripted", max_inflight=0)
-    round_tripped = BackendDescriptor.from_json_dict(
-        http_descriptor("http://h", max_retries=5).to_json_dict()
+    parsed = BackendDescriptor.from_json_dict(
+        {"kind": "http", "endpoint_url": "http://h", "model_name": "m", "max_retries": 5}
     )
-    assert round_tripped.max_retries == 5
+    assert parsed == http_descriptor("http://h", model_name="m", timeout=30.0, max_retries=5)
 
 
 def test_behavior_validation():
@@ -117,7 +117,6 @@ def test_call_index_continues_across_calls():
         GenerationRequest(prompt_text=PROMPT, sample_count=10)
     )
     assert part1 + part2 == whole
-    assert split_gen.call_count(PROMPT) == 10
 
 
 def test_temperature_zero_is_argmax():
@@ -310,6 +309,16 @@ def test_http_generator_rejects_malformed_success():
         assert server.request_count == 1  # contract violations are not retried
 
 
+@pytest.mark.parametrize("content", [b"null", b"5", b'["text"]'])
+def test_http_generator_rejects_non_string_content(content):
+    body = b'{"choices":[{"message":{"content":' + content + b'}}]}'
+    with StubApiServer(StubConfig(raw_response=body)) as server:
+        gen = HttpGenerator(http_descriptor(server.base_url, max_retries=3))
+        with pytest.raises(BackendError, match="not a string"):
+            gen.generate(GenerationRequest(prompt_text="x"))
+        assert server.request_count == 1
+
+
 def test_http_generator_checks_choice_count():
     with StubApiServer(StubConfig(choices_override=1)) as server:
         gen = HttpGenerator(http_descriptor(server.base_url))
@@ -367,6 +376,26 @@ def test_http_embedder_checks_row_count():
         embedder = HttpEmbedder(http_descriptor(server.base_url))
         with pytest.raises(BackendError):
             embedder.embed(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "row", [b"[NaN, 1.0]", b"[Infinity, 1.0]", b"[1e999, 1.0]", b'["0.5", 1.0]',
+            b"[true, 1.0]", b"[null, 1.0]", b"[]", b'"1.0"', b"null"],
+)
+def test_http_embedder_rejects_non_finite_or_non_numeric_rows(row):
+    body = b'{"data":[{"embedding":[1.0,0.0]},{"embedding":' + row + b"}]}"
+    with StubApiServer(StubConfig(raw_response=body)) as server:
+        embedder = HttpEmbedder(http_descriptor(server.base_url, max_retries=3))
+        with pytest.raises(BackendError, match="finite numbers"):
+            embedder.embed(["a", "b"])
+        assert server.request_count == 1
+
+
+def test_http_embedder_accepts_integer_components():
+    body = b'{"data":[{"embedding":[1,0]},{"embedding":[0.5,2]}]}'
+    with StubApiServer(StubConfig(raw_response=body)) as server:
+        vectors = HttpEmbedder(http_descriptor(server.base_url)).embed(["a", "b"])
+        assert [v.components for v in vectors] == [(1.0, 0.0), (0.5, 2.0)]
 
 
 def test_http_embedder_rejects_empty_strings():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from promptor.prompt import render_prompt
 from promptor.trace import canonical_trace_bytes, read_trace, write_trace
 
 from .pipeline_fixture import executor_prompt, pipeline_config_dict
+from .stub_server import StubApiServer, StubConfig
 from .test_reports import synthetic_trace
 
 
@@ -273,6 +275,17 @@ class TestSimulateBound:
         assert out == ""
         assert csv_path.read_text().strip().splitlines()[1].endswith(",3")
 
+    def test_uniform_model_reads_low_and_high(self, tmp_path, capsys):
+        cfg = self.sim_config(tmp_path, models=[{"kind": "uniform", "low": -1.0, "high": 1.0}],
+                              epsilons=[1.0], trials=1000)
+        code, out, _ = invoke(["simulate-bound", "--config", cfg], capsys)
+        assert code == 0
+        _, _, bound, tail, _, _ = out.strip().splitlines()[1].split(",")
+        # Var = (high - low)^2 / 12 = 1/3, so the bound is 2 exp(-1 / (2/3))
+        assert float(bound) == pytest.approx(2 * math.exp(-1.5), abs=1e-12)
+        # |x| >= 1 has probability 0 under U(-1, 1)
+        assert float(tail) == 0.0
+
     def test_bad_model_kind_is_config_error(self, tmp_path, capsys):
         cfg = self.sim_config(tmp_path, models=[{"kind": "poisson", "lam": 2}])
         code, _, err = invoke(["simulate-bound", "--config", cfg], capsys)
@@ -333,6 +346,28 @@ class TestExitCodes:
         code, _, err = invoke(["eval-stability", prompt_path], capsys)
         assert code == 3
         assert err.startswith("backend error:")
+
+    @pytest.mark.parametrize("backend, body", [
+        ("generator", b'{"choices":[{"message":{"content":null}},'
+                      b'{"message":{"content":"7"}}]}'),
+        ("embedder", b'{"data":[{"embedding":[NaN,1.0]},{"embedding":[1.0,0.0]}]}'),
+    ])
+    def test_malformed_http_reply_is_a_backend_error(self, tmp_path, capsys, backend, body):
+        prompt = executor_prompt("eval", "Say the word.")
+        prompt_path = write_json(tmp_path / "prompt.json", prompt.to_json_dict())
+        with StubApiServer(StubConfig(raw_response=body)) as server:
+            http = {"kind": "http", "endpoint_url": server.base_url, "model_name": "m",
+                    "max_retries": 0}
+            # two samples, so the embedder is asked for the two rows the stub sends
+            cfg = {"task": "standalone stability evaluation", "samples": 2, backend: http}
+            if backend == "embedder":
+                cfg["generator"] = {"kind": "scripted",
+                                    "default": {"outcomes": [["alpha", 1.0]]}}
+            config_path = write_json(tmp_path / "http.json", cfg)
+            code, _, err = invoke(["eval-stability", prompt_path, "--config", config_path],
+                                  capsys)
+        assert code == 3
+        assert err.startswith("backend error:") and "malformed" in err
 
     def test_malformed_trace(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.jsonl"

@@ -93,6 +93,25 @@ class BlankingGenerator:
         return outputs
 
 
+class SequenceGenerator:
+    """Answers every prompt that starts with mark with the next reply of a
+    fixed cycle and counts those calls; other prompts go to inner."""
+
+    def __init__(self, mark, replies, inner=None):
+        self.mark = mark
+        self.replies = replies
+        self.inner = inner
+        self.calls = 0
+        self.descriptor = None
+
+    def generate(self, request):
+        if not request.prompt_text.startswith(self.mark):
+            return self.inner.generate(request)
+        reply = self.replies[self.calls % len(self.replies)]
+        self.calls += 1
+        return [reply] * request.sample_count
+
+
 class TransportFailingGenerator:
     def __init__(self):
         self.descriptor = None
@@ -196,9 +215,11 @@ class TestRefineUntilStable:
                 {"component": "knowledge", "replacement": "Colors vary."},
             )
         ]
-        orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, prefix_rules=rules))
-        cfg = RefinementConfig(max_iterations=3)
-        refined, history = orch.refine_until_stable(base, cfg, subtask_id="sC")
+        orch = make_orchestrator(
+            ScriptedGenerator(behaviors=behaviors, prefix_rules=rules),
+            OrchestratorSettings(refinement=RefinementConfig(max_iterations=3)),
+        )
+        refined, history = orch.refine_until_stable(base, subtask_id="sC")
         assert history.outcome == "exhausted"
         assert len(history.steps) == 3
         assert [s.revision for s in history.steps] == [1, 2, 3]
@@ -254,6 +275,23 @@ class TestRefineUntilStable:
             orch.refine_until_stable(base, subtask_id="sF")
         assert len(warnings_with_reason(orch, "invalid-review")) == 3
 
+    @pytest.mark.parametrize("budget", [0, 2, 3])
+    def test_mixed_reviewer_failures_share_one_budget(self, budget):
+        base = ModularPrompt(role="You pick colors.", requirements=("Pick one.",))
+        behaviors = [ScriptedBehavior.for_prompt(render_prompt(base), UNSTABLE_OUTCOMES)]
+        assert_gate_stays_shut(render_prompt(base), behaviors, blocks=1)
+        unknown = json.dumps({"component": "tone", "replacement": "cheerful"})
+        reviewer = SequenceGenerator(ap.REVIEWER_STABILITY_MARK,
+                                     ["no structure here", unknown],
+                                     ScriptedGenerator(behaviors=behaviors))
+        orch = make_orchestrator(reviewer, OrchestratorSettings(reask_budget=budget))
+        with pytest.raises(ReviewFailure):
+            orch.refine_until_stable(base, subtask_id="sF")
+        assert reviewer.calls == budget + 1
+        unparseable = warnings_with_reason(orch, "unparseable-agent-response")
+        invalid = warnings_with_reason(orch, "invalid-review")
+        assert (len(unparseable), len(invalid)) == ((budget + 2) // 2, (budget + 1) // 2)
+
     def test_component_list_resolved_by_priority(self):
         base = ModularPrompt(
             role="You pick colors.", requirements=("Pick one.",), knowledge="Old note."
@@ -281,9 +319,10 @@ class TestRefineUntilStable:
     def test_kl_metric_gates_without_embedder(self):
         prompt = ModularPrompt(role="You echo numbers.", requirements=("Say 7.",))
         gen = ScriptedGenerator(behaviors=[point_mass(render_prompt(prompt), "7")])
-        orch = make_orchestrator(gen)
-        cfg = RefinementConfig(metric="kl")
-        refined, history = orch.refine_until_stable(prompt, cfg, subtask_id="sH")
+        orch = make_orchestrator(
+            gen, OrchestratorSettings(refinement=RefinementConfig(metric="kl"))
+        )
+        refined, history = orch.refine_until_stable(prompt, subtask_id="sH")
         assert history.outcome == "stabilized"
         assert history.final_score.value == pytest.approx(1.0)
         events = orch.trace.trace()
@@ -311,8 +350,10 @@ class TestRefineUntilStable:
                                requirements=("Pick a color word.",))
         gen = ScriptedGenerator(behaviors=[
             ScriptedBehavior.for_prompt(render_prompt(prompt), UNSTABLE_OUTCOMES)])
-        orch = make_orchestrator(gen)
-        score = orch.evaluate_prompt_stability(prompt, RefinementConfig(sample_count=n), "sJ")
+        orch = make_orchestrator(
+            gen, OrchestratorSettings(refinement=RefinementConfig(sample_count=n))
+        )
+        score = orch.evaluate_prompt_stability(prompt, "sJ")
         trace = orch.trace.trace()
         samples = trace.events_of_type("generation")[0].payload["outputs"]
         payload = trace.events_of_type("score")[0].payload
@@ -409,6 +450,22 @@ class TestDecomposeTask:
         with pytest.raises(PlanningFailure):
             orch.decompose_task(TASK, template="linear-chain")
         assert len(warnings_with_reason(orch, "invalid-plan")) == 3
+
+    @pytest.mark.parametrize("budget", [0, 2, 3])
+    def test_mixed_planner_failures_share_one_budget(self, budget):
+        cyclic = json.dumps({"subtasks": [
+            {"id": "a", "description": "First.", "dependencies": ["b"]},
+            {"id": "b", "description": "Second.", "dependencies": ["a"]},
+        ]})
+        planner = SequenceGenerator(ap.PLANNER_MARK, ["not json", "still not json", cyclic])
+        orch = make_orchestrator(planner, OrchestratorSettings(reask_budget=budget))
+        with pytest.raises(PlanningFailure) as info:
+            orch.decompose_task(TASK, template="linear-chain")
+        assert planner.calls == budget + 1
+        # the failure names the last rejected plan
+        expected = "dependency cycle" if budget >= 2 else "no parseable response"
+        assert expected in str(info.value)
+        assert len(warnings_with_reason(orch, "invalid-plan")) == (budget + 1) // 3
 
     def test_empty_task_rejected(self):
         orch = make_orchestrator(ScriptedGenerator())

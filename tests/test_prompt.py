@@ -104,11 +104,11 @@ def test_replace_each_component_kind():
     }
     for kind, value in cases.items():
         q = replace_component(p, kind, value)
-        assert q.component(kind) == value
+        assert getattr(q, kind.value) == value
         assert q.revision == p.revision + 1
         for other in PromptComponentKind:
             if other is not kind:
-                assert q.component(other) == p.component(other)
+                assert getattr(q, other.value) == getattr(p, other.value)
 
 
 def test_replace_is_value_semantics():
