@@ -106,33 +106,37 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _score(n: int, distances: np.ndarray, empty: Sequence[int], ceiling: float) -> StabilityScore:
-    """The score of N samples from the pair distances of the non-empty ones.
-    A pair with an empty sample (position listed in `empty`) gets the
-    ceiling, the largest distance the metric can give."""
+def _score(rows: Sequence[int] | None, k: int, distances: np.ndarray,
+           ceiling: float) -> StabilityScore:
+    """The score of N samples from the pair distances of k inputs, in
+    np.triu_indices order. rows[p] is sample p's input, or -1 when sample p
+    is blank; None means one input per sample. Samples of one input are at
+    distance 0, and a blank sample is at the ceiling, the largest distance
+    the metric can give, from every sample, blank ones included. Since a
+    pair value depends only on its two inputs, gathering the N(N-1)/2
+    sample pairs from a (k+1)x(k+1) table, whose last row and column are the
+    blank ones, gives bit for bit the score of every sample on its own."""
+    rows = np.arange(k) if rows is None else np.asarray(rows, dtype=np.intp)
+    n = len(rows)
+    if n < 2:
+        raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
     i, j = _pairs(n)
-    if empty:
-        blank = np.zeros(n, dtype=bool)
-        blank[list(empty)] = True
-        full = np.full(len(i), ceiling)
-        full[~(blank[i] | blank[j])] = distances
-        distances = full
+    if not np.array_equal(rows, np.arange(k)):
+        uses = np.bincount(rows + 1) if rows.min() >= -1 else ()
+        if len(uses) != k + 1 or not uses[1:].all():
+            raise ValueError(f"sample rows {rows.tolist()} do not map onto {k} inputs")
+        table = np.full((k + 1, k + 1), ceiling)
+        a, b = _pairs(k)
+        table[a, b] = table[b, a] = distances
+        np.fill_diagonal(table[:k, :k], 0.0)
+        distances = table[rows[i], rows[j]]
     value = 1.0 - math.fsum(distances.tolist()) / len(distances)
     totals = np.bincount(i, distances, n) + np.bincount(j, distances, n)
     return StabilityScore(value=value, sample_count=n,
                           sample_distances=tuple((totals / (n - 1)).tolist()))
 
 
-def _sample_count(kept: int, empty: Sequence[int]) -> int:
-    n = kept + len(empty)
-    if n < 2:
-        raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-    if len(set(empty)) != len(empty) or not all(0 <= k < n for k in empty):
-        raise ValueError(f"empty sample positions {list(empty)} do not fit N={n}")
-    return n
-
-
-def semantic_stability(vectors: Sequence, empty: Sequence[int] = ()) -> StabilityScore:
+def semantic_stability(vectors: Sequence, rows: Sequence[int] | None = None) -> StabilityScore:
     """Average pairwise cosine similarity over N >= 2 output embeddings.
 
     value = 1 - (2 / (N (N-1))) * sum_{i<j} d_ij, i.e. 1 minus the mean pair
@@ -140,13 +144,15 @@ def semantic_stability(vectors: Sequence, empty: Sequence[int] = ()) -> Stabilit
     d_ij depends only on its two vectors, and the mean is an exactly rounded
     sum. Equal vectors have d_ij exactly 0, so N equal vectors score 1.
 
-    `empty` holds the positions, among N = len(vectors) + len(empty), of
-    samples with no text to embed; the vectors fill the other positions in
-    order. An empty sample is at the maximum distance 2 from every other.
+    `rows` maps the N samples onto the vectors: rows[p] is the vector of
+    sample p, or -1 when sample p has no text to embed. Every vector must be
+    some sample's. By default each vector is one sample. Samples that share a
+    vector are at distance exactly 0, and a blank sample is at the maximum
+    distance 2 from every other, so only the pairs of distinct vectors are
+    computed.
     """
-    n = _sample_count(len(vectors), empty)
     distances = _cosine_distances(vectors) if len(vectors) >= 2 else np.empty(0)
-    return _score(n, distances, empty, 2.0)
+    return _score(rows, len(vectors), distances, 2.0)
 
 
 def tokenize(text: str) -> list[str]:
@@ -186,7 +192,7 @@ def kl_stability(outputs: Sequence[str], alpha: float = 1.0) -> float:
 
 
 def kl_stability_score(
-    outputs: Sequence[str], alpha: float = 1.0, empty: Sequence[int] = ()
+    outputs: Sequence[str], alpha: float = 1.0, rows: Sequence[int] | None = None
 ) -> StabilityScore:
     """kl_stability repackaged on the same scale as semantic_stability, so the
     two metrics are interchangeable behind one threshold gate.
@@ -194,16 +200,17 @@ def kl_stability_score(
     Each pairwise divergence J is squashed to J / (1 + J), which lies in
     [0, 1) and is 0 iff the pair's token multisets agree; the score value is
     1 minus the mean squashed divergence. Identical outputs score exactly 1.
-    `empty` works as in semantic_stability: an empty sample is at the
-    maximum distance 1 from every other.
+    `rows` works as in semantic_stability, over the outputs: a blank sample
+    is at the maximum distance 1 from every other. The vocabulary is that
+    of the outputs, which are all the non-blank samples' texts, so mapping
+    repeated samples onto one output leaves every divergence unchanged.
     """
-    n = _sample_count(len(outputs), empty)
     if len(outputs) >= 2:
         divergences = _kl_divergences(outputs, alpha)
         squashed = divergences / (1.0 + divergences)
     else:
         squashed = np.empty(0)
-    return _score(n, squashed, empty, 1.0)
+    return _score(rows, len(outputs), squashed, 1.0)
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -203,6 +203,15 @@ def _rewire(plan: Plan, replaced_ids: tuple[str, ...], pieces: list[Subtask]) ->
     return dataclasses.replace(plan, subtasks=tuple(rewired))
 
 
+def _group_samples(texts: list[str], drop_blank: bool = False) -> tuple[list[str], list[int]]:
+    """The distinct texts in first-seen order, and each text's position among
+    them. With drop_blank, a blank text is left out and its position is -1."""
+    position: dict[str, int] = {}
+    rows = [-1 if drop_blank and not text.strip() else position.setdefault(text, len(position))
+            for text in texts]
+    return list(position), rows
+
+
 class Orchestrator:
     def __init__(
         self,
@@ -229,6 +238,7 @@ class Orchestrator:
             max_tokens=self.settings.max_tokens,
         )
         outputs = self.generator.generate(request)
+        distinct, sample_index = _group_samples(outputs)
         self.trace.emit(
             "generation",
             {
@@ -237,7 +247,8 @@ class Orchestrator:
                 "fingerprint": prompt_fingerprint(prompt_text),
                 "temperature": temperature,
                 "sample_count": sample_count,
-                "outputs": outputs,
+                "outputs": distinct,
+                "sample_index": sample_index,
             },
         )
         return outputs
@@ -471,20 +482,20 @@ class Orchestrator:
             purpose="stability",
             subtask_id=subtask_id,
         )
-        # an empty sample is scored as maximally distant, not embedded
-        empty = [k for k, out in enumerate(outputs) if not out.strip()]
-        kept = [out for out in outputs if out.strip()]
+        # each distinct text is embedded and scored once; a blank sample is
+        # scored as maximally distant, not embedded
+        texts, rows = _group_samples(outputs, drop_blank=True)
         if cfg.metric == SEMANTIC:
-            vectors = self.embedder.embed(kept) if kept else []
+            vectors = self.embedder.embed(texts) if texts else []
             if vectors:
                 self.trace.emit(
                     "embedding",
                     {"subtask_id": subtask_id, "purpose": "stability",
                      "count": len(vectors), "dim": vectors[0].dim},
                 )
-            score = semantic_stability(vectors, empty)
+            score = semantic_stability(vectors, rows=rows)
         else:
-            score = kl_stability_score(kept, alpha=cfg.kl_alpha, empty=empty)
+            score = kl_stability_score(texts, alpha=cfg.kl_alpha, rows=rows)
         self.trace.emit(
             "score",
             {"subtask_id": subtask_id, "metric": cfg.metric, **score.to_json_dict()},
@@ -494,9 +505,9 @@ class Orchestrator:
     def evaluate_prompt_stability(
         self, p: ModularPrompt, subtask_id: str = "adhoc"
     ) -> StabilityScore:
-        """N samples of the rendered prompt, embedded and scored. The samples
-        come back from one generate() call, so concurrency in the backend
-        cannot reorder them."""
+        """N samples of the rendered prompt, each distinct one embedded and
+        scored once. The samples come back from one generate() call, so
+        concurrency in the backend cannot reorder them."""
         score, _ = self._measure(p, subtask_id)
         return score
 

@@ -200,8 +200,10 @@ def validate_output(output: str, spec: IoSpec) -> ValidationResult:
     reasons format-mismatch, missing-key, or non-numeric.
 
     Only decidable format checks happen here; semantic constraint checking is
-    the reviewer's job.
+    the reviewer's job. A blank output fails every format.
     """
+    if not output.strip():
+        return ValidationResult(ok=False, reason=FORMAT_MISMATCH, detail="empty output")
     if spec.output_format == FREE_TEXT:
         return ValidationResult(ok=True)
     if spec.output_format == NUMERIC:

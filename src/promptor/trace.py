@@ -10,6 +10,13 @@ replay applies to the current plan. Version 1 traces, with a snapshot on
 every plan-update, still replay. Version 3 summarizes a score event per
 sample (sample_distances) where earlier versions listed every pair
 (pair_distances); replay reads only the score value, so both replay.
+
+Version 4 stores each distinct output of a generation event once: outputs
+holds the distinct texts in first-seen order, and sample_index gives, for
+each of the sample_count samples, its text's position in outputs. Earlier
+versions list every sample in outputs. Either way an execution's output is
+outputs[0]. An embedding event's count is the number of texts embedded,
+which from version 4 on is the distinct non-blank samples.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import MalformedTraceError
 from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
 from .prompt import ModularPrompt
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 EVENT_TYPES = (
     "generation",
@@ -138,6 +145,8 @@ def parse_trace_lines(lines: Iterable[str]) -> ExecutionTrace:
                 raise MalformedTraceError(f"line {line_no}: first record must be the header")
             if "version" not in record:
                 raise MalformedTraceError("header lacks a version field")
+            if type(record["version"]) is not int:
+                raise MalformedTraceError(f"trace version {record['version']!r} is not an integer")
             header = {k: v for k, v in record.items() if k != "kind"}
             continue
         if kind != "event":
@@ -198,10 +207,25 @@ class ReplayState:
     run_status: str | None = None
 
 
+def _check_sample_index(event: TraceEvent) -> None:
+    """A version 4 generation event's sample_index holds one position per
+    sample, and every output is some sample's text."""
+    index, count = event.payload["sample_index"], event.payload["sample_count"]
+    if len(index) != count:
+        raise MalformedTraceError(
+            f"event {event.seq}: sample_index has {len(index)} entries for {count} samples"
+        )
+    if set(index) != set(range(len(event.payload["outputs"]))):
+        raise MalformedTraceError(
+            f"event {event.seq}: sample_index does not map the samples onto the outputs"
+        )
+
+
 def replay_trace(trace: ExecutionTrace) -> ReplayState:
     """Rebuild plan and prompt states from the recorded events. Raises
     MalformedTraceError if the events do not fold into consistent state."""
     state = ReplayState()
+    indexed = trace.header["version"] >= 4
     for event in trace.events:
         payload = event.payload
         try:
@@ -241,6 +265,8 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
             elif event.type == "score":
                 state.scores.setdefault(payload["subtask_id"], []).append(payload["value"])
             elif event.type == "generation":
+                if indexed:
+                    _check_sample_index(event)
                 if payload.get("purpose") == "execution":
                     state.outputs[payload["subtask_id"]] = payload["outputs"][0]
         except MalformedTraceError:

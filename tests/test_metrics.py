@@ -242,26 +242,77 @@ def test_stability_range(vectors):
 
 
 def test_empty_samples_are_maximally_distant():
-    # N=3 with sample 1 empty: pairs (0,1) and (1,2) at the ceiling, (0,2) at 0
-    score = semantic_stability([(1.0, 0.0), (1.0, 0.0)], empty=[1])
+    # N=3 with sample 1 blank: pairs (0,1) and (1,2) at the ceiling, (0,2) at 0
+    score = semantic_stability([(1.0, 0.0)], rows=[0, -1, 0])
     assert score.value == 1.0 - 4.0 / 3.0
     assert score.sample_distances == (1.0, 2.0, 1.0)
-    score = kl_stability_score(["a b", "b a"], empty=[1])
+    score = kl_stability_score(["a b", "b a"], rows=[0, -1, 1])
     assert score.value == 1.0 - 2.0 / 3.0
     assert score.sample_distances == (0.5, 1.0, 0.5)
 
 
 def test_fewer_than_two_non_empty_samples_score_the_ceiling():
-    assert semantic_stability([(1.0, 0.0)], empty=[0, 2]).sample_distances == (2.0,) * 3
-    assert semantic_stability([], empty=[0, 1]).value == -1.0
-    score = kl_stability_score([], empty=[0, 1, 2])
+    assert semantic_stability([(1.0, 0.0)], rows=[-1, 0, -1]).sample_distances == (2.0,) * 3
+    assert semantic_stability([], rows=[-1, -1]).value == -1.0
+    score = kl_stability_score([], rows=[-1, -1, -1])
     assert (score.value, score.sample_distances) == (0.0, (1.0, 1.0, 1.0))
 
 
-@pytest.mark.parametrize("empty", [[3], [-1], [0, 0]])
-def test_empty_positions_must_fit_the_samples(empty):
+@pytest.mark.parametrize("rows", [[0, 2], [0, -2], [0, 0]])
+def test_empty_positions_must_fit_the_samples(rows):
+    # a row past the inputs, below the blank -1, and an input no sample uses
     with pytest.raises(ValueError):
-        semantic_stability([(1.0, 0.0), (0.0, 1.0)], empty=empty)
+        semantic_stability([(1.0, 0.0), (0.0, 1.0)], rows=rows)
+
+
+def test_rows_need_two_samples():
+    with pytest.raises(InsufficientSamplesError):
+        semantic_stability([(1.0, 0.0)], rows=[0])
+
+
+def _grouped_and_own_rows(picks):
+    """Two ways to score samples drawn from a pool (a pool index per sample,
+    None for a blank one): (distinct picks in first-seen order, their rows)
+    and (every non-blank pick, one row each)."""
+    distinct = list(dict.fromkeys(p for p in picks if p is not None))
+    grouped = [-1 if p is None else distinct.index(p) for p in picks]
+    own = [p for p in picks if p is not None]
+    ranks = iter(range(len(own)))
+    return (distinct, grouped), (own, [-1 if p is None else next(ranks) for p in picks])
+
+
+def _picks(pool_size):
+    return st.lists(st.one_of(st.none(), st.integers(0, pool_size - 1)), min_size=2, max_size=12)
+
+
+@given(st.data())
+def test_scoring_distinct_samples_once_is_bit_identical(data):
+    dim = data.draw(st.integers(min_value=2, max_value=4))
+    vectors = data.draw(st.lists(_nonzero_vectors(dim), min_size=1, max_size=4))
+    (distinct, grouped), (own, rows) = _grouped_and_own_rows(data.draw(_picks(len(vectors))))
+    once = semantic_stability([vectors[p] for p in distinct], rows=grouped)
+    each = semantic_stability([vectors[p] for p in own], rows=rows)
+    assert (once.value, once.sample_distances) == (each.value, each.sample_distances)
+
+    outputs = data.draw(st.lists(st.text(alphabet="abcd ", min_size=1, max_size=12)
+                                 .filter(lambda s: s.strip()), min_size=1, max_size=4))
+    (distinct, grouped), (own, rows) = _grouped_and_own_rows(data.draw(_picks(len(outputs))))
+    once = kl_stability_score([outputs[p] for p in distinct], alpha=0.5, rows=grouped)
+    each = kl_stability_score([outputs[p] for p in own], alpha=0.5, rows=rows)
+    assert (once.value, once.sample_distances) == (each.value, each.sample_distances)
+
+
+def test_all_distinct_samples_score_as_without_rows():
+    # nothing repeats, so nothing is saved and nothing may change
+    vectors, outputs = _random_vectors(50), _random_outputs(50)
+    assert len(set(vectors)) == len(set(outputs)) == 50
+    rows = list(range(50))
+    assert semantic_stability(vectors, rows=rows) == semantic_stability(vectors)
+    assert kl_stability_score(outputs, rows=rows) == kl_stability_score(outputs)
+    # the same samples through the pair table: inputs reversed, rows undo it
+    backwards = rows[::-1]
+    assert semantic_stability(vectors[::-1], rows=backwards) == semantic_stability(vectors)
+    assert kl_stability_score(outputs[::-1], rows=backwards) == kl_stability_score(outputs)
 
 
 # -- kl_stability -------------------------------------------------------------

@@ -35,7 +35,8 @@ from promptor.prompt import (
     render_prompt,
     replace_component,
 )
-from promptor.trace import TraceWriter, canonical_trace_bytes, replay_trace
+from promptor.reports import compute_run_metrics, render_run_report
+from promptor.trace import TraceWriter, canonical_trace_bytes, parse_trace_lines, replay_trace
 
 from .pipeline_fixture import (
     NUMERIC_SPEC,
@@ -341,7 +342,9 @@ class TestRefineUntilStable:
         assert generation["purpose"] == "stability"
         assert generation["sample_count"] == 5
         assert generation["fingerprint"] == prompt_fingerprint(render_prompt(prompt))
-        assert trace.events_of_type("embedding")[0].payload["count"] == 5
+        # five equal samples: stored, embedded and scored as one text
+        assert (generation["outputs"], generation["sample_index"]) == (["7"], [0] * 5)
+        assert trace.events_of_type("embedding")[0].payload["count"] == 1
 
 
     def measure(self, n):
@@ -355,7 +358,8 @@ class TestRefineUntilStable:
         )
         score = orch.evaluate_prompt_stability(prompt, "sJ")
         trace = orch.trace.trace()
-        samples = trace.events_of_type("generation")[0].payload["outputs"]
+        generation = trace.events_of_type("generation")[0].payload
+        samples = [generation["outputs"][k] for k in generation["sample_index"]]
         payload = trace.events_of_type("score")[0].payload
         review = ap.reviewer_stability_prompt("sJ", prompt, score, samples)
         return len(json.dumps(payload, sort_keys=True)), len(review.splitlines())
@@ -1003,6 +1007,28 @@ class TestRunPipeline:
         assert state.plan.subtask("balance").status is SubtaskStatus.PENDING
         assert len(warnings_with_reason(orch, "blocked")) == 2
 
+    def test_blank_free_text_output_fails_the_subtask_not_the_run(self):
+        solo = [{"id": "note", "description": "Write a note.", "dependencies": []}]
+        gen = ScriptedGenerator(
+            behaviors=[planner_behavior(solo)],
+            default=ScriptedBehavior(prompt_fingerprint="*", outcomes=(("  ", 1.0),)),
+        )
+        orch = make_orchestrator(gen, self.settings())
+        trace = orch.run_pipeline(TASK, template="linear-chain")
+        assert warnings_with_reason(orch, "run-aborted") == []
+        final = trace.events_of_type("status-change")[-1].payload
+        assert (final["subtask_id"], final["to"]) == ("__run__", "failed")
+        state = replay_trace(trace)
+        assert state.run_status == "failed"
+        assert state.plan.subtask("note").status is SubtaskStatus.EXECUTED_FAILED
+        assert state.outputs == {"note": "  "}
+        # what replay reads back from the written trace agrees with the run
+        written = parse_trace_lines(trace.to_lines())
+        assert replay_trace(written) == state
+        report = render_run_report(compute_run_metrics([trace]))
+        assert render_run_report(compute_run_metrics([written])) == report
+        assert "run 1: failed" in report
+
     def test_augmentation_recovers_format_failure(self):
         solo = [{"id": "calc", "description": "Compute the sum.",
                  "dependencies": [], "io_spec": {"output_format": "numeric"}}]
@@ -1140,8 +1166,9 @@ class TestRunPipeline:
             quarter = ceiling / 4
             assert event.payload["sample_distances"] == [quarter, quarter, ceiling, quarter, quarter]
             assert event.payload["value"] == pytest.approx(1.0 - 0.4 * ceiling)
+        # the four equal samples are embedded once
         embedded = [e.payload["count"] for e in trace.events_of_type("embedding")]
-        assert embedded == ([4, 4, 4] if metric == "semantic" else [])
+        assert embedded == ([1, 1, 1] if metric == "semantic" else [])
         assert len(warnings_with_reason(orch, "gate-exhausted")) == 3
 
     def test_planning_failure_fails_the_run(self):

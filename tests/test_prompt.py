@@ -163,7 +163,21 @@ def test_revision_counts_edits(edits):
 
 
 def test_validate_free_text_always_passes():
-    assert validate_output("", IoSpec(output_format="free-text")).ok
+    # any text passes; a blank output is no text (next test)
+    for output in ("x", " not json, no number ", "```"):
+        assert validate_output(output, IoSpec(output_format="free-text")).ok
+
+
+@pytest.mark.parametrize("spec", [
+    IoSpec(output_format="free-text"),
+    IoSpec(output_format="json-object", required_keys=("answer",)),
+    IoSpec(output_format="code-block"),
+    IoSpec(output_format="numeric"),
+], ids=lambda spec: spec.output_format)
+def test_validate_blank_output_fails_every_format(spec):
+    for output in ("", "  ", "\n\t"):
+        result = validate_output(output, spec)
+        assert (result.ok, result.reason, result.detail) == (False, "format-mismatch", "empty output")
 
 
 def test_validate_json_object_pass():

@@ -34,6 +34,9 @@ V1_TRACE = Path(__file__).parent / "data" / "trace_v1_strategy_shift.jsonl"
 # The same run as written by trace version 2, whose score events list every
 # pair distance (pair_distances) instead of one mean per sample.
 V2_TRACE = Path(__file__).parent / "data" / "trace_v2_strategy_shift.jsonl"
+# The same run as written by trace version 3, whose generation events list
+# every sample and whose embedding events count every non-blank sample.
+V3_TRACE = Path(__file__).parent / "data" / "trace_v3_strategy_shift.jsonl"
 V1_REPORT = """runs: 1
 execution success rate: 1.000000
 completion rate: 1.000000 (1/1 reference checks passed)
@@ -171,6 +174,11 @@ class TestParsingErrors:
         with pytest.raises(MalformedTraceError, match="version"):
             parse_trace_lines([json.dumps({"kind": "header"})])
 
+    @pytest.mark.parametrize("version", ["4", 4.0, None])
+    def test_header_version_must_be_an_integer(self, version):
+        with pytest.raises(MalformedTraceError, match="not an integer"):
+            parse_trace_lines([json.dumps({"kind": "header", "version": version})])
+
     def test_second_header_rejected(self):
         with pytest.raises(MalformedTraceError, match="expected an event"):
             parse_trace_lines([self.HEADER, self.HEADER])
@@ -303,13 +311,25 @@ class TestReplay:
         # version 1 predates exactly-zero distances: its scores differ in the last ulp
         assert replay_trace(trace).plan == replay_trace(read_trace(V1_TRACE)).plan
 
-    def test_current_version_run_of_the_same_fixture_gives_the_same_report(self):
+    def test_version_3_trace_with_every_sample_replays_to_the_same_report(self):
+        trace = read_trace(V3_TRACE)
+        assert trace.header["version"] == 3
+        generations = trace.events_of_type("generation")
+        assert all("sample_index" not in e.payload for e in generations)
+        assert any(len(e.payload["outputs"]) == 5 for e in generations)
+        assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
+        assert replay_trace(trace) == replay_trace(read_trace(V2_TRACE))
+
+    def current_run(self):
         writer = TraceWriter(dict(read_trace(V1_TRACE).header, version=TRACE_VERSION))
         orch = Orchestrator(
             strategy_shift_generator(), HashEmbedder(), writer,
             OrchestratorSettings(knowledge_enabled=False, reviewer_enabled=False),
         )
-        trace = orch.run_pipeline(TASK, template="linear-chain")
+        return orch.run_pipeline(TASK, template="linear-chain")
+
+    def test_current_version_run_of_the_same_fixture_gives_the_same_report(self):
+        trace = self.current_run()
         snapshots = [e.payload["note"] for e in trace.events_of_type("plan-update")
                      if "plan_after" in e.payload]
         assert snapshots == ["created", "optimized"]
@@ -320,6 +340,36 @@ class TestReplay:
                               "sample_distances"} for p in scores)
         assert [p["value"] for p in scores] == [
             e.payload["value"] for e in read_trace(V2_TRACE).events_of_type("score")]
+        # the score events are those of version 3, sample_distances included
+        assert scores == [e.payload for e in read_trace(V3_TRACE).events_of_type("score")]
+
+    def test_repeated_samples_are_stored_once_and_expand_back(self):
+        trace = self.current_run()
+        v3 = read_trace(V3_TRACE).events_of_type("generation")
+        generations = trace.events_of_type("generation")
+        assert len(generations) == len(v3)
+        for event, old in zip(generations, v3):
+            outputs, index = event.payload["outputs"], event.payload["sample_index"]
+            assert len(set(outputs)) == len(outputs) and index[0] == 0
+            assert [outputs[k] for k in index] == old.payload["outputs"]
+        # every stability measure of this fixture repeats one sample five times
+        stability = [e.payload for e in generations if e.payload["purpose"] == "stability"]
+        assert stability and all(p["sample_index"] == [0] * 5 for p in stability)
+        counts = [e.payload["count"] for e in trace.events_of_type("embedding")]
+        assert counts == [1] * len(stability)
+
+    @pytest.mark.parametrize("sample_index, match", [
+        ([0, 0], "2 entries for 3 samples"),
+        ([0, 2, 1], "onto the outputs"),
+        ([0, 0, 0], "onto the outputs"),
+    ])
+    def test_bad_sample_index_is_malformed(self, sample_index, match):
+        payload = {"subtask_id": "a", "purpose": "stability", "sample_count": 3,
+                   "outputs": ["x", "y"], "sample_index": sample_index}
+        trace = ExecutionTrace(header={"version": 4},
+                               events=(TraceEvent(0, "generation", payload, 0.0),))
+        with pytest.raises(MalformedTraceError, match=match):
+            replay_trace(trace)
 
     def executed_a_events(self):
         return [
