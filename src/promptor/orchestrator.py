@@ -239,18 +239,18 @@ class Orchestrator:
         )
         outputs = self.generator.generate(request)
         distinct, sample_index = _group_samples(outputs)
-        self.trace.emit(
-            "generation",
-            {
-                "subtask_id": subtask_id,
-                "purpose": purpose,
-                "fingerprint": prompt_fingerprint(prompt_text),
-                "temperature": temperature,
-                "sample_count": sample_count,
-                "outputs": distinct,
-                "sample_index": sample_index,
-            },
-        )
+        payload = {
+            "subtask_id": subtask_id,
+            "purpose": purpose,
+            "fingerprint": prompt_fingerprint(prompt_text),
+            "temperature": temperature,
+            "sample_count": sample_count,
+            "outputs": distinct,
+        }
+        # outputs lists every sample unless one repeats
+        if len(distinct) < len(outputs):
+            payload["sample_index"] = sample_index
+        self.trace.emit("generation", payload)
         return outputs
 
     def _ask_json(

@@ -12,11 +12,12 @@ sample (sample_distances) where earlier versions listed every pair
 (pair_distances); replay reads only the score value, so both replay.
 
 Version 4 stores each distinct output of a generation event once: outputs
-holds the distinct texts in first-seen order, and sample_index gives, for
-each of the sample_count samples, its text's position in outputs. Earlier
-versions list every sample in outputs. Either way an execution's output is
-outputs[0]. An embedding event's count is the number of texts embedded,
-which from version 4 on is the distinct non-blank samples.
+holds the distinct texts in first-seen order, and when some sample repeats,
+sample_index gives, for each of the sample_count samples, its text's
+position in outputs. Without sample_index, as in earlier versions, outputs
+lists every sample. Either way an execution's output is outputs[0]. An
+embedding event's count is the number of texts embedded, which from
+version 4 on is the distinct non-blank samples.
 """
 
 from __future__ import annotations
@@ -208,14 +209,16 @@ class ReplayState:
 
 
 def _check_sample_index(event: TraceEvent) -> None:
-    """A version 4 generation event's sample_index holds one position per
-    sample, and every output is some sample's text."""
-    index, count = event.payload["sample_index"], event.payload["sample_count"]
+    """A version 4 generation event's sample_index, one position per output
+    when it has none, holds one position per sample, and every output is some
+    sample's text."""
+    outputs, count = event.payload["outputs"], event.payload["sample_count"]
+    index = event.payload.get("sample_index", range(len(outputs)))
     if len(index) != count:
         raise MalformedTraceError(
             f"event {event.seq}: sample_index has {len(index)} entries for {count} samples"
         )
-    if set(index) != set(range(len(event.payload["outputs"]))):
+    if set(index) != set(range(len(outputs))):
         raise MalformedTraceError(
             f"event {event.seq}: sample_index does not map the samples onto the outputs"
         )

@@ -2,6 +2,7 @@
 (derivations inline) and were frozen before being checked against the code.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -302,17 +303,45 @@ def test_scoring_distinct_samples_once_is_bit_identical(data):
     assert (once.value, once.sample_distances) == (each.value, each.sample_distances)
 
 
-def test_all_distinct_samples_score_as_without_rows():
-    # nothing repeats, so nothing is saved and nothing may change
+def _score_each_pair(distances, n: int) -> tuple[float, tuple[float, ...]]:
+    """(value, sample_distances) straight from the N(N-1)/2 pair distances
+    of N distinct samples, summed pair by pair in np.triu_indices order."""
+    first, second = [0.0] * n, [0.0] * n
+    for (i, j), d in zip(itertools.combinations(range(n), 2), distances.tolist(), strict=True):
+        first[i] += d
+        second[j] += d
+    value = 1.0 - math.fsum(distances.tolist()) / len(distances)
+    return value, tuple((a + b) / (n - 1) for a, b in zip(first, second))
+
+
+def test_all_distinct_samples_score_as_their_pair_distances():
+    # nothing repeats, so the pair table holds every pair distance once and
+    # the score must equal scoring those distances directly, bit for bit
     vectors, outputs = _random_vectors(50), _random_outputs(50)
     assert len(set(vectors)) == len(set(outputs)) == 50
-    rows = list(range(50))
-    assert semantic_stability(vectors, rows=rows) == semantic_stability(vectors)
-    assert kl_stability_score(outputs, rows=rows) == kl_stability_score(outputs)
-    # the same samples through the pair table: inputs reversed, rows undo it
-    backwards = rows[::-1]
-    assert semantic_stability(vectors[::-1], rows=backwards) == semantic_stability(vectors)
-    assert kl_stability_score(outputs[::-1], rows=backwards) == kl_stability_score(outputs)
+    score = semantic_stability(vectors)
+    assert (score.value, score.sample_distances) == _score_each_pair(_cosine_distances(vectors), 50)
+    divergences = _kl_divergences(outputs, 1.0)
+    score = kl_stability_score(outputs)
+    assert (score.value, score.sample_distances) == _score_each_pair(
+        divergences / (1.0 + divergences), 50)
+    # the same samples with the inputs reversed and rows undoing it
+    rows = list(range(50))[::-1]
+    assert semantic_stability(vectors[::-1], rows=rows) == semantic_stability(vectors)
+    assert kl_stability_score(outputs[::-1], rows=rows) == kl_stability_score(outputs)
+
+
+def test_repeated_samples_are_checked_like_distinct_ones():
+    # a zero vector or a blank output fails whether or not its sample repeats
+    for rows in ([0, 0], [0, 1]):
+        with pytest.raises(ZeroVectorError):
+            semantic_stability([(0.0, 0.0), (1.0, 0.0)][:max(rows) + 1], rows=rows)
+        with pytest.raises(EmptyOutputError):
+            kl_stability_score(["  ", "a b"][:max(rows) + 1], rows=rows)
+        with pytest.raises(ValueError):
+            kl_stability_score(["a b", "b"][:max(rows) + 1], alpha=0.0, rows=rows)
+    with pytest.raises(DimensionMismatchError):
+        semantic_stability([(1.0, 0.0), (1.0, 0.0, 0.0)], rows=[0, 1, 1])
 
 
 # -- kl_stability -------------------------------------------------------------

@@ -15,8 +15,9 @@ from promptor.errors import (
     ReviewFailure,
     StateError,
     TransportError,
+    ZeroVectorError,
 )
-from promptor.metrics import semantic_stability
+from promptor.metrics import EmbeddingVector, semantic_stability
 from promptor.orchestrator import (
     ContextStore,
     ExecutionResult,
@@ -346,6 +347,19 @@ class TestRefineUntilStable:
         assert (generation["outputs"], generation["sample_index"]) == (["7"], [0] * 5)
         assert trace.events_of_type("embedding")[0].payload["count"] == 1
 
+    @pytest.mark.parametrize("outcomes", [[("7", 1.0)], UNSTABLE_OUTCOMES])
+    def test_zero_embedding_fails_whether_or_not_samples_repeat(self, outcomes):
+        class ZeroEmbedder:
+            def embed(self, texts):
+                return [EmbeddingVector((0.0, 0.0)) for _ in texts]
+
+        prompt = ModularPrompt(role="You echo numbers.", requirements=("Say 7.",))
+        gen = ScriptedGenerator(behaviors=[
+            ScriptedBehavior.for_prompt(render_prompt(prompt), outcomes)])
+        orch = Orchestrator(gen, ZeroEmbedder(), TraceWriter({"run": "test"}))
+        with pytest.raises(ZeroVectorError):
+            orch.evaluate_prompt_stability(prompt, subtask_id="sZ")
+
 
     def measure(self, n):
         """The score payload and reviewer prompt of one N-sample measure."""
@@ -359,7 +373,8 @@ class TestRefineUntilStable:
         score = orch.evaluate_prompt_stability(prompt, "sJ")
         trace = orch.trace.trace()
         generation = trace.events_of_type("generation")[0].payload
-        samples = [generation["outputs"][k] for k in generation["sample_index"]]
+        outputs = generation["outputs"]
+        samples = [outputs[k] for k in generation.get("sample_index", range(len(outputs)))]
         payload = trace.events_of_type("score")[0].payload
         review = ap.reviewer_stability_prompt("sJ", prompt, score, samples)
         return len(json.dumps(payload, sort_keys=True)), len(review.splitlines())

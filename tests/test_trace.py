@@ -349,9 +349,12 @@ class TestReplay:
         generations = trace.events_of_type("generation")
         assert len(generations) == len(v3)
         for event, old in zip(generations, v3):
-            outputs, index = event.payload["outputs"], event.payload["sample_index"]
+            outputs, samples = event.payload["outputs"], old.payload["outputs"]
+            # an index only where a sample repeats; without one, outputs are the samples
+            assert ("sample_index" in event.payload) == (len(set(samples)) < len(samples))
+            index = event.payload.get("sample_index", range(len(outputs)))
             assert len(set(outputs)) == len(outputs) and index[0] == 0
-            assert [outputs[k] for k in index] == old.payload["outputs"]
+            assert [outputs[k] for k in index] == samples
         # every stability measure of this fixture repeats one sample five times
         stability = [e.payload for e in generations if e.payload["purpose"] == "stability"]
         assert stability and all(p["sample_index"] == [0] * 5 for p in stability)
@@ -362,10 +365,14 @@ class TestReplay:
         ([0, 0], "2 entries for 3 samples"),
         ([0, 2, 1], "onto the outputs"),
         ([0, 0, 0], "onto the outputs"),
+        (None, "2 entries for 3 samples"),
     ])
     def test_bad_sample_index_is_malformed(self, sample_index, match):
+        # None: no sample_index, so the two outputs would have to be the three samples
         payload = {"subtask_id": "a", "purpose": "stability", "sample_count": 3,
-                   "outputs": ["x", "y"], "sample_index": sample_index}
+                   "outputs": ["x", "y"]}
+        if sample_index is not None:
+            payload["sample_index"] = sample_index
         trace = ExecutionTrace(header={"version": 4},
                                events=(TraceEvent(0, "generation", payload, 0.0),))
         with pytest.raises(MalformedTraceError, match=match):
