@@ -94,17 +94,6 @@ class BackendDescriptor:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BackendDescriptor":
-        return cls(
-            kind=data["kind"],
-            endpoint_url=data.get("endpoint_url"),
-            model_name=data.get("model_name"),
-            timeout=float(data.get("timeout", 30.0)),
-            max_retries=int(data.get("max_retries", 2)),
-            max_inflight=int(data.get("max_inflight", 4)),
-        )
-
 
 # -- scripted generation -------------------------------------------------------
 

@@ -142,10 +142,9 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
 
 
 def _make_orchestrator(cfg: PipelineConfig, trace_path: str | None) -> Orchestrator:
-    settings = cfg.orchestrator_settings()
     generator, embedder = cfg.build_backends()
     writer = TraceWriter(cfg.header(), path=trace_path)
-    return Orchestrator(generator, embedder, writer, settings)
+    return Orchestrator(generator, embedder, writer, cfg.settings)
 
 
 def cmd_run(args) -> int:

@@ -5,6 +5,7 @@ reproducible from the file plus a seed."""
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .backends import (
     prompt_fingerprint,
 )
 from .errors import ConfigError
-from .orchestrator import KL, SEMANTIC, OrchestratorSettings, RefinementConfig
+from .orchestrator import OrchestratorSettings, RefinementConfig
 
 EXACT = "exact"
 NUMERIC_MATCH = "numeric"
@@ -31,14 +32,43 @@ NUMERIC_MATCH = "numeric"
 MODULE_KEYS = ("subtask_optimizer", "reviewer", "plan_updater", "knowledge_generator")
 
 
+def _load(cls, data: dict, what: str):
+    """An instance of the dataclass cls built from a JSON object. Every key
+    must name an init field of cls, and every value must have the JSON type
+    its field is annotated with: a float field takes an int too, and no field
+    takes a boolean. Any mistake is a ConfigError, never a traceback."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - {f.name for f in fields(cls) if f.init})
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    for name, value in data.items():
+        # annotations are plain classes or unions of them
+        allowed = typing.get_args(hints[name]) or (hints[name],)
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"{what} field {name!r} has invalid value {value!r}")
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _objects(spec: dict, key: str) -> list[dict]:
+    entries = spec.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"scripted generator {key} must be a list of objects")
+    return entries
+
+
 def _behavior_from_config(entry: dict) -> ScriptedBehavior:
     """A scripted outcome table keyed by prompt text or fingerprint."""
-    if "prompt" in entry:
-        fingerprint = prompt_fingerprint(entry["prompt"])
-    elif "prompt_fingerprint" in entry:
-        fingerprint = entry["prompt_fingerprint"]
-    else:
+    key = next((k for k in ("prompt", "prompt_fingerprint") if k in entry), None)
+    if key is None:
         raise ConfigError("scripted behavior needs a prompt or prompt_fingerprint")
+    if not isinstance(entry[key], str):
+        raise ConfigError(f"scripted behavior {key} must be a string, got {entry[key]!r}")
+    fingerprint = prompt_fingerprint(entry[key]) if key == "prompt" else entry[key]
     outcomes = entry.get("outcomes")
     if not outcomes:
         raise ConfigError("scripted behavior needs a non-empty outcomes list")
@@ -56,24 +86,26 @@ def build_generator(spec: dict, run_seed: int = 0) -> Generator:
     kind = spec.get("kind")
     if kind == SCRIPTED:
         prefix_rules = []
-        for entry in spec.get("prefix_rules", ()):
-            if "prefix" not in entry:
-                raise ConfigError("prefix rule needs a prefix key")
+        for entry in _objects(spec, "prefix_rules"):
+            if not isinstance(entry.get("prefix"), str):
+                raise ConfigError("prefix rule needs a string prefix")
             behavior = _behavior_from_config({"prompt": entry["prefix"], **entry})
             prefix_rules.append((entry["prefix"], behavior))
         default = spec.get("default")
         if default is not None:
+            if not isinstance(default, dict):
+                raise ConfigError("scripted generator default must be an object")
             # The default answers any unmatched prompt; draws are keyed by the
             # incoming prompt's fingerprint, so its own key is a placeholder.
             default = _behavior_from_config({"prompt_fingerprint": "default", **default})
         return ScriptedGenerator(
-            behaviors=[_behavior_from_config(e) for e in spec.get("behaviors", ())],
+            behaviors=[_behavior_from_config(e) for e in _objects(spec, "behaviors")],
             prefix_rules=prefix_rules,
             default=default,
             run_seed=run_seed,
         )
     if kind == HTTP:
-        return HttpGenerator(_http_descriptor(spec))
+        return HttpGenerator(_load(BackendDescriptor, spec, "http backend"))
     raise ConfigError(f"unknown generator kind: {kind!r}")
 
 
@@ -82,34 +114,31 @@ def build_embedder(spec: dict) -> Embedder:
     if kind == HASH_EMBEDDER:
         return HashEmbedder()
     if kind == HTTP:
-        return HttpEmbedder(_http_descriptor(spec))
+        return HttpEmbedder(_load(BackendDescriptor, spec, "http backend"))
     raise ConfigError(f"unknown embedder kind: {kind!r}")
-
-
-def _http_descriptor(spec: dict) -> BackendDescriptor:
-    try:
-        return BackendDescriptor.from_json_dict(spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid http backend: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A run's configuration. The gate and orchestrator defaults are those of
+    RefinementConfig and OrchestratorSettings, which also own the range
+    checks; the settings built from them are in settings."""
+
     task: str
     template: str | None = None
     seed: int = 0
-    tau: float = 0.7
-    samples: int = 5
-    max_iterations: int = 5
-    metric: str = SEMANTIC
-    kl_alpha: float = 1.0
-    stability_temperature: float = 1.0
-    execution_temperature: float = 1.0
-    reviewer_temperature: float = 0.0
-    max_tokens: int = 1024
-    reask_budget: int = 2
-    augmentation_retries: int = 2
-    target_granularity: float = 2.0
+    tau: float = RefinementConfig.tau
+    samples: int = RefinementConfig.sample_count
+    max_iterations: int = RefinementConfig.max_iterations
+    metric: str = RefinementConfig.metric
+    kl_alpha: float = RefinementConfig.kl_alpha
+    stability_temperature: float = RefinementConfig.stability_temperature
+    execution_temperature: float = OrchestratorSettings.execution_temperature
+    reviewer_temperature: float = RefinementConfig.reviewer_temperature
+    max_tokens: int = OrchestratorSettings.max_tokens
+    reask_budget: int = OrchestratorSettings.reask_budget
+    augmentation_retries: int = OrchestratorSettings.augmentation_retries
+    target_granularity: float = OrchestratorSettings.target_granularity
     modules: dict = field(
         default_factory=lambda: {key: True for key in MODULE_KEYS}
     )
@@ -118,32 +147,11 @@ class PipelineConfig:
     reference_tolerance: float = 1e-6
     generator: dict = field(default_factory=lambda: {"kind": SCRIPTED})
     embedder: dict = field(default_factory=lambda: {"kind": HASH_EMBEDDER})
-
-    _FIELD_TYPES = (
-        ("task", str), ("template", (str, type(None))), ("seed", int),
-        ("tau", (int, float)), ("samples", int),
-        ("max_iterations", int), ("metric", str),
-        ("kl_alpha", (int, float)), ("stability_temperature", (int, float)),
-        ("execution_temperature", (int, float)),
-        ("reviewer_temperature", (int, float)), ("max_tokens", int),
-        ("reask_budget", int), ("augmentation_retries", int),
-        ("target_granularity", (int, float)), ("modules", dict),
-        ("reference_answer", (str, type(None))), ("reference_match", str),
-        ("reference_tolerance", (int, float)), ("generator", dict),
-        ("embedder", dict),
-    )
+    settings: OrchestratorSettings = field(init=False)
 
     def __post_init__(self):
-        # JSON configs arrive untyped; reject wrong types here so every
-        # malformed file surfaces as a ConfigError, never a traceback.
-        for name, expected in self._FIELD_TYPES:
-            value = getattr(self, name)
-            if not isinstance(value, expected) or isinstance(value, bool):
-                raise ConfigError(f"config field {name!r} has invalid value {value!r}")
         if not self.task.strip():
             raise ConfigError("config needs a non-empty task")
-        if self.metric not in (SEMANTIC, KL):
-            raise ConfigError(f"metric must be '{SEMANTIC}' or '{KL}'")
         if self.reference_match not in (EXACT, NUMERIC_MATCH):
             raise ConfigError(
                 f"reference_match must be '{EXACT}' or '{NUMERIC_MATCH}'"
@@ -154,23 +162,38 @@ class PipelineConfig:
         for key, value in dict(self.modules).items():
             if key not in MODULE_KEYS:
                 raise ConfigError(f"unknown module toggle: {key!r}")
-            modules[key] = bool(value)
+            if not isinstance(value, bool):
+                raise ConfigError(f"module toggle {key!r} must be true or false, got {value!r}")
+            modules[key] = value
         object.__setattr__(self, "modules", modules)
+        try:
+            settings = OrchestratorSettings(
+                refinement=RefinementConfig(
+                    tau=self.tau,
+                    sample_count=self.samples,
+                    max_iterations=self.max_iterations,
+                    reviewer_temperature=self.reviewer_temperature,
+                    stability_temperature=self.stability_temperature,
+                    metric=self.metric,
+                    kl_alpha=self.kl_alpha,
+                ),
+                execution_temperature=self.execution_temperature,
+                max_tokens=self.max_tokens,
+                reask_budget=self.reask_budget,
+                augmentation_retries=self.augmentation_retries,
+                target_granularity=self.target_granularity,
+                subtask_optimizer_enabled=modules["subtask_optimizer"],
+                reviewer_enabled=modules["reviewer"],
+                plan_updater_enabled=modules["plan_updater"],
+                knowledge_enabled=modules["knowledge_generator"],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid config settings: {exc}") from exc
+        object.__setattr__(self, "settings", settings)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "task" not in data:
-            raise ConfigError("config needs a task")
-        try:
-            return cls(**data)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
+        return _load(cls, data, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -183,38 +206,6 @@ class PipelineConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_json_dict(data)
-
-    def refinement_config(self) -> RefinementConfig:
-        try:
-            return RefinementConfig(
-                tau=self.tau,
-                sample_count=self.samples,
-                max_iterations=self.max_iterations,
-                reviewer_temperature=self.reviewer_temperature,
-                stability_temperature=self.stability_temperature,
-                metric=self.metric,
-                kl_alpha=self.kl_alpha,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid refinement settings: {exc}") from exc
-
-    def orchestrator_settings(self) -> OrchestratorSettings:
-        """Run settings and module toggles for the orchestrator."""
-        try:
-            return OrchestratorSettings(
-                refinement=self.refinement_config(),
-                execution_temperature=self.execution_temperature,
-                max_tokens=self.max_tokens,
-                reask_budget=self.reask_budget,
-                augmentation_retries=self.augmentation_retries,
-                target_granularity=self.target_granularity,
-                subtask_optimizer_enabled=self.modules["subtask_optimizer"],
-                reviewer_enabled=self.modules["reviewer"],
-                plan_updater_enabled=self.modules["plan_updater"],
-                knowledge_enabled=self.modules["knowledge_generator"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid orchestrator settings: {exc}") from exc
 
     def build_backends(self) -> tuple[Generator, Embedder]:
         return build_generator(self.generator, run_seed=self.seed), build_embedder(

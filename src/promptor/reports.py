@@ -72,19 +72,6 @@ def digest_trace(trace: ExecutionTrace) -> TraceDigest:
         raise MalformedTraceError(
             f"trace lacks a terminal run status (got {state.run_status!r})"
         )
-    final_output = ""
-    for event in trace.events_of_type("status-change"):
-        if event.payload.get("subtask_id") == "__run__" and "final_output" in event.payload:
-            final_output = event.payload["final_output"]
-    refinements: dict[str, int] = {}
-    for event in trace.events_of_type("revision"):
-        if event.payload.get("component") != "initial":
-            sid = event.payload["subtask_id"]
-            refinements[sid] = refinements.get(sid, 0) + 1
-    augmentations: dict[str, int] = {}
-    for event in trace.events_of_type("augmentation"):
-        sid = event.payload["subtask_id"]
-        augmentations[sid] = augmentations.get(sid, 0) + 1
     subtasks = []
     if state.plan is not None:
         for sub in state.plan.subtasks:
@@ -93,22 +80,22 @@ def digest_trace(trace: ExecutionTrace) -> TraceDigest:
                     subtask_id=sub.id,
                     final_status=sub.status.value,
                     stability_trajectory=tuple(state.scores.get(sub.id, ())),
-                    refinement_count=refinements.get(sub.id, 0),
-                    augmentation_count=augmentations.get(sub.id, 0),
+                    refinement_count=state.refinements.get(sub.id, 0),
+                    augmentation_count=state.augmentations.get(sub.id, 0),
                 )
             )
     reference = trace.header.get("reference_answer")
     passed = None
     if reference is not None:
         passed = reference_check(
-            final_output,
+            state.final_output,
             str(reference),
             trace.header.get("reference_match", EXACT),
             float(trace.header.get("reference_tolerance", 1e-6)),
         )
     return TraceDigest(
         run_status=state.run_status,
-        final_output=final_output,
+        final_output=state.final_output,
         subtasks=tuple(subtasks),
         reference_passed=passed,
     )

@@ -199,13 +199,17 @@ def canonical_trace_bytes(trace: ExecutionTrace) -> bytes:
 
 @dataclass
 class ReplayState:
-    """State reconstructed by folding a trace's events in order."""
+    """State reconstructed by folding a trace's events in order. Refinements
+    count each subtask's revisions other than its initial prompt."""
 
     plan: Plan | None = None
     prompts: dict[str, ModularPrompt] = field(default_factory=dict)
     scores: dict[str, list[float]] = field(default_factory=dict)
     outputs: dict[str, str] = field(default_factory=dict)
     run_status: str | None = None
+    final_output: str = ""
+    refinements: dict[str, int] = field(default_factory=dict)
+    augmentations: dict[str, int] = field(default_factory=dict)
 
 
 def _check_sample_index(event: TraceEvent) -> None:
@@ -253,6 +257,7 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
             elif event.type == "status-change":
                 if payload.get("subtask_id") == "__run__":
                     state.run_status = payload["to"]
+                    state.final_output = payload.get("final_output", state.final_output)
                 else:
                     if state.plan is None:
                         raise MalformedTraceError(
@@ -262,9 +267,12 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                         state.plan, payload["subtask_id"], SubtaskStatus(payload["to"])
                     )
             elif event.type in ("revision", "augmentation"):
-                state.prompts[payload["subtask_id"]] = ModularPrompt.from_json_dict(
-                    payload["prompt_after"]
-                )
+                sid = payload["subtask_id"]
+                state.prompts[sid] = ModularPrompt.from_json_dict(payload["prompt_after"])
+                if event.type == "augmentation":
+                    state.augmentations[sid] = state.augmentations.get(sid, 0) + 1
+                elif payload.get("component") != "initial":
+                    state.refinements[sid] = state.refinements.get(sid, 0) + 1
             elif event.type == "score":
                 state.scores.setdefault(payload["subtask_id"], []).append(payload["value"])
             elif event.type == "generation":

@@ -62,10 +62,6 @@ def test_descriptor_validation():
         BackendDescriptor(kind="grpc")
     with pytest.raises(ValueError):
         BackendDescriptor(kind="scripted", max_inflight=0)
-    parsed = BackendDescriptor.from_json_dict(
-        {"kind": "http", "endpoint_url": "http://h", "model_name": "m", "max_retries": 5}
-    )
-    assert parsed == http_descriptor("http://h", model_name="m", timeout=30.0, max_retries=5)
 
 
 def test_behavior_validation():

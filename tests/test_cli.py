@@ -13,6 +13,9 @@ from .stub_server import StubApiServer, StubConfig
 from .test_reports import synthetic_trace
 
 
+HTTP_SPEC = {"kind": "http", "endpoint_url": "http://localhost:1", "model_name": "m"}
+
+
 def invoke(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -329,6 +332,31 @@ class TestExitCodes:
             code, _, err = invoke(["run", "--config", str(bad)], capsys)
             assert code == 2
             assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("overrides", [
+        {"modules": {"reviewer": "false"}},
+        {"modules": {"plan_updater": 0}},
+        {"modules": {"subtask_optimizer": None}},
+        {"generator": {"kind": "scripted",
+                       "behaviors": [{"prompt": 5, "outcomes": [["a", 1.0]]}]}},
+        {"generator": {"kind": "scripted", "behaviors": [5]}},
+        {"generator": {"kind": "scripted", "behaviors": "abc"}},
+        {"generator": {"kind": "scripted", "prefix_rules": [{"prefix": None}]}},
+        {"generator": {**HTTP_SPEC, "max_retries": 2.7}},
+        {"generator": {**HTTP_SPEC, "max_retries": "5"}},
+        {"embedder": {**HTTP_SPEC, "timeout": True}},
+        {"embedder": {**HTTP_SPEC, "endpoint_url": 5}},
+        {"generator": {**HTTP_SPEC, "max_inflght": 8}},
+    ])
+    def test_malformed_config_exits_before_the_trace(self, tmp_path, capsys, overrides):
+        # failure injection: a config mistake stops the run before a trace is opened
+        config = write_json(tmp_path / "bad.json", pipeline_config_dict(**overrides))
+        trace_path = tmp_path / "never.jsonl"
+        code, _, err = invoke(["run", "--config", config, "--trace", str(trace_path)],
+                              capsys)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert not trace_path.exists()
 
     def test_samples_above_the_bound_are_a_config_error(self, tmp_path, config_path, capsys):
         trace_path = tmp_path / "never.jsonl"

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from promptor.backends import (
+    BackendDescriptor,
     GenerationRequest,
     HashEmbedder,
     HttpEmbedder,
@@ -11,7 +12,15 @@ from promptor.backends import (
 )
 from promptor.config import PipelineConfig, build_embedder, build_generator
 from promptor.errors import ConfigError
-from promptor.orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, RefinementConfig
+from promptor.orchestrator import (
+    KL,
+    MAX_SAMPLE_COUNT,
+    SEMANTIC,
+    OrchestratorSettings,
+    RefinementConfig,
+)
+
+HTTP_SPEC = {"kind": "http", "endpoint_url": "http://localhost:1", "model_name": "m"}
 
 
 class TestPipelineConfig:
@@ -30,6 +39,8 @@ class TestPipelineConfig:
         assert cfg.generator == {"kind": "scripted"}
         assert cfg.embedder == {"kind": "hash-embedder"}
         assert cfg.reference_answer is None
+        # the config's defaults are the settings' own defaults
+        assert cfg.settings == OrchestratorSettings()
 
     def test_task_is_required(self):
         with pytest.raises(ConfigError, match="task"):
@@ -73,6 +84,12 @@ class TestPipelineConfig:
         assert cfg.modules["reviewer"] is False
         assert cfg.modules["plan_updater"] is True
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+    def test_module_toggles_must_be_booleans(self, value):
+        # bool("false") is True, so a string toggle once left the module on
+        with pytest.raises(ConfigError, match="reviewer"):
+            PipelineConfig.from_json_dict({"task": "t", "modules": {"reviewer": value}})
+
     def test_invalid_metric_rejected(self):
         with pytest.raises(ConfigError, match="metric"):
             PipelineConfig.from_json_dict({"task": "t", "metric": "cosine"})
@@ -81,27 +98,35 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="reference_match"):
             PipelineConfig.from_json_dict({"task": "t", "reference_match": "fuzzy"})
 
-    def test_out_of_range_gate_rejected_lazily(self):
-        # range checks live in RefinementConfig; the config surfaces them
-        cfg = PipelineConfig.from_json_dict({"task": "t", "tau": 1.5})
-        with pytest.raises(ConfigError, match="tau"):
-            cfg.refinement_config()
+    @pytest.mark.parametrize("field,value,message", [
+        ("tau", 1.5, "tau"),
+        ("max_iterations", 0, "max_iterations"),
+        ("kl_alpha", 0, "kl_alpha"),
+        ("stability_temperature", -1, "temperatures"),
+        ("execution_temperature", -0.5, "execution_temperature"),
+        ("reask_budget", -1, "budgets"),
+        ("target_granularity", 0, "target_granularity"),
+    ])
+    def test_out_of_range_gate_rejected_at_load(self, field, value, message):
+        # range checks live in RefinementConfig and OrchestratorSettings; the
+        # config builds both when it is loaded and surfaces their errors
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig.from_json_dict({"task": "t", field: value})
 
     def test_samples_have_an_upper_bound(self):
         # validation only: nothing is ever sampled at this size
         assert RefinementConfig(sample_count=MAX_SAMPLE_COUNT).sample_count == MAX_SAMPLE_COUNT
         with pytest.raises(ValueError, match="sample_count"):
             RefinementConfig(sample_count=MAX_SAMPLE_COUNT + 1)
-        cfg = PipelineConfig.from_json_dict({"task": "t", "samples": MAX_SAMPLE_COUNT + 1})
         with pytest.raises(ConfigError, match="sample_count"):
-            cfg.refinement_config()
+            PipelineConfig.from_json_dict({"task": "t", "samples": MAX_SAMPLE_COUNT + 1})
 
     def test_from_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"task": "t", "metric": KL, "kl_alpha": 0.5}))
         cfg = PipelineConfig.from_file(path)
         assert cfg.metric == KL
-        assert cfg.refinement_config().kl_alpha == 0.5
+        assert cfg.settings.refinement.kl_alpha == 0.5
 
     def test_from_file_missing_or_invalid(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -121,7 +146,7 @@ class TestOrchestratorSettings:
         cfg = PipelineConfig.from_json_dict(
             {"task": "t", "modules": {"knowledge_generator": False}}
         )
-        settings = cfg.orchestrator_settings()
+        settings = cfg.settings
         assert settings.knowledge_enabled is False
         assert settings.reviewer_enabled is True
 
@@ -129,7 +154,7 @@ class TestOrchestratorSettings:
         cfg = PipelineConfig.from_json_dict(
             {"task": "t", "tau": 0.9, "samples": 7, "max_iterations": 3}
         )
-        refinement = cfg.orchestrator_settings().refinement
+        refinement = cfg.settings.refinement
         assert refinement.tau == 0.9
         assert refinement.sample_count == 7
         assert refinement.max_iterations == 3
@@ -177,12 +202,49 @@ class TestBuildBackends:
                  "prefix_rules": [{"outcomes": [["x", 1.0]]}]}
             )
 
+    @pytest.mark.parametrize("entries", [
+        {"behaviors": [{"prompt": 5, "outcomes": [["a", 1.0]]}]},
+        {"behaviors": [{"prompt_fingerprint": ["f"], "outcomes": [["a", 1.0]]}]},
+        {"behaviors": [5]},
+        {"behaviors": "abc"},
+        {"behaviors": {"prompt": "p", "outcomes": [["a", 1.0]]}},
+        {"prefix_rules": [{"prefix": 5, "outcomes": [["a", 1.0]]}]},
+        {"prefix_rules": ["### Planner"]},
+        {"prefix_rules": "### Planner"},
+        {"default": [["a", 1.0]]},
+    ])
+    def test_malformed_scripted_spec_rejected(self, entries):
+        with pytest.raises(ConfigError, match="behavior|prefix|default"):
+            build_generator({"kind": "scripted", **entries})
+
     def test_http_backends(self):
-        spec = {"kind": "http", "endpoint_url": "http://localhost:1", "model_name": "m"}
-        assert isinstance(build_generator(spec), HttpGenerator)
-        assert isinstance(build_embedder(spec), HttpEmbedder)
+        assert isinstance(build_generator(HTTP_SPEC), HttpGenerator)
+        assert isinstance(build_embedder(HTTP_SPEC), HttpEmbedder)
         with pytest.raises(ConfigError, match="http backend"):
             build_generator({"kind": "http", "model_name": "m"})
+
+    def test_http_spec_loads_every_key(self):
+        gen = build_generator({**HTTP_SPEC, "max_retries": 5})
+        assert gen.descriptor == BackendDescriptor(
+            kind="http", endpoint_url="http://localhost:1", model_name="m",
+            timeout=30.0, max_retries=5, max_inflight=4,
+        )
+        # a float field takes a JSON integer
+        emb = build_embedder({**HTTP_SPEC, "timeout": 5, "max_inflight": 2})
+        assert emb.descriptor.timeout == 5 and emb.descriptor.max_inflight == 2
+
+    @pytest.mark.parametrize("build", [build_generator, build_embedder])
+    @pytest.mark.parametrize("key,value", [
+        ("max_retries", 2.7),
+        ("max_retries", "5"),
+        ("timeout", True),
+        ("endpoint_url", 5),
+        ("max_inflight", True),
+        ("max_inflght", 8),
+    ])
+    def test_http_spec_keys_are_typed(self, build, key, value):
+        with pytest.raises(ConfigError, match=key):
+            build({**HTTP_SPEC, key: value})
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ConfigError, match="generator"):

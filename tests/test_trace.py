@@ -257,14 +257,19 @@ class TestReplay:
             TraceEvent(2, "revision", {"subtask_id": "a", "component": "initial", "revision": 0, "prompt_after": prompt.to_json_dict()}, 0.0),
             TraceEvent(3, "score", {"subtask_id": "a", "metric": "semantic", "value": 0.4, "sample_count": 3}, 0.0),
             TraceEvent(4, "augmentation", {"subtask_id": "a", "clause": "show units", "revision": 1, "prompt_after": revised.to_json_dict()}, 0.0),
-            TraceEvent(5, "score", {"subtask_id": "a", "metric": "semantic", "value": 0.9, "sample_count": 3}, 0.0),
-            TraceEvent(6, "status-change", {"subtask_id": "a", "from": "pending", "to": "stable-prompt-ready"}, 0.0),
-            TraceEvent(7, "generation", {"subtask_id": "a", "purpose": "execution", "outputs": ["42"]}, 0.0),
-            TraceEvent(8, "status-change", {"subtask_id": "a", "from": "stable-prompt-ready", "to": "executed-ok"}, 0.0),
-            TraceEvent(9, "status-change", {"subtask_id": "__run__", "from": "running", "to": "failed", "final_output": ""}, 0.0),
+            TraceEvent(5, "revision", {"subtask_id": "a", "component": "role", "revision": 2, "prompt_after": revised.to_json_dict()}, 0.0),
+            TraceEvent(6, "score", {"subtask_id": "a", "metric": "semantic", "value": 0.9, "sample_count": 3}, 0.0),
+            TraceEvent(7, "status-change", {"subtask_id": "a", "from": "pending", "to": "stable-prompt-ready"}, 0.0),
+            TraceEvent(8, "generation", {"subtask_id": "a", "purpose": "execution", "outputs": ["42"]}, 0.0),
+            TraceEvent(9, "status-change", {"subtask_id": "a", "from": "stable-prompt-ready", "to": "executed-ok"}, 0.0),
+            TraceEvent(10, "status-change", {"subtask_id": "__run__", "from": "running", "to": "failed", "final_output": "42"}, 0.0),
         ]
         state = replay_trace(make_trace(events))
         assert state.run_status == "failed"
+        assert state.final_output == "42"
+        # the initial revision is no refinement
+        assert state.refinements == {"a": 1}
+        assert state.augmentations == {"a": 1}
         assert state.plan.subtask("a").status is SubtaskStatus.EXECUTED_OK
         assert state.plan.subtask("b").status is SubtaskStatus.PENDING
         assert state.prompts["a"] == revised
