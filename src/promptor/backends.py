@@ -46,6 +46,9 @@ class GenerationRequest:
     temperature: float = 1.0
     sample_count: int = 1
     max_tokens: int = 1024
+    # the subtask the request serves, if any: it keys ScriptedGenerator's
+    # draws and is never sent over the wire
+    subtask_id: str | None = None
 
     def __post_init__(self):
         if not self.prompt_text:
@@ -60,11 +63,23 @@ class GenerationRequest:
 
 @runtime_checkable
 class Generator(Protocol):
+    """Returns request.sample_count outputs for one request.
+
+    A pipeline runs independent subtasks ahead on worker threads, so
+    generate may be called from up to orchestrator.MAX_PARALLEL threads at
+    once: an implementation must be thread-safe. Its outputs for one
+    subtask's requests must not depend on other subtasks' calls if traces
+    are to stay byte-identical at any width."""
+
     def generate(self, request: GenerationRequest) -> list[str]: ...
 
 
 @runtime_checkable
 class Embedder(Protocol):
+    """Returns one vector per text. Like Generator.generate, embed may be
+    called from up to orchestrator.MAX_PARALLEL threads at once, so an
+    implementation must be thread-safe."""
+
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
 
 
@@ -134,9 +149,11 @@ def _keyed_uniform(run_seed: int, behavior_seed: int, fingerprint: str, index: i
 
 class ScriptedGenerator:
     """Deterministic Generator: outcomes are drawn by hashing (run seed,
-    behavior seed, prompt fingerprint, per-fingerprint call index), so the
-    sequence of outputs for a given prompt is a pure function of the script
-    and seeds, independent of thread interleaving.
+    behavior seed, prompt fingerprint, call index), where the call index
+    counts the samples drawn before for the same prompt and the same
+    request.subtask_id. So the outputs of one subtask's prompt are a pure
+    function of the script, the seeds and that subtask's own calls, even when
+    two subtasks running at once render the same prompt.
 
     Lookup order: exact fingerprint, then the longest registered prompt-text
     prefix, then the default behavior, else UnknownPromptError. Prefix rules
@@ -156,7 +173,8 @@ class ScriptedGenerator:
         self.run_seed = run_seed
         self.descriptor = BackendDescriptor(kind=SCRIPTED)
         self._lock = threading.Lock()
-        self._counters: dict[str, int] = {}
+        # (subtask id, fingerprint) -> samples drawn so far
+        self._counters: dict[tuple[str | None, str], int] = {}
 
     def _resolve(self, prompt_text: str) -> tuple[ScriptedBehavior, str]:
         fingerprint = prompt_fingerprint(prompt_text)
@@ -185,9 +203,10 @@ class ScriptedGenerator:
 
     def generate(self, request: GenerationRequest) -> list[str]:
         behavior, fingerprint = self._resolve(request.prompt_text)
+        key = (request.subtask_id, fingerprint)
         with self._lock:
-            start = self._counters.get(fingerprint, 0)
-            self._counters[fingerprint] = start + request.sample_count
+            start = self._counters.get(key, 0)
+            self._counters[key] = start + request.sample_count
         if request.temperature == 0.0:
             best = max(behavior.outcomes, key=lambda pair: pair[1])[0]
             return [best] * request.sample_count

@@ -4,11 +4,23 @@ summarization, and feedback-driven plan updates.
 
 Every backend interaction and state change is emitted to the trace exactly
 once, so a run can be replayed and audited from the trace alone.
+
+A pipeline runs one step per subtask and commits the steps strictly in plan
+order. The step at the head of that order runs inline; up to MAX_PARALLEL - 1
+later subtasks whose dependencies have all committed executed-ok run ahead
+on a thread pool, each against the plan as it stood when it started and
+into a private event buffer. A run-ahead step whose subtask changed before
+its commit turn (an earlier update injected a note into it) is discarded and
+run again inline, so the trace is byte-identical at any width as long as
+the backend's answers do not depend on the calls a discarded step made.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import heapq
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -27,9 +39,7 @@ from .errors import (
     TransportError,
 )
 from .metrics import StabilityScore, kl_stability_score, semantic_stability
-# with_subtask is unused here but stays importable: perfbench's span
-# recorder wraps orchestrator.with_subtask by name
-from .plan import (  # noqa: F401
+from .plan import (
     NO_OP,
     PROPAGATE_SUCCESS,
     STRATEGY_SHIFT,
@@ -68,6 +78,11 @@ SUMMARY_PASS_THROUGH_LIMIT = 200
 
 # upper bound on the stability samples per measurement
 MAX_SAMPLE_COUNT = 1000
+
+# subtasks in flight at once: the head of the plan order, run inline, plus
+# up to MAX_PARALLEL - 1 run-ahead steps; equal to the default of
+# BackendDescriptor.max_inflight
+MAX_PARALLEL = 4
 
 
 @dataclass(frozen=True)
@@ -212,6 +227,43 @@ def _group_samples(texts: list[str], drop_blank: bool = False) -> tuple[list[str
     return list(position), rows
 
 
+class _EventBuffer:
+    """The trace sink of a run-ahead step: its events wait here until the
+    commit loop writes them to the run's TraceWriter."""
+
+    def __init__(self):
+        self.events: list[tuple[str, dict]] = []
+
+    def emit(self, event_type: str, payload: dict) -> None:
+        self.events.append((event_type, payload))
+
+    def warning(self, reason: str, **payload) -> None:
+        self.emit("warning", {"reason": reason, **payload})
+
+
+@dataclass(frozen=True)
+class _StepOutcome:
+    """What one subtask's step leaves for its commit: the plan it ended
+    with, which differs from the one it started from only in that subtask,
+    the execution result and, on success, the summary and the proposed
+    plan update (None with the plan updater off)."""
+
+    plan: Plan
+    result: ExecutionResult
+    summary: Summary | None = None
+    update: PlanUpdate | None = None
+
+
+@dataclass(frozen=True)
+class _RunAhead:
+    """A step started ahead of its commit turn, from the subtask as it stood
+    then; the future gives (outcome, None) or (None, the step's exception)."""
+
+    started_from: Subtask
+    buffer: _EventBuffer
+    future: Future
+
+
 class Orchestrator:
     def __init__(
         self,
@@ -236,6 +288,7 @@ class Orchestrator:
             temperature=temperature,
             sample_count=sample_count,
             max_tokens=self.settings.max_tokens,
+            subtask_id=subtask_id,
         )
         outputs = self.generator.generate(request)
         distinct, sample_index = _group_samples(outputs)
@@ -708,6 +761,14 @@ class Orchestrator:
         """Feedback step after a subtask completes: inject a success payload
         into pending dependents, or reformulate a failed subtask. Generator
         trouble degrades to a recorded no-op update."""
+        return self._apply_update(plan, self._propose_update(plan, result, summary_text))
+
+    def _propose_update(
+        self, plan: Plan, result: ExecutionResult, summary_text: str
+    ) -> PlanUpdate:
+        """The plan updater's update for a completed subtask, not yet
+        applied; a no-op, already recorded, when there is nothing to update
+        or the updater gave no usable answer."""
         source = plan.subtask(result.subtask_id)
         no_op = PlanUpdate(source.id, NO_OP, (), "")
         if result.ok:
@@ -717,7 +778,7 @@ class Orchestrator:
             ]
             if not pending:
                 self._emit_plan_event("no-pending-dependents", update=no_op)
-                return plan, no_op
+                return no_op
             response = self._ask_json(
                 ap.plan_update_success_prompt(plan, source, summary_text),
                 temperature=0.0, purpose="plan-update", subtask_id=source.id,
@@ -725,27 +786,33 @@ class Orchestrator:
             payload = str((response or {}).get("payload", "")).strip()
             if not payload:
                 self._emit_plan_event("updater-failed", update=no_op)
-                return plan, no_op
+                return no_op
             targets = tuple(str(t) for t in (response or {}).get("targets", ())) or tuple(pending)
-            update = PlanUpdate(source.id, PROPAGATE_SUCCESS, targets, payload)
-        else:
-            response = self._ask_json(
-                ap.plan_update_failure_prompt(
-                    plan, source,
-                    (result.validation.reason if result.validation else result.cause) or "",
-                    result.output,
-                ),
-                temperature=0.0, purpose="plan-update", subtask_id=source.id,
-            )
-            description = str((response or {}).get("description", "")).strip()
-            if not description:
-                self._emit_plan_event("updater-failed", update=no_op)
-                return plan, no_op
-            update = PlanUpdate(source.id, STRATEGY_SHIFT, (source.id,), description)
+            return PlanUpdate(source.id, PROPAGATE_SUCCESS, targets, payload)
+        response = self._ask_json(
+            ap.plan_update_failure_prompt(
+                plan, source,
+                (result.validation.reason if result.validation else result.cause) or "",
+                result.output,
+            ),
+            temperature=0.0, purpose="plan-update", subtask_id=source.id,
+        )
+        description = str((response or {}).get("description", "")).strip()
+        if not description:
+            self._emit_plan_event("updater-failed", update=no_op)
+            return no_op
+        return PlanUpdate(source.id, STRATEGY_SHIFT, (source.id,), description)
+
+    def _apply_update(self, plan: Plan, update: PlanUpdate) -> tuple[Plan, PlanUpdate]:
+        """Apply a proposed update; one that violates the plan's invariants
+        is recorded as rejected and the plan stays as it was."""
+        if update.kind == NO_OP:
+            return plan, update
         try:
             return self.apply_plan_update(plan, update), update
         except (StateError, KeyError) as exc:
-            self.trace.warning("invariant-violation", subtask_id=source.id,
+            no_op = PlanUpdate(update.source_subtask, NO_OP, (), "")
+            self.trace.warning("invariant-violation", subtask_id=update.source_subtask,
                                update=update.to_json_dict(), error=str(exc))
             self._emit_plan_event("update-rejected", update=no_op)
             return plan, no_op
@@ -820,20 +887,64 @@ class Orchestrator:
         plan = self._apply_status(plan, subtask_id, result.status)
         return plan, result
 
-    def _after_success(
-        self, plan: Plan, result: ExecutionResult, context: ContextStore
-    ) -> Plan:
-        sub = plan.subtask(result.subtask_id)
-        summary = self.summarize(result.output, plan, sub)
-        context.add(summary)
+    def _step(self, plan: Plan, subtask_id: str, context: ContextStore) -> _StepOutcome:
+        """One subtask's cycle against plan: refine, execute with
+        augmentation, one strategy-shift retry on failure when the plan
+        updater is on, and on success the summary and the updater's proposed
+        update. It changes no other subtask of the plan."""
+        plan, result = self._execute_with_augmentation(plan, subtask_id, context)
+        if not result.ok and self.settings.plan_updater_enabled:
+            plan, update = self.update_plan(plan, result)
+            if update.kind == STRATEGY_SHIFT:
+                plan, result = self._execute_with_augmentation(plan, subtask_id, context)
+        if not result.ok:
+            return _StepOutcome(plan, result)
+        summary = self.summarize(result.output, plan, plan.subtask(subtask_id))
+        update = None
         if self.settings.plan_updater_enabled:
-            plan, _ = self.update_plan(plan, result, summary.structured_text)
-        return plan
+            update = self._propose_update(plan, result, summary.structured_text)
+        return _StepOutcome(plan, result, summary, update)
+
+    def _run_ahead(
+        self, pool: ThreadPoolExecutor, plan: Plan, subtask_id: str, context: ContextStore
+    ) -> _RunAhead:
+        """Start a subtask's step on the pool against plan, on a copy of this
+        orchestrator whose trace is a private buffer. The step reads only the
+        summaries of its dependencies, which are all in context already."""
+        buffer = _EventBuffer()
+        worker = copy.copy(self)
+        worker.trace = buffer
+
+        def step():
+            try:
+                return worker._step(plan, subtask_id, context), None
+            except Exception as exc:  # raised at the step's commit turn
+                return None, exc
+
+        return _RunAhead(plan.subtask(subtask_id), buffer, pool.submit(step))
+
+    def _take_run_ahead(self, started: _RunAhead, plan: Plan) -> _StepOutcome | None:
+        """A run-ahead step's outcome at its commit turn, after its events are
+        written; None, and the step discarded, when its subtask changed after
+        it started. An exception the step raised is raised here."""
+        outcome, error = started.future.result()
+        if plan.subtask(started.started_from.id) != started.started_from:
+            return None
+        # one flush per step: a flush per event would hand the interpreter
+        # lock to the running workers at every event of the commit
+        for event_type, payload in started.buffer.events:
+            self.trace.emit(event_type, payload, flush=False)
+        self.trace.flush()
+        if error is not None:
+            raise error
+        return outcome
 
     def run_pipeline(self, task: str, template: str | None = None) -> ExecutionTrace:
         """The full loop: plan, optimize, then per subtask refine-execute-
         summarize with feedback plan updates; failed subtasks get one
-        strategy-shift retry when the plan updater is enabled.
+        strategy-shift retry when the plan updater is enabled. Independent
+        subtasks run ahead on up to MAX_PARALLEL - 1 threads, which are all
+        gone when this returns or raises; the trace is the same at any width.
 
         The run's terminal status is written in one place, whatever happens:
         an unexpected exception is recorded as a run-aborted warning, the run
@@ -867,25 +978,51 @@ class Orchestrator:
             plan = self.optimize_subtasks(plan)
         context = ContextStore()
         outputs: dict[str, str] = {}
-        for subtask_id in [s.id for s in plan.subtasks]:
-            sub = plan.subtask(subtask_id)
-            if sub.status is not SubtaskStatus.PENDING:
-                continue
-            blocked = [
-                dep for dep in sub.dependencies
-                if plan.subtask(dep).status is not SubtaskStatus.EXECUTED_OK
-            ]
-            if blocked:
-                self.trace.warning("blocked", subtask_id=subtask_id,
-                                   unmet=sorted(blocked))
-                continue
-            plan, result = self._execute_with_augmentation(plan, subtask_id, context)
-            if not result.ok and self.settings.plan_updater_enabled:
-                plan, update = self.update_plan(plan, result)
-                if update.kind == STRATEGY_SHIFT:
-                    plan, result = self._execute_with_augmentation(plan, subtask_id, context)
-            if result.ok:
-                outputs[subtask_id] = result.output
-                plan = self._after_success(plan, result, context)
+        order = [s.id for s in plan.subtasks]
+        # a subtask is ready once all its dependencies committed executed-ok;
+        # ready holds the positions of ready subtasks not yet started
+        unmet = {s.id: len(s.dependencies) for s in plan.subtasks}
+        ready = [pos for pos, s in enumerate(plan.subtasks) if not s.dependencies]
+        ahead: dict[str, _RunAhead] = {}
+        pool = None
+        try:
+            for head, subtask_id in enumerate(order):
+                started = ahead.pop(subtask_id, None)
+                sub = plan.subtask(subtask_id)
+                if sub.status is not SubtaskStatus.PENDING:
+                    continue
+                blocked = [
+                    dep for dep in sub.dependencies
+                    if plan.subtask(dep).status is not SubtaskStatus.EXECUTED_OK
+                ]
+                if blocked:
+                    self.trace.warning("blocked", subtask_id=subtask_id,
+                                       unmet=sorted(blocked))
+                    continue
+                while ready and len(ahead) < MAX_PARALLEL - 1:
+                    pos = heapq.heappop(ready)
+                    if pos > head:
+                        if pool is None:
+                            pool = ThreadPoolExecutor(MAX_PARALLEL - 1)
+                        ahead[order[pos]] = self._run_ahead(pool, plan, order[pos], context)
+                outcome = self._take_run_ahead(started, plan) if started else None
+                if outcome is None:
+                    outcome = self._step(plan, subtask_id, context)
+                    plan = outcome.plan
+                else:
+                    plan = with_subtask(plan, outcome.plan.subtask(subtask_id))
+                if not outcome.result.ok:
+                    continue
+                outputs[subtask_id] = outcome.result.output
+                context.add(outcome.summary)
+                if outcome.update is not None:
+                    plan, _ = self._apply_update(plan, outcome.update)
+                for dependent in plan.dependents(subtask_id):
+                    unmet[dependent.id] -= 1
+                    if not unmet[dependent.id]:
+                        heapq.heappush(ready, plan.position(dependent.id))
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
         succeeded = all(s.status is SubtaskStatus.EXECUTED_OK for s in plan.subtasks)
         return "succeeded" if succeeded else "failed", outputs.get(plan.subtasks[-1].id, "")

@@ -115,6 +115,19 @@ def test_call_index_continues_across_calls():
     assert part1 + part2 == whole
 
 
+def test_call_index_is_kept_per_subtask():
+    outcomes = [("A", 0.5), ("B", 0.5)]
+    ask = lambda gen, sid: gen.generate(
+        GenerationRequest(prompt_text=PROMPT, sample_count=10, subtask_id=sid))
+    shared = scripted(outcomes, run_seed=3)
+    first_b = ask(shared, "b")
+    first_a, second_a = ask(shared, "a"), ask(shared, "a")
+    # a subtask's draws do not depend on another subtask's calls
+    alone = scripted(outcomes, run_seed=3)
+    assert ask(alone, "a") == first_a and ask(alone, "a") == second_a
+    assert first_b == first_a != second_a
+
+
 def test_temperature_zero_is_argmax():
     gen = scripted([("minor", 0.4), ("major", 0.6)])
     outputs = gen.generate(
@@ -408,6 +421,12 @@ def test_wire_encode_helpers_agree_with_documented_schema():
     body = chat_completions_body("m", GenerationRequest(prompt_text="p", temperature=0.0))
     assert list(body) == ["model", "messages", "temperature", "n", "max_tokens"]
     assert wire_encode(embeddings_body("m", ["t"])) == b'{"model":"m","input":["t"]}'
+
+
+def test_subtask_id_is_not_sent():
+    request = GenerationRequest(prompt_text="p", temperature=0.0, subtask_id="b01")
+    assert chat_completions_body("m", request) == chat_completions_body(
+        "m", GenerationRequest(prompt_text="p", temperature=0.0))
 
 
 def test_fingerprint_is_sha256_hex():
