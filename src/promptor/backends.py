@@ -46,9 +46,12 @@ class GenerationRequest:
     temperature: float = 1.0
     sample_count: int = 1
     max_tokens: int = 1024
-    # the subtask the request serves, if any: it keys ScriptedGenerator's
-    # draws and is never sent over the wire
+    # the subtask the request serves and the number of the pipeline step
+    # serving it, if any; a step that is discarded and run again gets a new
+    # number. They key ScriptedGenerator's draws and are never sent over the
+    # wire
     subtask_id: str | None = None
+    step_id: int | None = None
 
     def __post_init__(self):
         if not self.prompt_text:
@@ -67,9 +70,9 @@ class Generator(Protocol):
 
     A pipeline runs independent subtasks ahead on worker threads, so
     generate may be called from up to orchestrator.MAX_PARALLEL threads at
-    once: an implementation must be thread-safe. Its outputs for one
-    subtask's requests must not depend on other subtasks' calls if traces
-    are to stay byte-identical at any width."""
+    once: an implementation must be thread-safe. Traces stay byte-identical
+    at any width if its outputs for a request depend only on the requests
+    made before with the same subtask_id and step_id."""
 
     def generate(self, request: GenerationRequest) -> list[str]: ...
 
@@ -150,10 +153,12 @@ def _keyed_uniform(run_seed: int, behavior_seed: int, fingerprint: str, index: i
 class ScriptedGenerator:
     """Deterministic Generator: outcomes are drawn by hashing (run seed,
     behavior seed, prompt fingerprint, call index), where the call index
-    counts the samples drawn before for the same prompt and the same
-    request.subtask_id. So the outputs of one subtask's prompt are a pure
-    function of the script, the seeds and that subtask's own calls, even when
-    two subtasks running at once render the same prompt.
+    counts the samples drawn before for the same prompt, the same
+    request.subtask_id and the same request.step_id. So the outputs
+    of one subtask's prompt are a pure function of the script, the seeds and
+    that subtask's own calls, even when two subtasks running at once render
+    the same prompt or a step is discarded and run again from a changed
+    subtask.
 
     Lookup order: exact fingerprint, then the longest registered prompt-text
     prefix, then the default behavior, else UnknownPromptError. Prefix rules
@@ -173,8 +178,8 @@ class ScriptedGenerator:
         self.run_seed = run_seed
         self.descriptor = BackendDescriptor(kind=SCRIPTED)
         self._lock = threading.Lock()
-        # (subtask id, fingerprint) -> samples drawn so far
-        self._counters: dict[tuple[str | None, str], int] = {}
+        # (subtask id, step id, fingerprint) -> samples drawn so far
+        self._counters: dict[tuple[str | None, int | None, str], int] = {}
 
     def _resolve(self, prompt_text: str) -> tuple[ScriptedBehavior, str]:
         fingerprint = prompt_fingerprint(prompt_text)
@@ -203,7 +208,7 @@ class ScriptedGenerator:
 
     def generate(self, request: GenerationRequest) -> list[str]:
         behavior, fingerprint = self._resolve(request.prompt_text)
-        key = (request.subtask_id, fingerprint)
+        key = (request.subtask_id, request.step_id, fingerprint)
         with self._lock:
             start = self._counters.get(key, 0)
             self._counters[key] = start + request.sample_count

@@ -11,8 +11,9 @@ later subtasks whose dependencies have all committed executed-ok run ahead
 on a thread pool, each against the plan as it stood when it started and
 into a private event buffer. A run-ahead step whose subtask changed before
 its commit turn (an earlier update injected a note into it) is discarded and
-run again inline, so the trace is byte-identical at any width as long as
-the backend's answers do not depend on the calls a discarded step made.
+run again inline, so the trace is byte-identical at any width. While steps
+run ahead, the pipeline's own code runs on one thread at a time and never
+while a backend call is out: only the backend calls overlap (see _Turns).
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import heapq
-from concurrent.futures import Future, ThreadPoolExecutor
+import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
@@ -241,6 +244,86 @@ class _EventBuffer:
         self.emit("warning", {"reason": reason, **payload})
 
 
+def _always() -> bool:
+    return True
+
+
+class _Turns:
+    """Takes turns between the threads of a run while steps run ahead.
+
+    One thread at a time runs the pipeline's own code. A thread that calls a
+    backend gives up its turn, and its call waits until no thread runs or
+    waits to run pipeline code; then every waiting call goes out at once,
+    and pipeline code runs again only when the last of them is back. So the
+    state the steps share, such as the context store, is never touched by
+    two threads at once, and an outside profiler that keeps one stack of
+    open calls (perfbench/spans.py) sees calls nested as at width 1, with
+    only backend calls overlapping.
+
+    The thread that creates it holds the first turn."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._running = True   # a thread holds the turn
+        # per thread waiting for a turn: the condition it waits for besides
+        self._wanting: list[Callable[[], bool]] = []
+        self._waiting = 0      # backend calls waiting to go out
+        self._out = 0          # backend calls out
+        self._batches = 0      # batches of calls sent so far
+
+    def _free(self) -> bool:
+        return not self._running and not self._out
+
+    def _changed(self) -> None:
+        # with the lock held: send the waiting calls once no thread that
+        # could run wants a turn
+        if self._waiting and self._free() and not any(ready() for ready in self._wanting):
+            self._out, self._waiting = self._waiting, 0
+            self._batches += 1
+        self._cond.notify_all()
+
+    def _take(self, ready: Callable[[], bool]) -> None:
+        # with the lock held
+        self._wanting.append(ready)
+        self._changed()
+        self._cond.wait_for(lambda: ready() and self._free())
+        self._wanting.remove(ready)
+        self._running = True
+
+    def acquire(self) -> None:
+        with self._cond:
+            self._take(_always)
+
+    def release(self) -> None:
+        with self._cond:
+            self._running = False
+            self._changed()
+
+    def wait_until(self, ready: Callable[[], bool]) -> None:
+        """Give up the turn until ready() holds and take it again. Only a
+        turn holder may make ready() true, and it must release its turn
+        after."""
+        with self._cond:
+            self._running = False
+            self._take(ready)
+
+    def call(self, fn: Callable[..., T], *args) -> T:
+        """fn(*args) in the next batch of backend calls, by the turn holder;
+        the caller holds the turn again when this returns or raises."""
+        with self._cond:
+            self._running = False
+            self._waiting += 1
+            batch = self._batches
+            self._changed()
+            self._cond.wait_for(lambda: self._batches != batch)
+        try:
+            return fn(*args)
+        finally:
+            with self._cond:
+                self._out -= 1
+                self._take(_always)
+
+
 @dataclass(frozen=True)
 class _StepOutcome:
     """What one subtask's step leaves for its commit: the plan it ended
@@ -254,14 +337,15 @@ class _StepOutcome:
     update: PlanUpdate | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class _RunAhead:
     """A step started ahead of its commit turn, from the subtask as it stood
-    then; the future gives (outcome, None) or (None, the step's exception)."""
+    then. The step sets done to (outcome, None) or (None, the exception it
+    raised) while it holds its turn."""
 
     started_from: Subtask
-    buffer: _EventBuffer
-    future: Future
+    buffer: _EventBuffer = field(default_factory=_EventBuffer)
+    done: tuple[_StepOutcome | None, BaseException | None] | None = None
 
 
 class Orchestrator:
@@ -276,8 +360,16 @@ class Orchestrator:
         self.embedder = embedder
         self.trace = trace
         self.settings = settings or OrchestratorSettings()
+        # set while steps run ahead
+        self._turns: _Turns | None = None
+        # numbers the steps of this orchestrator and of its run-ahead copies
+        self._steps = itertools.count()
+        self._step_id: int | None = None  # the running step's number
 
     # -- backend plumbing -------------------------------------------------
+
+    def _backend(self, fn: Callable[..., T], *args) -> T:
+        return fn(*args) if self._turns is None else self._turns.call(fn, *args)
 
     def _generate(
         self, prompt_text: str, *, temperature: float, sample_count: int,
@@ -289,8 +381,9 @@ class Orchestrator:
             sample_count=sample_count,
             max_tokens=self.settings.max_tokens,
             subtask_id=subtask_id,
+            step_id=self._step_id,
         )
-        outputs = self.generator.generate(request)
+        outputs = self._backend(self.generator.generate, request)
         distinct, sample_index = _group_samples(outputs)
         payload = {
             "subtask_id": subtask_id,
@@ -539,7 +632,7 @@ class Orchestrator:
         # scored as maximally distant, not embedded
         texts, rows = _group_samples(outputs, drop_blank=True)
         if cfg.metric == SEMANTIC:
-            vectors = self.embedder.embed(texts) if texts else []
+            vectors = self._backend(self.embedder.embed, texts) if texts else []
             if vectors:
                 self.trace.emit(
                     "embedding",
@@ -891,7 +984,10 @@ class Orchestrator:
         """One subtask's cycle against plan: refine, execute with
         augmentation, one strategy-shift retry on failure when the plan
         updater is on, and on success the summary and the updater's proposed
-        update. It changes no other subtask of the plan."""
+        update. It changes no other subtask of the plan. Its backend requests
+        carry its own step number, so a discarded step and the re-run that
+        replaces it draw from different scripted counters."""
+        self._step_id = next(self._steps)
         plan, result = self._execute_with_augmentation(plan, subtask_id, context)
         if not result.ok and self.settings.plan_updater_enabled:
             plan, update = self.update_plan(plan, result)
@@ -911,30 +1007,33 @@ class Orchestrator:
         """Start a subtask's step on the pool against plan, on a copy of this
         orchestrator whose trace is a private buffer. The step reads only the
         summaries of its dependencies, which are all in context already."""
-        buffer = _EventBuffer()
+        started = _RunAhead(plan.subtask(subtask_id))
         worker = copy.copy(self)
-        worker.trace = buffer
+        worker.trace = started.buffer
+        turns = self._turns
 
         def step():
+            turns.acquire()
             try:
-                return worker._step(plan, subtask_id, context), None
-            except Exception as exc:  # raised at the step's commit turn
-                return None, exc
+                started.done = worker._step(plan, subtask_id, context), None
+            except BaseException as exc:  # re-raised at the step's commit turn
+                started.done = None, exc
+            finally:
+                turns.release()
 
-        return _RunAhead(plan.subtask(subtask_id), buffer, pool.submit(step))
+        pool.submit(step)
+        return started
 
     def _take_run_ahead(self, started: _RunAhead, plan: Plan) -> _StepOutcome | None:
         """A run-ahead step's outcome at its commit turn, after its events are
         written; None, and the step discarded, when its subtask changed after
         it started. An exception the step raised is raised here."""
-        outcome, error = started.future.result()
+        self._turns.wait_until(lambda: started.done is not None)
+        outcome, error = started.done
         if plan.subtask(started.started_from.id) != started.started_from:
             return None
-        # one flush per step: a flush per event would hand the interpreter
-        # lock to the running workers at every event of the commit
         for event_type, payload in started.buffer.events:
-            self.trace.emit(event_type, payload, flush=False)
-        self.trace.flush()
+            self.trace.emit(event_type, payload)
         if error is not None:
             raise error
         return outcome
@@ -1004,6 +1103,7 @@ class Orchestrator:
                     if pos > head:
                         if pool is None:
                             pool = ThreadPoolExecutor(MAX_PARALLEL - 1)
+                            self._turns = _Turns()
                         ahead[order[pos]] = self._run_ahead(pool, plan, order[pos], context)
                 outcome = self._take_run_ahead(started, plan) if started else None
                 if outcome is None:
@@ -1022,7 +1122,10 @@ class Orchestrator:
                     if not unmet[dependent.id]:
                         heapq.heappush(ready, plan.position(dependent.id))
         finally:
+            self._step_id = None
             if pool is not None:
+                self._turns.release()
+                self._turns = None
                 pool.shutdown(cancel_futures=True)
         succeeded = all(s.status is SubtaskStatus.EXECUTED_OK for s in plan.subtasks)
         return "succeeded" if succeeded else "failed", outputs.get(plan.subtasks[-1].id, "")

@@ -94,23 +94,15 @@ class TraceWriter:
             self._file.write(json.dumps({"kind": "header", **self._header}, sort_keys=True) + "\n")
             self._file.flush()
 
-    def emit(self, event_type: str, payload: dict, *, flush: bool = True) -> TraceEvent:
-        """Record one event. With flush off, the live file gets it at the
-        next flush, so a batch of events costs one write to the file."""
+    def emit(self, event_type: str, payload: dict) -> TraceEvent:
         with self._lock:
             event = TraceEvent(seq=self._next_seq, type=event_type, payload=payload, ts=time.time())
             self._next_seq += 1
             self._events.append(event)
             if self._file is not None:
                 self._file.write(json.dumps(event.to_json_dict(), sort_keys=True) + "\n")
-                if flush:
-                    self._file.flush()
-        return event
-
-    def flush(self) -> None:
-        with self._lock:
-            if self._file is not None:
                 self._file.flush()
+        return event
 
     def warning(self, reason: str, **payload) -> TraceEvent:
         return self.emit("warning", {"reason": reason, **payload})

@@ -61,19 +61,20 @@ def json_rule(prefix, obj):
     return rule(prefix, [(json.dumps(obj), 1.0)])
 
 
-def fan_out_generator(conflict=False):
+def fan_out_generator(conflict=False, reviewed="requirements"):
     """root, six branches and a sink, every module on. The executor outputs
     are drawn at random, so some gates clear at once and others go to the
-    reviewer; b2 answers in words where a number is due, is augmented,
-    fails, is rewritten by the plan updater and then succeeds. With
-    conflict, b1's updater names b4, a later sibling, as its target."""
+    reviewer, who replaces the reviewed component; b2 answers in words where
+    a number is due, is augmented, fails, is rewritten by the plan updater
+    and then succeeds. With conflict, b1's updater names b4, a later
+    sibling, as its target."""
     rules = [
         rule(EXECUTOR, [("alpha beta gamma", 0.4), ("alpha beta delta", 0.3),
                         ("zeta eta theta", 0.3)], seed=1),
         rule(REFORMULATED_B2_PREFIX, [("42", 1.0)]),
         rule(f"{ap.KNOWLEDGE_MARK}\n", [("Figures are integers.", 1.0)]),
         json_rule(f"{ap.REVIEWER_STABILITY_MARK}\n",
-                  {"component": "requirements", "replacement": "Answer in three words."}),
+                  {"component": reviewed, "replacement": "Answer in three words."}),
         json_rule(f"{ap.REVIEWER_FAILURE_MARK}\n", {"clause": "Print digits only."}),
         json_rule(f"{ap.PLAN_UPDATE_FAILURE_MARK}\n", {"description": REFORMULATED_B2}),
         json_rule(f"{ap.PLAN_UPDATE_SUCCESS_MARK}\n", {"payload": "Keep the units."}),
@@ -113,16 +114,23 @@ def run(generator, width, monkeypatch, settings=SETTINGS, template="fan-out-fan-
     exception with the trace written so far."""
     monkeypatch.setattr(orchestrator, "MAX_PARALLEL", width)
     writer = TraceWriter({"run": "parallel"})
+    errors = []
+
+    def pipeline():
+        try:
+            Orchestrator(generator, HashEmbedder(), writer, settings).run_pipeline(
+                TASK, template=template)
+        except Exception as exc:
+            errors.append(exc)
+
     before = set(threading.enumerate())
-    error = None
-    try:
-        Orchestrator(generator, HashEmbedder(), writer, settings).run_pipeline(
-            TASK, template=template)
-    except Exception as exc:
-        error = exc
+    runner = threading.Thread(target=pipeline, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the run did not finish"
     # no thread the run started outlives it
     assert set(threading.enumerate()) == before
-    return writer.trace(), error
+    return writer.trace(), (errors or [None])[0]
 
 
 def warnings_of(trace, reason):
@@ -194,6 +202,74 @@ def test_a_note_for_a_running_sibling_reruns_it(monkeypatch):
     # the discarded step's calls left nothing in the trace
     recorded = [e for e in trace.events_of_type("generation") if e.payload["subtask_id"] == "b4"]
     assert len(recorded) < len(b4_calls)
+
+
+def test_a_rerun_draws_as_at_width_one_when_it_samples_the_discarded_prompts(monkeypatch):
+    # the reviewer replaces the knowledge component, which carries b1's
+    # note, so b4's discarded step and its re-run sample the same prompts
+    traces, b4_prompts = [], []
+    for width in (1, 4):
+        gen = JitterGenerator(fan_out_generator(conflict=True, reviewed="knowledge"))
+        trace, error = run(gen, width, monkeypatch)
+        assert error is None
+        traces.append(canonical_trace_bytes(trace))
+        b4_prompts.append([p for sid, p in gen.calls if sid == "b4"])
+    ran_twice = [p for p in set(b4_prompts[1]) if b4_prompts[1].count(p) > b4_prompts[0].count(p)]
+    assert ran_twice, "b4 sampled no prompt twice"
+    assert traces[1] == traces[0]
+
+
+class Overlaps:
+    """Records, through a shared generator and two of the orchestrator's
+    module-level functions, every time pipeline code runs beside a backend
+    call or beside pipeline code on another thread."""
+
+    def __init__(self, inner, monkeypatch):
+        self.inner = inner
+        self._lock = threading.Lock()
+        self.out = self.most_out = 0
+        self.running = {}  # thread -> nested pipeline calls
+        self.clashes = []
+        for name in ("render_prompt", "semantic_stability"):
+            monkeypatch.setattr(orchestrator, name, self._program(getattr(orchestrator, name)))
+
+    def _program(self, fn):
+        def wrapped(*args, **kwargs):
+            me = threading.get_ident()
+            with self._lock:
+                if self.out or set(self.running) - {me}:
+                    self.clashes.append(fn.__name__)
+                self.running[me] = self.running.get(me, 0) + 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self.running[me] -= 1
+                    if not self.running[me]:
+                        del self.running[me]
+
+        return wrapped
+
+    def generate(self, request):
+        with self._lock:
+            if self.running:
+                self.clashes.append("generate")
+            self.out += 1
+            self.most_out = max(self.most_out, self.out)
+        try:
+            time.sleep(0.002)
+            return self.inner.generate(request)
+        finally:
+            with self._lock:
+                self.out -= 1
+
+
+def test_only_backend_calls_overlap(monkeypatch, frequent_switches):
+    gen = Overlaps(fan_out_generator(conflict=True), monkeypatch)
+    trace, error = run(gen, 4, monkeypatch)
+    assert error is None and replay_trace(trace).run_status == "succeeded"
+    assert gen.most_out > 1, "no backend calls overlapped"
+    assert gen.clashes == []
 
 
 def test_a_chain_starts_no_thread(monkeypatch, pools):

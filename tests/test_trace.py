@@ -130,15 +130,6 @@ class TestWriter:
             in_memory = writer.trace()
         assert canonical_trace_bytes(read_trace(path)) == canonical_trace_bytes(in_memory)
 
-    def test_unflushed_events_reach_the_live_file_at_the_next_flush(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        with TraceWriter({"run": "w"}, path=path) as writer:
-            writer.emit("warning", {"reason": "a"}, flush=False)
-            writer.emit("warning", {"reason": "b"}, flush=False)
-            assert len(path.read_text().splitlines()) == 1  # the header
-            writer.flush()
-            assert canonical_trace_bytes(read_trace(path)) == canonical_trace_bytes(writer.trace())
-
     def test_concurrent_emitters_get_unique_contiguous_seqs(self):
         writer = TraceWriter({"run": "w"})
         barrier = threading.Barrier(8)
