@@ -125,9 +125,6 @@ class ScriptedBehavior:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "outcomes", tuple((str(t), float(p)) for t, p in self.outcomes)
-        )
         if not self.outcomes:
             raise ValueError("a behavior needs at least one outcome")
         if any(p < 0 for _, p in self.outcomes):

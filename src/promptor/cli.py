@@ -7,12 +7,11 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import sys
 from pathlib import Path
 
-from .config import MODULE_KEYS, PipelineConfig
-from .deviation import AgentOutputModel, AggregationSpec, simulate_deviation_tails
+from .config import MODULE_KEYS, PipelineConfig, SimulationConfig, _read_json
+from .deviation import AggregationSpec, simulate_deviation_tails
 from .errors import BackendError, ConfigError, MalformedTraceError
 from .orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, Orchestrator
 from .prompt import ModularPrompt
@@ -159,11 +158,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval_stability(args) -> int:
+    data = _read_json(args.prompt, "prompt")
     try:
-        data = json.loads(Path(args.prompt).read_text(encoding="utf-8"))
         prompt = ModularPrompt.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"cannot load prompt {args.prompt}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"invalid prompt {args.prompt}: {exc}") from exc
     if args.config is not None:
         cfg = PipelineConfig.from_file(args.config)
     else:
@@ -185,37 +184,13 @@ def cmd_eval_stability(args) -> int:
     return EXIT_OK
 
 
-def _parse_output_model(entry: dict) -> AgentOutputModel:
-    kind = entry.get("kind")
-    try:
-        if kind == "gaussian":
-            return AgentOutputModel.gaussian(float(entry["mean"]), float(entry["variance"]))
-        if kind == "uniform":
-            return AgentOutputModel.uniform(float(entry["low"]), float(entry["high"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid output model {entry!r}: {exc}") from exc
-    raise ConfigError(f"output model kind must be gaussian or uniform, got {kind!r}")
-
-
 def cmd_simulate_bound(args) -> int:
+    sim = SimulationConfig.from_file(args.config)
+    seed = sim.seed if args.seed is None else args.seed
     try:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load simulation config {args.config}: {exc}") from exc
-    try:
-        spec = AggregationSpec(u=tuple(data["u"]), v=tuple(data["v"]))
-        models = [_parse_output_model(m) for m in data["models"]]
-        epsilons = [float(e) for e in data["epsilons"]]
-        trials = int(data.get("trials", 100_000))
-        seed = int(data.get("seed", 0))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid simulation config: {exc}") from exc
-    if args.seed is not None:
-        seed = args.seed
-    try:
-        reports = simulate_deviation_tails(models, spec, epsilons, trials, seed)
+        spec = AggregationSpec(u=sim.u, v=sim.v)
+        models = [entry.model for entry in sim.models]
+        reports = simulate_deviation_tails(models, spec, sim.epsilons, sim.trials, seed)
     except ValueError as exc:
         raise ConfigError(f"invalid simulation parameters: {exc}") from exc
     buffer = io.StringIO()

@@ -5,8 +5,9 @@ reproducible from the file plus a seed."""
 from __future__ import annotations
 
 import json
+import types
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .backends import (
@@ -23,6 +24,7 @@ from .backends import (
     ScriptedGenerator,
     prompt_fingerprint,
 )
+from .deviation import AgentOutputModel
 from .errors import ConfigError
 from .orchestrator import OrchestratorSettings, RefinementConfig
 
@@ -32,76 +34,113 @@ NUMERIC_MATCH = "numeric"
 MODULE_KEYS = ("subtask_optimizer", "reviewer", "plan_updater", "knowledge_generator")
 
 
-def _load(cls, data: dict, what: str):
-    """An instance of the dataclass cls built from a JSON object. Every key
-    must name an init field of cls, and every value must have the JSON type
-    its field is annotated with: a float field takes an int too, and no field
-    takes a boolean. Any mistake is a ConfigError, never a traceback."""
+def _read_json(path: str | Path, what: str) -> dict:
+    """The JSON object held by the file at path; what names the file in
+    errors. A missing file, invalid JSON or a non-object is a ConfigError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return data
+
+
+def _load(cls, data: dict, what: str, path: str = ""):
+    """An instance of the dataclass cls built from the JSON object at path
+    in a what document. Every key must name an init field of cls, and every
+    value must match its field's annotation (see _value). Any mistake is a
+    ConfigError naming the field path, never a traceback."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(data) - {f.name for f in fields(cls) if f.init})
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {unknown}")
-    for name, value in data.items():
-        # annotations are plain classes or unions of them
-        allowed = typing.get_args(hints[name]) or (hints[name],)
-        if float in allowed:
-            allowed += (int,)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ConfigError(f"{what} field {name!r} has invalid value {value!r}")
+        raise ConfigError(f"unknown {what} keys{' in ' + path if path else ''}: {unknown}")
+    values = {
+        name: _value(hints[name], value, what, f"{path}.{name}" if path else name)
+        for name, value in data.items()
+    }
     try:
-        return cls(**data)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from exc
+        raise ConfigError(f"invalid {what}{' ' + path if path else ''}: {exc}") from exc
 
 
-def _objects(spec: dict, key: str) -> list[dict]:
-    entries = spec.get(key, [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ConfigError(f"scripted generator {key} must be a list of objects")
-    return entries
+def _value(hint, value, what: str, path: str):
+    """value checked against the annotation hint: a dataclass is a JSON
+    object, tuple[T, ...] and tuple[A, B] are arrays, dict[str, T] is an
+    object, X | None also takes null, and a plain class takes its instances.
+    A float takes an int too, and only a bool takes a boolean."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint) and isinstance(value, dict):
+        return _load(hint, value, what, path)
+    if origin is tuple and isinstance(value, list):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(
+                _value(item, v, what, f"{path}[{i}]")
+                for i, (item, v) in enumerate(zip(items, value))
+            )
+    elif origin is dict and isinstance(value, dict):
+        return {k: _value(args[1], v, what, f"{path}.{k}") for k, v in value.items()}
+    elif origin in (typing.Union, types.UnionType):
+        # every union in a config is X | None
+        return None if value is None else _value(args[0], value, what, path)
+    elif origin is None:
+        allowed = (float, int) if hint is float else (hint,)
+        if isinstance(value, allowed) and isinstance(value, bool) == (hint is bool):
+            return value
+    raise ConfigError(f"{what} field {path} has invalid value {value!r}")
 
 
-def _behavior_from_config(entry: dict) -> ScriptedBehavior:
-    """A scripted outcome table keyed by prompt text or fingerprint."""
-    key = next((k for k in ("prompt", "prompt_fingerprint") if k in entry), None)
-    if key is None:
-        raise ConfigError("scripted behavior needs a prompt or prompt_fingerprint")
-    if not isinstance(entry[key], str):
-        raise ConfigError(f"scripted behavior {key} must be a string, got {entry[key]!r}")
-    fingerprint = prompt_fingerprint(entry[key]) if key == "prompt" else entry[key]
-    outcomes = entry.get("outcomes")
-    if not outcomes:
-        raise ConfigError("scripted behavior needs a non-empty outcomes list")
-    try:
-        return ScriptedBehavior(
-            prompt_fingerprint=fingerprint,
-            outcomes=tuple((str(t), float(p)) for t, p in outcomes),
-            seed=int(entry.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scripted behavior: {exc}") from exc
+@dataclass(frozen=True, kw_only=True)
+class _Default(ScriptedBehavior):
+    """A scripted generator spec's default, answering any unmatched prompt.
+    Draws are keyed by the incoming prompt's fingerprint, so the default's
+    own key is a placeholder; so is a prefix rule's."""
+
+    prompt_fingerprint: str = field(default="default", init=False)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _PrefixRule(_Default):
+    """Answers every prompt whose text starts with prefix."""
+
+    prefix: str
+
+
+@dataclass(frozen=True, kw_only=True)
+class _Behavior(ScriptedBehavior):
+    """Answers one prompt, named by its text or by its fingerprint."""
+
+    prompt_fingerprint: str | None = None
+    prompt: str | None = None
+
+    def __post_init__(self):
+        if (self.prompt is None) == (self.prompt_fingerprint is None):
+            raise ValueError("a behavior needs exactly one of prompt or prompt_fingerprint")
+        if self.prompt is not None:
+            object.__setattr__(self, "prompt_fingerprint", prompt_fingerprint(self.prompt))
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class _ScriptedSpec:
+    kind: str
+    behaviors: tuple[_Behavior, ...] = ()
+    prefix_rules: tuple[_PrefixRule, ...] = ()
+    default: _Default | None = None
 
 
 def build_generator(spec: dict, run_seed: int = 0) -> Generator:
     kind = spec.get("kind")
     if kind == SCRIPTED:
-        prefix_rules = []
-        for entry in _objects(spec, "prefix_rules"):
-            if not isinstance(entry.get("prefix"), str):
-                raise ConfigError("prefix rule needs a string prefix")
-            behavior = _behavior_from_config({"prompt": entry["prefix"], **entry})
-            prefix_rules.append((entry["prefix"], behavior))
-        default = spec.get("default")
-        if default is not None:
-            if not isinstance(default, dict):
-                raise ConfigError("scripted generator default must be an object")
-            # The default answers any unmatched prompt; draws are keyed by the
-            # incoming prompt's fingerprint, so its own key is a placeholder.
-            default = _behavior_from_config({"prompt_fingerprint": "default", **default})
+        script = _load(_ScriptedSpec, spec, "scripted generator")
         return ScriptedGenerator(
-            behaviors=[_behavior_from_config(e) for e in _objects(spec, "behaviors")],
-            prefix_rules=prefix_rules,
-            default=default,
+            behaviors=script.behaviors,
+            prefix_rules=[(rule.prefix, rule) for rule in script.prefix_rules],
+            default=script.default,
             run_seed=run_seed,
         )
     if kind == HTTP:
@@ -139,7 +178,7 @@ class PipelineConfig:
     reask_budget: int = OrchestratorSettings.reask_budget
     augmentation_retries: int = OrchestratorSettings.augmentation_retries
     target_granularity: float = OrchestratorSettings.target_granularity
-    modules: dict = field(
+    modules: dict[str, bool] = field(
         default_factory=lambda: {key: True for key in MODULE_KEYS}
     )
     reference_answer: str | None = None
@@ -158,13 +197,10 @@ class PipelineConfig:
             )
         if self.reference_tolerance < 0:
             raise ConfigError("reference_tolerance must be >= 0")
-        modules = {key: True for key in MODULE_KEYS}
-        for key, value in dict(self.modules).items():
-            if key not in MODULE_KEYS:
-                raise ConfigError(f"unknown module toggle: {key!r}")
-            if not isinstance(value, bool):
-                raise ConfigError(f"module toggle {key!r} must be true or false, got {value!r}")
-            modules[key] = value
+        unknown = sorted(set(self.modules) - set(MODULE_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown module toggles: {unknown}")
+        modules = {key: self.modules.get(key, True) for key in MODULE_KEYS}
         object.__setattr__(self, "modules", modules)
         try:
             settings = OrchestratorSettings(
@@ -197,15 +233,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_read_json(path, "config"))
 
     def build_backends(self) -> tuple[Generator, Embedder]:
         return build_generator(self.generator, run_seed=self.seed), build_embedder(
@@ -231,3 +259,48 @@ class PipelineConfig:
             header["reference_match"] = self.reference_match
             header["reference_tolerance"] = self.reference_tolerance
         return header
+
+
+@dataclass(frozen=True)
+class _OutputModel:
+    """One agent's output model as a simulation config writes it:
+    {"kind": "gaussian", "mean", "variance"} or {"kind": "uniform", "low",
+    "high"}; the model built from it is in model."""
+
+    kind: str
+    mean: float | None = None
+    variance: float | None = None
+    low: float | None = None
+    high: float | None = None
+    model: AgentOutputModel = field(init=False)
+
+    def __post_init__(self):
+        gaussian, uniform = (self.mean, self.variance), (self.low, self.high)
+        if self.kind == "gaussian" and None not in gaussian and uniform == (None, None):
+            model = AgentOutputModel.gaussian(*gaussian)
+        elif self.kind == "uniform" and None not in uniform and gaussian == (None, None):
+            model = AgentOutputModel.uniform(*uniform)
+        else:
+            raise ValueError(
+                "an output model is a gaussian with mean and variance"
+                f" or a uniform with low and high, got kind {self.kind!r}"
+            )
+        object.__setattr__(self, "model", model)
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """A simulate-bound run: the aggregation weights u and v, one output
+    model per agent, the epsilon grid, and the trial count and seed of the
+    Monte-Carlo draw. Their lengths and ranges are checked by the draw."""
+
+    u: tuple[float, ...]
+    v: tuple[float, ...]
+    models: tuple[_OutputModel, ...]
+    epsilons: tuple[float, ...]
+    trials: int = 100_000
+    seed: int = 0
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "SimulationConfig":
+        return _load(cls, _read_json(path, "simulation config"), "simulation config")

@@ -82,6 +82,11 @@ class ValidationResult:
     detail: str = ""
 
 
+# the JSON type of each key of a prompt file; requirements lists strings
+_PROMPT_KEYS = {"role": str, "requirements": list, "knowledge": str, "history": str,
+                "io_spec": dict, "revision": int}
+
+
 @dataclass(frozen=True)
 class ModularPrompt:
     """The unit of refinement: role, requirement clauses, domain knowledge,
@@ -115,13 +120,24 @@ class ModularPrompt:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModularPrompt":
+        """The prompt to_json_dict writes. Only role is required; an unknown
+        key or a value of the wrong JSON type is a ValueError."""
+        for key, value in data.items():
+            kind = _PROMPT_KEYS.get(key)
+            if kind is None:
+                raise ValueError(f"unknown prompt key {key!r}")
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or kind is list and not all(isinstance(c, str) for c in value)):
+                raise ValueError(f"prompt field {key} has invalid value {value!r}")
+        if "role" not in data:
+            raise ValueError("a prompt needs a role")
         return cls(
             role=data["role"],
             requirements=tuple(data.get("requirements", ())),
             knowledge=data.get("knowledge", ""),
             history=data.get("history", ""),
             io_spec=IoSpec.from_json_dict(data.get("io_spec", {})),
-            revision=int(data.get("revision", 0)),
+            revision=data.get("revision", 0),
         )
 
 

@@ -15,6 +15,42 @@ from .test_reports import synthetic_trace
 
 HTTP_SPEC = {"kind": "http", "endpoint_url": "http://localhost:1", "model_name": "m"}
 
+SIM_CONFIG = {
+    "u": [1.0, 1.0], "v": [0.5, 0.5],
+    "models": [{"kind": "gaussian", "mean": 0.0, "variance": 1.0},
+               {"kind": "uniform", "low": -1.0, "high": 1.0}],
+    "epsilons": [0.5, 1.0], "trials": 200, "seed": 3,
+}
+
+
+def scripted(**spec):
+    return {"generator": {"kind": "scripted", **spec}}
+
+
+def behavior(**entry):
+    return {"prompt": "p", "outcomes": [["a", 1.0]], **entry}
+
+
+# (subcommand, keys changed in a valid input file, field path the error names)
+MALFORMED_INPUTS = [
+    ("run", scripted(behaviours=[behavior()]), "behaviours"),
+    ("run", scripted(behaviors=[behavior(seed="5")]), "behaviors[0].seed"),
+    ("run", scripted(behaviors=[behavior(outcomes=[[7, True]])]),
+     "behaviors[0].outcomes[0][0]"),
+    ("run", scripted(behaviors=[behavior(prompt_fingerprint="f")]), "behaviors[0]"),
+    ("run", scripted(prefix_rules=[behavior(prefix="### Planner")]), "prefix_rules[0]"),
+    ("simulate-bound", {"trials": 20.9}, "trials"),
+    ("simulate-bound", {"seed": "3"}, "seed"),
+    ("simulate-bound", {"trails": 50}, "trails"),
+    ("simulate-bound", {"epsilons": ["1"]}, "epsilons[0]"),
+    ("simulate-bound",
+     {"models": [SIM_CONFIG["models"][0], {"kind": "gaussian", "mean": "0", "variance": 1.0}]},
+     "models[1].mean"),
+    ("eval-stability", {"role": 5}, "role"),
+    ("eval-stability", {"requirements": "abc"}, "requirements"),
+    ("eval-stability", {"revision": 2.9}, "revision"),
+]
+
 
 def invoke(argv, capsys):
     code = main(argv)
@@ -357,6 +393,24 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("config error:")
         assert not trace_path.exists()
+
+    @pytest.mark.parametrize("command,changes,path", MALFORMED_INPUTS)
+    def test_malformed_input_file_writes_nothing(self, tmp_path, capsys, command,
+                                                 changes, path):
+        # failure injection: a mistake at any depth of any input file is a
+        # config error naming its field, found before a trace or a CSV is opened
+        valid = {"run": pipeline_config_dict(), "simulate-bound": SIM_CONFIG,
+                 "eval-stability": executor_prompt("eval", "Say it.").to_json_dict()}
+        source = write_json(tmp_path / "input.json", {**valid[command], **changes})
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, source] if command == "eval-stability" else [command, "--config", source]
+        if command != "simulate-bound":
+            argv += ["--trace", str(out / "trace.jsonl")]
+        code, stdout, err = invoke(argv + ["--out", str(out / "result")], capsys)
+        assert code == 2
+        assert err.startswith("config error:") and path in err
+        assert stdout == "" and list(out.iterdir()) == []
 
     def test_samples_above_the_bound_are_a_config_error(self, tmp_path, config_path, capsys):
         trace_path = tmp_path / "never.jsonl"

@@ -212,6 +212,15 @@ class TestBuildBackends:
         {"prefix_rules": ["### Planner"]},
         {"prefix_rules": "### Planner"},
         {"default": [["a", 1.0]]},
+        {"behaviors": [{"prompt": "p", "seed": "5", "outcomes": [["a", 1.0]]}]},
+        {"behaviors": [{"prompt": "p", "seed": 2.7, "outcomes": [["a", 1.0]]}]},
+        {"behaviors": [{"prompt": "p", "outcomes": [[7, True]]}]},
+        {"behaviors": [{"prompt": "p", "outcomes": [["a", "1.0"]]}]},
+        {"behaviors": [{"prompt": "p", "outcomes": [["a", 1.0, 0]]}]},
+        {"behaviors": [{"prompt": "p", "prompt_fingerprint": "f", "outcomes": [["a", 1.0]]}]},
+        {"behaviors": [{"prompt": "p", "weight": 1, "outcomes": [["a", 1.0]]}]},
+        {"prefix_rules": [{"prefix": "### Planner", "prompt": "p", "outcomes": [["a", 1.0]]}]},
+        {"default": {"prompt": "p", "outcomes": [["a", 1.0]]}},
     ])
     def test_malformed_scripted_spec_rejected(self, entries):
         with pytest.raises(ConfigError, match="behavior|prefix|default"):
