@@ -46,12 +46,9 @@ class GenerationRequest:
     temperature: float = 1.0
     sample_count: int = 1
     max_tokens: int = 1024
-    # the subtask the request serves and the number of the pipeline step
-    # serving it, if any; a step that is discarded and run again gets a new
-    # number. They key ScriptedGenerator's draws and are never sent over the
-    # wire
+    # the subtask the request serves, if any; it keys ScriptedGenerator's
+    # draws and is never sent over the wire
     subtask_id: str | None = None
-    step_id: int | None = None
 
     def __post_init__(self):
         if not self.prompt_text:
@@ -72,7 +69,7 @@ class Generator(Protocol):
     generate may be called from up to orchestrator.MAX_PARALLEL threads at
     once: an implementation must be thread-safe. Traces stay byte-identical
     at any width if its outputs for a request depend only on the requests
-    made before with the same subtask_id and step_id."""
+    made before with the same subtask_id."""
 
     def generate(self, request: GenerationRequest) -> list[str]: ...
 
@@ -150,12 +147,10 @@ def _keyed_uniform(run_seed: int, behavior_seed: int, fingerprint: str, index: i
 class ScriptedGenerator:
     """Deterministic Generator: outcomes are drawn by hashing (run seed,
     behavior seed, prompt fingerprint, call index), where the call index
-    counts the samples drawn before for the same prompt, the same
-    request.subtask_id and the same request.step_id. So the outputs
-    of one subtask's prompt are a pure function of the script, the seeds and
-    that subtask's own calls, even when two subtasks running at once render
-    the same prompt or a step is discarded and run again from a changed
-    subtask.
+    counts the samples drawn before for the same prompt and the same
+    request.subtask_id. So the outputs of one subtask's prompt are a pure
+    function of the script, the seeds and that subtask's own calls, even
+    when two subtasks running at once render the same prompt.
 
     Lookup order: exact fingerprint, then the longest registered prompt-text
     prefix, then the default behavior, else UnknownPromptError. Prefix rules
@@ -175,8 +170,8 @@ class ScriptedGenerator:
         self.run_seed = run_seed
         self.descriptor = BackendDescriptor(kind=SCRIPTED)
         self._lock = threading.Lock()
-        # (subtask id, step id, fingerprint) -> samples drawn so far
-        self._counters: dict[tuple[str | None, int | None, str], int] = {}
+        # (subtask id, fingerprint) -> samples drawn so far
+        self._counters: dict[tuple[str | None, str], int] = {}
 
     def _resolve(self, prompt_text: str) -> tuple[ScriptedBehavior, str]:
         fingerprint = prompt_fingerprint(prompt_text)
@@ -205,7 +200,7 @@ class ScriptedGenerator:
 
     def generate(self, request: GenerationRequest) -> list[str]:
         behavior, fingerprint = self._resolve(request.prompt_text)
-        key = (request.subtask_id, request.step_id, fingerprint)
+        key = (request.subtask_id, fingerprint)
         with self._lock:
             start = self._counters.get(key, 0)
             self._counters[key] = start + request.sample_count

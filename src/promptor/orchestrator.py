@@ -9,11 +9,12 @@ A pipeline runs one step per subtask and commits the steps strictly in plan
 order. The step at the head of that order runs inline; up to MAX_PARALLEL - 1
 later subtasks whose dependencies have all committed executed-ok run ahead
 on a thread pool, each against the plan as it stood when it started and
-into a private event buffer. A run-ahead step whose subtask changed before
-its commit turn (an earlier update injected a note into it) is discarded and
-run again inline, so the trace is byte-identical at any width. While steps
-run ahead, the pipeline's own code runs on one thread at a time and never
-while a backend call is out: only the backend calls overlap (see _Turns).
+into a private event buffer. An update changes only its source and the
+source's pending dependents, which start only once it has committed, so no
+commit changes a started step's subtask: the trace is byte-identical at any
+width. While steps run ahead, the pipeline's own code runs on one thread at
+a time and never while a backend call is out: only backend calls overlap
+(see _Turns).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import heapq
-import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -326,12 +326,11 @@ class _Turns:
 
 @dataclass(frozen=True)
 class _StepOutcome:
-    """What one subtask's step leaves for its commit: the plan it ended
-    with, which differs from the one it started from only in that subtask,
-    the execution result and, on success, the summary and the proposed
-    plan update (None with the plan updater off)."""
+    """What one subtask's step leaves for its commit: the subtask as the
+    step left it, the execution result and, on success, the summary and the
+    proposed plan update (None with the plan updater off)."""
 
-    plan: Plan
+    subtask: Subtask
     result: ExecutionResult
     summary: Summary | None = None
     update: PlanUpdate | None = None
@@ -339,11 +338,10 @@ class _StepOutcome:
 
 @dataclass
 class _RunAhead:
-    """A step started ahead of its commit turn, from the subtask as it stood
-    then. The step sets done to (outcome, None) or (None, the exception it
-    raised) while it holds its turn."""
+    """A step started ahead of its commit turn. The step sets done to
+    (outcome, None) or (None, the exception it raised) while it holds its
+    turn."""
 
-    started_from: Subtask
     buffer: _EventBuffer = field(default_factory=_EventBuffer)
     done: tuple[_StepOutcome | None, BaseException | None] | None = None
 
@@ -362,9 +360,6 @@ class Orchestrator:
         self.settings = settings or OrchestratorSettings()
         # set while steps run ahead
         self._turns: _Turns | None = None
-        # numbers the steps of this orchestrator and of its run-ahead copies
-        self._steps = itertools.count()
-        self._step_id: int | None = None  # the running step's number
 
     # -- backend plumbing -------------------------------------------------
 
@@ -381,7 +376,6 @@ class Orchestrator:
             sample_count=sample_count,
             max_tokens=self.settings.max_tokens,
             subtask_id=subtask_id,
-            step_id=self._step_id,
         )
         outputs = self._backend(self.generator.generate, request)
         distinct, sample_index = _group_samples(outputs)
@@ -440,7 +434,7 @@ class Orchestrator:
             purpose="template-selection", subtask_id="__plan__",
         )
         name = (response or {}).get("template")
-        if name in ap.TEMPLATES:
+        if isinstance(name, str) and name in ap.TEMPLATES:
             return name
         self.trace.warning("template-fallback", proposed=name,
                            fallback=ap.DEFAULT_TEMPLATE)
@@ -526,6 +520,8 @@ class Orchestrator:
             return None
         entries = response.get("subtasks") or []
         try:
+            if not all(isinstance(entry, dict) for entry in entries):
+                raise ValueError("every piece must be a JSON object")
             pieces = [
                 Subtask(
                     id=entry.get("id", f"{sub.id}.{k + 1}"),
@@ -803,11 +799,11 @@ class Orchestrator:
             temperature=0.0, purpose="summarize", subtask_id=sub.id,
         )
         text = str((response or {}).get("summary", "")).strip()
-        if not text or len(text) >= len(raw_output):
+        keys = (response or {}).get("preserved_keys", [])
+        if not text or len(text) >= len(raw_output) or not isinstance(keys, list):
             self.trace.warning("summary-fallback", subtask_id=sub.id)
             return Summary(sub.id, raw_output)
-        keys = tuple(str(k) for k in (response or {}).get("preserved_keys", ()))
-        return Summary(sub.id, text, preserved_keys=keys)
+        return Summary(sub.id, text, preserved_keys=tuple(map(str, keys)))
 
     def generate_domain_knowledge(self, sub: Subtask) -> str:
         try:
@@ -828,8 +824,13 @@ class Orchestrator:
     def apply_plan_update(self, plan: Plan, update: PlanUpdate) -> Plan:
         """Validate, apply and record one update. Raises StateError when the
         update violates plan invariants (wrong source status, executed
-        targets); nothing is recorded then."""
+        targets, success targets that are not dependents of the source) and
+        KeyError on an unknown subtask; nothing is recorded then."""
         updated = with_update(plan, update)
+        outside = set(update.targets) - {s.id for s in plan.dependents(update.source_subtask)}
+        if update.kind == PROPAGATE_SUCCESS and outside:
+            raise StateError(f"update targets non-dependents of "
+                             f"{update.source_subtask!r}: {sorted(outside)}")
         self._emit_plan_event(update.kind, update=update)
         if update.kind == STRATEGY_SHIFT:
             updated = self._apply_status(
@@ -880,8 +881,10 @@ class Orchestrator:
             if not payload:
                 self._emit_plan_event("updater-failed", update=no_op)
                 return no_op
-            targets = tuple(str(t) for t in (response or {}).get("targets", ())) or tuple(pending)
-            return PlanUpdate(source.id, PROPAGATE_SUCCESS, targets, payload)
+            targets = (response or {}).get("targets", [])
+            # a non-list names one target, rejected unless it is a dependent
+            targets = tuple(map(str, targets)) if isinstance(targets, list) else (str(targets),)
+            return PlanUpdate(source.id, PROPAGATE_SUCCESS, targets or tuple(pending), payload)
         response = self._ask_json(
             ap.plan_update_failure_prompt(
                 plan, source,
@@ -984,22 +987,20 @@ class Orchestrator:
         """One subtask's cycle against plan: refine, execute with
         augmentation, one strategy-shift retry on failure when the plan
         updater is on, and on success the summary and the updater's proposed
-        update. It changes no other subtask of the plan. Its backend requests
-        carry its own step number, so a discarded step and the re-run that
-        replaces it draw from different scripted counters."""
-        self._step_id = next(self._steps)
+        update. It changes no other subtask of the plan."""
         plan, result = self._execute_with_augmentation(plan, subtask_id, context)
         if not result.ok and self.settings.plan_updater_enabled:
             plan, update = self.update_plan(plan, result)
             if update.kind == STRATEGY_SHIFT:
                 plan, result = self._execute_with_augmentation(plan, subtask_id, context)
+        sub = plan.subtask(subtask_id)
         if not result.ok:
-            return _StepOutcome(plan, result)
-        summary = self.summarize(result.output, plan, plan.subtask(subtask_id))
+            return _StepOutcome(sub, result)
+        summary = self.summarize(result.output, plan, sub)
         update = None
         if self.settings.plan_updater_enabled:
             update = self._propose_update(plan, result, summary.structured_text)
-        return _StepOutcome(plan, result, summary, update)
+        return _StepOutcome(sub, result, summary, update)
 
     def _run_ahead(
         self, pool: ThreadPoolExecutor, plan: Plan, subtask_id: str, context: ContextStore
@@ -1007,7 +1008,7 @@ class Orchestrator:
         """Start a subtask's step on the pool against plan, on a copy of this
         orchestrator whose trace is a private buffer. The step reads only the
         summaries of its dependencies, which are all in context already."""
-        started = _RunAhead(plan.subtask(subtask_id))
+        started = _RunAhead()
         worker = copy.copy(self)
         worker.trace = started.buffer
         turns = self._turns
@@ -1024,14 +1025,11 @@ class Orchestrator:
         pool.submit(step)
         return started
 
-    def _take_run_ahead(self, started: _RunAhead, plan: Plan) -> _StepOutcome | None:
+    def _take_run_ahead(self, started: _RunAhead) -> _StepOutcome:
         """A run-ahead step's outcome at its commit turn, after its events are
-        written; None, and the step discarded, when its subtask changed after
-        it started. An exception the step raised is raised here."""
+        written. An exception the step raised is raised here."""
         self._turns.wait_until(lambda: started.done is not None)
         outcome, error = started.done
-        if plan.subtask(started.started_from.id) != started.started_from:
-            return None
         for event_type, payload in started.buffer.events:
             self.trace.emit(event_type, payload)
         if error is not None:
@@ -1105,12 +1103,9 @@ class Orchestrator:
                             pool = ThreadPoolExecutor(MAX_PARALLEL - 1)
                             self._turns = _Turns()
                         ahead[order[pos]] = self._run_ahead(pool, plan, order[pos], context)
-                outcome = self._take_run_ahead(started, plan) if started else None
-                if outcome is None:
-                    outcome = self._step(plan, subtask_id, context)
-                    plan = outcome.plan
-                else:
-                    plan = with_subtask(plan, outcome.plan.subtask(subtask_id))
+                outcome = (self._take_run_ahead(started) if started
+                           else self._step(plan, subtask_id, context))
+                plan = with_subtask(plan, outcome.subtask)
                 if not outcome.result.ok:
                     continue
                 outputs[subtask_id] = outcome.result.output
@@ -1122,7 +1117,6 @@ class Orchestrator:
                     if not unmet[dependent.id]:
                         heapq.heappush(ready, plan.position(dependent.id))
         finally:
-            self._step_id = None
             if pool is not None:
                 self._turns.release()
                 self._turns = None

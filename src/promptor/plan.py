@@ -67,6 +67,9 @@ class Subtask:
     injected_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not isinstance(self.description, str):
+            raise ValueError(f"subtask id and description must be text: "
+                             f"{self.id!r}, {self.description!r}")
         if not self.id or not self.id.strip():
             raise ValueError("subtask id must be non-empty")
         if not self.description.strip():
@@ -219,8 +222,12 @@ def with_status(plan: Plan, subtask_id: str, status: SubtaskStatus) -> Plan:
 
 @dataclass(frozen=True)
 class PlanUpdate:
-    """One feedback step: inject a success payload into pending subtasks,
-    rewrite a failed subtask, or change nothing."""
+    """One feedback step: inject a success payload into pending dependents
+    of the source, rewrite the failed source, or change nothing.
+
+    with_update checks only what replaying a trace needs; the rule that a
+    success payload targets dependents of its source is the orchestrator's
+    (Orchestrator.apply_plan_update), so traces written before it replay."""
 
     source_subtask: str
     kind: str

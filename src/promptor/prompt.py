@@ -33,6 +33,12 @@ class PromptComponentKind(enum.Enum):
     HISTORY = "history"
 
 
+# the JSON type of each key of an io_spec; input_schema maps names to kind
+# strings and required_keys lists strings
+_IO_SPEC_KEYS = {"input_schema": dict, "output_constraint": str, "output_format": str,
+                 "required_keys": list}
+
+
 @dataclass(frozen=True)
 class IoSpec:
     """Input schema plus the admissible-output constraint for one subtask."""
@@ -65,11 +71,24 @@ class IoSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IoSpec":
+        """The spec to_json_dict writes. Every key is optional; a non-object,
+        an unknown key or a value of the wrong JSON type is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"io_spec must be a JSON object, got {data!r}")
+        for key, value in data.items():
+            kind = _IO_SPEC_KEYS.get(key)
+            if kind is None:
+                raise ValueError(f"unknown io_spec key {key!r}")
+            # replay parses one spec per prompt: test the items only of a
+            # non-empty list or object
+            if not isinstance(value, kind) or value and kind is not str and not all(
+                    isinstance(item, str) for item in (value.values() if kind is dict else value)):
+                raise ValueError(f"io_spec field {key} has invalid value {value!r}")
         return cls(
-            input_schema=tuple(sorted(data.get("input_schema", {}).items())),
+            input_schema=data.get("input_schema", {}),
             output_constraint=data.get("output_constraint", ""),
             output_format=data.get("output_format", FREE_TEXT),
-            required_keys=tuple(data.get("required_keys", ())),
+            required_keys=data.get("required_keys", ()),
         )
 
 

@@ -128,16 +128,6 @@ def test_call_index_is_kept_per_subtask():
     assert first_b == first_a != second_a
 
 
-def test_call_index_is_kept_per_step():
-    outcomes = [("A", 0.5), ("B", 0.5)]
-    ask = lambda gen, step: gen.generate(GenerationRequest(
-        prompt_text=PROMPT, sample_count=10, subtask_id="a", step_id=step))
-    shared = scripted(outcomes, run_seed=3)
-    ask(shared, 1)  # a step that is discarded
-    alone = scripted(outcomes, run_seed=3)
-    assert ask(shared, 2) == ask(alone, 2)
-
-
 def test_temperature_zero_is_argmax():
     gen = scripted([("minor", 0.4), ("major", 0.6)])
     outputs = gen.generate(
@@ -433,9 +423,8 @@ def test_wire_encode_helpers_agree_with_documented_schema():
     assert wire_encode(embeddings_body("m", ["t"])) == b'{"model":"m","input":["t"]}'
 
 
-def test_subtask_id_and_step_id_are_not_sent():
-    request = GenerationRequest(prompt_text="p", temperature=0.0, subtask_id="b01",
-                                step_id=2)
+def test_subtask_id_is_not_sent():
+    request = GenerationRequest(prompt_text="p", temperature=0.0, subtask_id="b01")
     assert chat_completions_body("m", request) == chat_completions_body(
         "m", GenerationRequest(prompt_text="p", temperature=0.0))
 

@@ -49,6 +49,9 @@ MALFORMED_INPUTS = [
     ("eval-stability", {"role": 5}, "role"),
     ("eval-stability", {"requirements": "abc"}, "requirements"),
     ("eval-stability", {"revision": 2.9}, "revision"),
+    ("eval-stability", {"io_spec": {"input_schema": 5}}, "input_schema"),
+    ("eval-stability", {"io_spec": {"required_keys": 5}}, "required_keys"),
+    ("eval-stability", {"io_spec": {"output_fromat": "numeric"}}, "output_fromat"),
 ]
 
 
@@ -168,6 +171,20 @@ class TestRun:
         assert code == 0
         assert "run 1: failed\n" in out
 
+
+    def test_a_malformed_plan_fails_the_run_without_a_traceback(self, tmp_path, capsys):
+        config = pipeline_config_dict()
+        config["generator"]["behaviors"][0]["outcomes"] = [
+            [json.dumps({"subtasks": [{"id": "parse", "description": 5}]}), 1.0]]
+        config_path = write_json(tmp_path / "bad-plan.json", config)
+        trace_path = tmp_path / "bad-plan.jsonl"
+        code, out, err = invoke(["run", "--config", config_path, "--trace", str(trace_path)],
+                                capsys)
+        assert (code, err) == (0, "")
+        assert "run 1: failed\n" in out
+        reasons = [e.payload["reason"] for e in read_trace(trace_path).events
+                   if e.type == "warning"]
+        assert "planning-failure" in reasons and "run-aborted" not in reasons
 
     def test_an_empty_stability_sample_does_not_abort_the_run(self, tmp_path, capsys):
         # parse's stability draws mix "100" with a blank answer; execution

@@ -913,6 +913,24 @@ class TestUpdatePlan:
         assert update.kind == "no-op"
         assert len(warnings_with_reason(orch, "invariant-violation")) == 1
 
+    def test_non_dependent_target_rejects_whole_update(self):
+        # b succeeded; d reads b's output, c is b's sibling and does not
+        rules = [
+            prefix_json(ap.PLAN_UPDATE_SUCCESS_MARK, "Subtask: b",
+                        {"payload": "use schema X", "targets": ["d", "c"]}),
+        ]
+        orch = make_orchestrator(ScriptedGenerator(prefix_rules=rules))
+        before = self.fan_plan(b_status=SubtaskStatus.EXECUTED_OK)
+        before = Plan(task_description=TASK, subtasks=before.subtasks + (
+            Subtask(id="d", description="Use the left branch.", dependencies=frozenset({"b"})),
+        ))
+        result = ExecutionResult("b", SubtaskStatus.EXECUTED_OK, "7", ValidationResult(ok=True))
+        plan, update = orch.update_plan(before, result, "7")
+        assert update.kind == "no-op"
+        assert plan.subtask("c").injected_notes == plan.subtask("d").injected_notes == ()
+        [warning] = warnings_with_reason(orch, "invariant-violation")
+        assert "['c']" in warning.payload["error"]
+
     def test_no_pending_dependents_short_circuits(self):
         plan = Plan(
             task_description=TASK,
@@ -970,6 +988,27 @@ class TestUpdatePlan:
     def test_unknown_update_kind_rejected(self):
         with pytest.raises(ValueError):
             PlanUpdate("a", "reshuffle", (), "")
+
+
+FREE_TEXT_SPEC = {"output_format": "free-text"}
+
+# one malformed reply per agent site: (the agent's prompt mark, its reply,
+# the warning its site records)
+MALFORMED_REPLIES = [
+    (ap.CLASSIFIER_MARK, {"template": ["linear-chain"]}, "template-fallback"),
+    (ap.PLANNER_MARK, {"subtasks": [{"id": "a", "description": 5}]}, "invalid-plan"),
+    (ap.PLANNER_MARK, {"subtasks": [{"id": "a", "description": "Do it.",
+                                     "io_spec": {"input_schema": 5}}]}, "invalid-plan"),
+    (ap.PLANNER_MARK, {"subtasks": [{"id": "a", "description": "Do it.", "io_spec": "abc"}]},
+     "invalid-plan"),
+    (ap.OPTIMIZER_SPLIT_MARK, {"action": "split", "subtasks": ["a", "b"]}, "invalid-split"),
+    (ap.OPTIMIZER_SPLIT_MARK,
+     {"action": "split", "subtasks": [{"description": 5}, {"description": "Load it."}]},
+     "invalid-split"),
+    (ap.SUMMARIZER_MARK, {"summary": "Rows parsed.", "preserved_keys": 5}, "summary-fallback"),
+    (ap.PLAN_UPDATE_SUCCESS_MARK, {"payload": "Keep the units.", "targets": 5},
+     "invariant-violation"),
+]
 
 
 class TestRunPipeline:
@@ -1196,3 +1235,34 @@ class TestRunPipeline:
         state = replay_trace(orch.run_pipeline(TASK, template="linear-chain"))
         assert state.run_status == "failed"
         assert state.plan is None
+
+    @pytest.mark.parametrize("mark, reply, reason", MALFORMED_REPLIES,
+                             ids=[f"{r}-{i}" for i, (_, _, r) in enumerate(MALFORMED_REPLIES)])
+    def test_a_malformed_agent_reply_never_aborts_the_run(self, mark, reply, reason):
+        # failure injection: the site records its own warning and takes its
+        # own fallback; only a plan that never parses fails the run
+        subtasks = [
+            {"id": "coarse", "description": COARSE_DESCRIPTION, "io_spec": FREE_TEXT_SPEC},
+            {"id": "report", "description": "Print the report.", "dependencies": ["coarse"],
+             "io_spec": FREE_TEXT_SPEC},
+        ]
+        scripted = ScriptedGenerator(
+            behaviors=[json_behavior(ap.classifier_prompt(TASK), {"template": "linear-chain"}),
+                       planner_behavior(subtasks)],
+            prefix_rules=[
+                prefix_json(ap.OPTIMIZER_SPLIT_MARK, "Subtask: coarse", {"action": "keep"}),
+                prefix_json(ap.PLAN_UPDATE_SUCCESS_MARK, "Subtask: coarse",
+                            {"payload": "Keep the units."}),
+            ] + [prefix_json(ap.SUMMARIZER_MARK, f"Subtask: {sid}", {"summary": "Rows parsed."})
+                 for sid in ("coarse", "report")],
+            # every executor answer is above the summary pass-through limit
+            default=ScriptedBehavior(prompt_fingerprint="default", outcomes=(("row " * 60, 1.0),)),
+        )
+        orch = make_orchestrator(SequenceGenerator(mark, [json.dumps(reply)], scripted),
+                                 self.settings())
+        state = replay_trace(orch.run_pipeline(TASK))
+        assert warnings_with_reason(orch, reason)
+        assert warnings_with_reason(orch, "run-aborted") == []
+        planning = mark == ap.PLANNER_MARK
+        assert state.run_status == ("failed" if planning else "succeeded")
+        assert len(warnings_with_reason(orch, "planning-failure")) == planning
