@@ -355,11 +355,11 @@ class HttpEmbedder(_HttpBase):
             rows = [row["embedding"] for row in data["data"]]
         except (KeyError, TypeError) as exc:
             raise BackendError(f"malformed embeddings response: {exc}") from exc
-        if not all(isinstance(row, list) and row and all(map(_finite_number, row))
+        # an all-zero row has no direction, so no cosine distance
+        if not all(isinstance(row, list) and any(row) and all(map(_finite_number, row))
                    for row in rows):
-            raise BackendError(
-                "malformed embeddings response: a row is not a non-empty list of finite numbers"
-            )
+            raise BackendError("malformed embeddings response: a row is not a list of "
+                               "finite numbers with one non-zero")
         vectors = [EmbeddingVector(tuple(row)) for row in rows]
         if len(vectors) != len(texts):
             raise BackendError(f"asked for {len(texts)} embeddings, got {len(vectors)}")

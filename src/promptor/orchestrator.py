@@ -55,7 +55,6 @@ from .plan import (
     with_update,
 )
 from .prompt import (
-    IoSpec,
     ModularPrompt,
     PromptComponentKind,
     ValidationResult,
@@ -78,6 +77,9 @@ EXHAUSTED = "exhausted"
 _COMPONENT_PRIORITY = ("requirements", "knowledge", "role", "history")
 
 SUMMARY_PASS_THROUGH_LIMIT = 200
+
+# the keys of a planner's subtask entry that are read; others are ignored
+_PLANNED_FIELDS = ("id", "description", "dependencies", "io_spec")
 
 # upper bound on the stability samples per measurement
 MAX_SAMPLE_COUNT = 1000
@@ -444,30 +446,18 @@ class Orchestrator:
         entries = response["subtasks"]
         if not isinstance(entries, list) or not entries:
             raise ValueError("plan must list at least one subtask")
-        subtasks = []
-        defaulted = []
-        for entry in entries:
-            if "io_spec" in entry:
-                io_spec = IoSpec.from_json_dict(entry["io_spec"])
-            else:
-                io_spec = IoSpec()
-                defaulted.append(entry["id"])
-            subtasks.append(
-                Subtask(
-                    id=entry["id"],
-                    description=entry["description"],
-                    dependencies=frozenset(entry.get("dependencies", ())),
-                    io_spec=io_spec,
-                )
-            )
+        subtasks = tuple(Subtask.from_json_dict(
+            {key: entry[key] for key in _PLANNED_FIELDS if key in entry}
+            if isinstance(entry, dict) else entry) for entry in entries)
         plan = Plan(
             task_description=task,
-            subtasks=tuple(subtasks),
+            subtasks=subtasks,
             interaction_template=template,
             created_from=created_from,
         )
-        for sid in defaulted:
-            self.trace.warning("io-spec-defaulted", subtask_id=sid)
+        for sub, entry in zip(subtasks, entries):
+            if "io_spec" not in entry:
+                self.trace.warning("io-spec-defaulted", subtask_id=sub.id)
         return plan
 
     def decompose_task(self, task: str, template: str | None = None) -> Plan:

@@ -6,6 +6,10 @@ breaks ties), so two plans with the same subtasks serialize identically.
 Replacing a subtask without touching its dependencies keeps that order and
 the id and dependents indexes, so status, note and description changes skip
 the re-sort.
+
+Subtasks, plans and plan updates are read from JSON (planner replies, trace
+records) through prompt._json_record, as strictly as prompt files: a string
+where a list belongs is a ValueError, never read as its characters.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import PlanningFailure, StateError
-from .prompt import IoSpec
+from .prompt import _LIST, _NUMBER_OR_NULL, _OBJECT, _TEXT, _TEXTS, IoSpec, _json_record
 
 
 PROPAGATE_SUCCESS = "propagate-success"
@@ -91,6 +95,10 @@ class Subtask:
             )
         return replace(self, status=status)
 
+    _KINDS = {"id": _TEXT, "description": _TEXT, "dependencies": _TEXTS,
+              "granularity": _NUMBER_OR_NULL, "io_spec": _OBJECT, "status": _TEXT,
+              "injected_notes": _TEXTS}
+
     def to_json_dict(self) -> dict:
         return {
             "id": self.id,
@@ -104,15 +112,8 @@ class Subtask:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Subtask":
-        return cls(
-            id=data["id"],
-            description=data["description"],
-            dependencies=frozenset(data.get("dependencies", ())),
-            granularity=data.get("granularity"),
-            io_spec=IoSpec.from_json_dict(data.get("io_spec", {})),
-            status=SubtaskStatus(data.get("status", "pending")),
-            injected_notes=tuple(data.get("injected_notes", ())),
-        )
+        _json_record(data, cls._KINDS, "subtask")
+        return cls(**{**data, "io_spec": IoSpec.from_json_dict(data.get("io_spec", {}))})
 
 
 def _topological(subtasks: tuple[Subtask, ...]) -> tuple[Subtask, ...]:
@@ -185,6 +186,9 @@ class Plan:
     def dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
         return tuple(self.subtask(sid) for sid in self._dependents[subtask_id])
 
+    _KINDS = {"task_description": _TEXT, "interaction_template": _TEXT, "created_from": _TEXT,
+              "subtasks": _LIST}
+
     def to_json_dict(self) -> dict:
         return {
             "task_description": self.task_description,
@@ -195,12 +199,9 @@ class Plan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Plan":
-        return cls(
-            task_description=data["task_description"],
-            subtasks=tuple(Subtask.from_json_dict(s) for s in data.get("subtasks", ())),
-            interaction_template=data.get("interaction_template", "linear-chain"),
-            created_from=data.get("created_from", ""),
-        )
+        _json_record(data, cls._KINDS, "plan")
+        subtasks = [Subtask.from_json_dict(s) for s in data.get("subtasks", ())]
+        return cls(**{**data, "subtasks": subtasks})
 
 
 def with_subtask(plan: Plan, new_subtask: Subtask) -> Plan:
@@ -239,6 +240,8 @@ class PlanUpdate:
             raise ValueError(f"unknown update kind: {self.kind!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
 
+    _KINDS = {"source_subtask": _TEXT, "kind": _TEXT, "targets": _TEXTS, "payload": _TEXT}
+
     def to_json_dict(self) -> dict:
         return {
             "source_subtask": self.source_subtask,
@@ -249,12 +252,8 @@ class PlanUpdate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PlanUpdate":
-        return cls(
-            source_subtask=data["source_subtask"],
-            kind=data["kind"],
-            targets=data["targets"],
-            payload=data["payload"],
-        )
+        _json_record(data, cls._KINDS, "plan update")
+        return cls(**data)
 
 
 def with_update(plan: Plan, update: PlanUpdate) -> Plan:

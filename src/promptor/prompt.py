@@ -3,6 +3,11 @@
 A prompt is four components (role, requirements, knowledge, history) plus an
 I/O spec. All values here are immutable; edits go through replace_component,
 which returns a new prompt with the revision counter bumped.
+
+Every JSON record the package reads (prompts, I/O specs, and plan.py's
+subtasks, plans and plan updates) passes one check, _json_record, against its
+type's kinds table: a non-object, an unknown key or a wrong JSON type is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -33,10 +38,32 @@ class PromptComponentKind(enum.Enum):
     HISTORY = "history"
 
 
-# the JSON type of each key of an io_spec; input_schema maps names to kind
-# strings and required_keys lists strings
-_IO_SPEC_KEYS = {"input_schema": dict, "output_constraint": str, "output_format": str,
-                 "required_keys": list}
+# The kinds of a JSON record's values: a JSON type, and the type of every
+# item of a list or object or None. No kind takes a boolean. A record type's
+# _KINDS table names exactly its dataclass fields, so a checked record
+# constructs as cls(**data).
+_TEXT, _INTEGER, _NUMBER_OR_NULL = (str, None), (int, None), ((int, float, type(None)), None)
+_TEXTS, _TEXT_MAP, _OBJECT, _LIST = (list, str), (dict, str), (dict, None), (list, None)
+
+
+def _json_record(data, kinds: dict, what: str) -> None:
+    """Raise ValueError unless data is a JSON object whose every key is in
+    kinds and whose every value has its key's kind."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    for key, value in data.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ValueError(f"unknown {what} key {key!r}")
+        json_type, item_type = kind
+        ok = isinstance(value, json_type) and not isinstance(value, bool)
+        # replay reads a record per revision and per snapshot subtask, most
+        # lists empty: test the items only of a non-empty list or object
+        if ok and item_type and value:
+            ok = all(isinstance(item, item_type)
+                     for item in (value.values() if json_type is dict else value))
+        if not ok:
+            raise ValueError(f"{what} field {key} has invalid value {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +88,9 @@ class IoSpec:
         if self.output_format == JSON_OBJECT and not self.required_keys:
             raise ValueError("a json-object spec must declare its required keys")
 
+    _KINDS = {"input_schema": _TEXT_MAP, "output_constraint": _TEXT, "output_format": _TEXT,
+              "required_keys": _TEXTS}
+
     def to_json_dict(self) -> dict:
         return {
             "input_schema": {name: kind for name, kind in self.input_schema},
@@ -73,23 +103,8 @@ class IoSpec:
     def from_json_dict(cls, data: dict) -> "IoSpec":
         """The spec to_json_dict writes. Every key is optional; a non-object,
         an unknown key or a value of the wrong JSON type is a ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"io_spec must be a JSON object, got {data!r}")
-        for key, value in data.items():
-            kind = _IO_SPEC_KEYS.get(key)
-            if kind is None:
-                raise ValueError(f"unknown io_spec key {key!r}")
-            # replay parses one spec per prompt: test the items only of a
-            # non-empty list or object
-            if not isinstance(value, kind) or value and kind is not str and not all(
-                    isinstance(item, str) for item in (value.values() if kind is dict else value)):
-                raise ValueError(f"io_spec field {key} has invalid value {value!r}")
-        return cls(
-            input_schema=data.get("input_schema", {}),
-            output_constraint=data.get("output_constraint", ""),
-            output_format=data.get("output_format", FREE_TEXT),
-            required_keys=data.get("required_keys", ()),
-        )
+        _json_record(data, cls._KINDS, "io_spec")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -99,11 +114,6 @@ class ValidationResult:
     ok: bool
     reason: str | None = None
     detail: str = ""
-
-
-# the JSON type of each key of a prompt file; requirements lists strings
-_PROMPT_KEYS = {"role": str, "requirements": list, "knowledge": str, "history": str,
-                "io_spec": dict, "revision": int}
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,9 @@ class ModularPrompt:
         if self.revision < 0:
             raise ValueError("revision must be non-negative")
 
+    _KINDS = {"role": _TEXT, "requirements": _TEXTS, "knowledge": _TEXT, "history": _TEXT,
+              "io_spec": _OBJECT, "revision": _INTEGER}
+
     def to_json_dict(self) -> dict:
         return {
             "role": self.role,
@@ -139,25 +152,12 @@ class ModularPrompt:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModularPrompt":
-        """The prompt to_json_dict writes. Only role is required; an unknown
-        key or a value of the wrong JSON type is a ValueError."""
-        for key, value in data.items():
-            kind = _PROMPT_KEYS.get(key)
-            if kind is None:
-                raise ValueError(f"unknown prompt key {key!r}")
-            if (isinstance(value, bool) or not isinstance(value, kind)
-                    or kind is list and not all(isinstance(c, str) for c in value)):
-                raise ValueError(f"prompt field {key} has invalid value {value!r}")
+        """The prompt to_json_dict writes. Only role is required; a non-object,
+        an unknown key or a value of the wrong JSON type is a ValueError."""
+        _json_record(data, cls._KINDS, "prompt")
         if "role" not in data:
             raise ValueError("a prompt needs a role")
-        return cls(
-            role=data["role"],
-            requirements=tuple(data.get("requirements", ())),
-            knowledge=data.get("knowledge", ""),
-            history=data.get("history", ""),
-            io_spec=IoSpec.from_json_dict(data.get("io_spec", {})),
-            revision=data.get("revision", 0),
-        )
+        return cls(**{**data, "io_spec": IoSpec.from_json_dict(data.get("io_spec", {}))})
 
 
 def _coerce_clauses(value) -> tuple[str, ...]:

@@ -70,11 +70,6 @@ class ExecutionTrace:
     def events_of_type(self, event_type: str) -> tuple[TraceEvent, ...]:
         return tuple(e for e in self.events if e.type == event_type)
 
-    def to_lines(self) -> list[str]:
-        lines = [json.dumps({"kind": "header", **self.header}, sort_keys=True)]
-        lines.extend(json.dumps(e.to_json_dict(), sort_keys=True) for e in self.events)
-        return lines
-
 
 class TraceWriter:
     """Single ordered sink for one run. Concurrent emitters funnel through an
@@ -121,10 +116,6 @@ class TraceWriter:
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def write_trace(trace: ExecutionTrace, path: str | Path) -> None:
-    Path(path).write_text("\n".join(trace.to_lines()) + "\n", encoding="utf-8")
 
 
 def parse_trace_lines(lines: Iterable[str]) -> ExecutionTrace:

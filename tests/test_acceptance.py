@@ -42,7 +42,7 @@ from promptor.reports import (
     correlate_traces,
     render_run_report,
 )
-from promptor.trace import TraceWriter, canonical_trace_bytes, read_trace, write_trace
+from promptor.trace import TraceWriter, canonical_trace_bytes, read_trace
 
 from .pipeline_fixture import (
     executor_prompt,
@@ -243,24 +243,23 @@ RUN_HEADER = {
 }
 
 
-def _seeded_run():
-    writer = TraceWriter(dict(RUN_HEADER))
-    orch = Orchestrator(
-        pipeline_generator(run_seed=7), HashEmbedder(), writer,
-        OrchestratorSettings(knowledge_enabled=False),
-    )
-    orch.run_pipeline(RUN_HEADER["task"], template="linear-chain")
+def _seeded_run(path=None):
+    with TraceWriter(dict(RUN_HEADER), path=path) as writer:
+        orch = Orchestrator(
+            pipeline_generator(run_seed=7), HashEmbedder(), writer,
+            OrchestratorSettings(knowledge_enabled=False),
+        )
+        orch.run_pipeline(RUN_HEADER["task"], template="linear-chain")
     return writer.trace()
 
 
 def test_criterion_6_deterministic_traces_and_replay(tmp_path):
     t0 = time.monotonic()
-    first, second = _seeded_run(), _seeded_run()
+    path = tmp_path / "run.jsonl"
+    first, second = _seeded_run(path), _seeded_run()
     assert canonical_trace_bytes(first) == canonical_trace_bytes(second)
 
     run_report = render_run_report(compute_run_metrics([first]))
-    path = tmp_path / "run.jsonl"
-    write_trace(first, path)
     replay_report = render_run_report(compute_run_metrics([read_trace(path)]))
     assert replay_report == run_report
     assert "final output: '87'" in run_report

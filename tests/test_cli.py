@@ -6,7 +6,7 @@ import pytest
 from promptor.cli import main
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
-from promptor.trace import canonical_trace_bytes, read_trace, write_trace
+from promptor.trace import canonical_trace_bytes, read_trace
 
 from .pipeline_fixture import executor_prompt, pipeline_config_dict
 from .stub_server import StubApiServer, StubConfig
@@ -236,7 +236,7 @@ class TestReplayAndReport:
         runs = tmp_path / "runs"
         runs.mkdir()
         for k, (s, ok) in enumerate(zip(stabilities, successes)):
-            write_trace(synthetic_trace(s, ok == 1.0), runs / f"{k}.jsonl")
+            synthetic_trace(s, ok == 1.0, path=runs / f"{k}.jsonl")
         code, out, _ = invoke(["correlate", "--trace", str(runs)], capsys)
         assert code == 0
         oracle = statistics.correlation(stabilities, successes)
@@ -450,6 +450,7 @@ class TestExitCodes:
         ("generator", b'{"choices":[{"message":{"content":null}},'
                       b'{"message":{"content":"7"}}]}'),
         ("embedder", b'{"data":[{"embedding":[NaN,1.0]},{"embedding":[1.0,0.0]}]}'),
+        ("embedder", b'{"data":[{"embedding":[0.0,0.0]},{"embedding":[1.0,0.0]}]}'),
     ])
     def test_malformed_http_reply_is_a_backend_error(self, tmp_path, capsys, backend, body):
         prompt = executor_prompt("eval", "Say the word.")

@@ -37,7 +37,7 @@ from promptor.prompt import (
     replace_component,
 )
 from promptor.reports import compute_run_metrics, render_run_report
-from promptor.trace import TraceWriter, canonical_trace_bytes, parse_trace_lines, replay_trace
+from promptor.trace import TraceWriter, canonical_trace_bytes, read_trace, replay_trace
 
 from .pipeline_fixture import (
     NUMERIC_SPEC,
@@ -56,8 +56,9 @@ from .pipeline_fixture import (
 TAU = 0.7
 
 
-def make_orchestrator(generator, settings=None):
-    return Orchestrator(generator, HashEmbedder(), TraceWriter({"run": "test"}), settings)
+def make_orchestrator(generator, settings=None, path=None):
+    return Orchestrator(generator, HashEmbedder(), TraceWriter({"run": "test"}, path=path),
+                        settings)
 
 
 def warnings_with_reason(orch, reason):
@@ -1008,6 +1009,11 @@ MALFORMED_REPLIES = [
     (ap.SUMMARIZER_MARK, {"summary": "Rows parsed.", "preserved_keys": 5}, "summary-fallback"),
     (ap.PLAN_UPDATE_SUCCESS_MARK, {"payload": "Keep the units.", "targets": 5},
      "invariant-violation"),
+    # read as its characters, "ab" would make c depend on a and b
+    (ap.PLANNER_MARK, {"subtasks": [{"id": "a", "description": "Load it."},
+                                    {"id": "b", "description": "Parse it."},
+                                    {"id": "c", "description": "Sum it.", "dependencies": "ab"}]},
+     "invalid-plan"),
 ]
 
 
@@ -1061,14 +1067,16 @@ class TestRunPipeline:
         assert state.plan.subtask("balance").status is SubtaskStatus.PENDING
         assert len(warnings_with_reason(orch, "blocked")) == 2
 
-    def test_blank_free_text_output_fails_the_subtask_not_the_run(self):
+    def test_blank_free_text_output_fails_the_subtask_not_the_run(self, tmp_path):
         solo = [{"id": "note", "description": "Write a note.", "dependencies": []}]
         gen = ScriptedGenerator(
             behaviors=[planner_behavior(solo)],
             default=ScriptedBehavior(prompt_fingerprint="*", outcomes=(("  ", 1.0),)),
         )
-        orch = make_orchestrator(gen, self.settings())
+        path = tmp_path / "run.jsonl"
+        orch = make_orchestrator(gen, self.settings(), path=path)
         trace = orch.run_pipeline(TASK, template="linear-chain")
+        orch.trace.close()
         assert warnings_with_reason(orch, "run-aborted") == []
         final = trace.events_of_type("status-change")[-1].payload
         assert (final["subtask_id"], final["to"]) == ("__run__", "failed")
@@ -1077,7 +1085,7 @@ class TestRunPipeline:
         assert state.plan.subtask("note").status is SubtaskStatus.EXECUTED_FAILED
         assert state.outputs == {"note": "  "}
         # what replay reads back from the written trace agrees with the run
-        written = parse_trace_lines(trace.to_lines())
+        written = read_trace(path)
         assert replay_trace(written) == state
         report = render_run_report(compute_run_metrics([trace]))
         assert render_run_report(compute_run_metrics([written])) == report

@@ -16,7 +16,7 @@ from promptor.reports import (
     render_run_report,
     stability_success_pairs,
 )
-from promptor.trace import TraceWriter, parse_trace_lines, write_trace
+from promptor.trace import TraceWriter, parse_trace_lines
 
 from .pipeline_fixture import (
     PIPELINE_SUBTASKS,
@@ -35,9 +35,9 @@ REFERENCE_HEADER = {
 }
 
 
-def run_trace(succeed=True, run_seed=0, header=REFERENCE_HEADER):
+def run_trace(succeed=True, run_seed=0, header=REFERENCE_HEADER, path=None):
     """Drive the scripted pipeline to a terminal trace, optionally failing
-    the first subtask so its dependents stay blocked."""
+    the first subtask so its dependents stay blocked, and writing it to path."""
     if succeed:
         gen = pipeline_generator(run_seed)
         settings = OrchestratorSettings(knowledge_enabled=False)
@@ -54,16 +54,15 @@ def run_trace(succeed=True, run_seed=0, header=REFERENCE_HEADER):
             knowledge_enabled=False, reviewer_enabled=False,
             plan_updater_enabled=False, subtask_optimizer_enabled=False,
         )
-    writer = TraceWriter(dict(header))
-    orch = Orchestrator(gen, HashEmbedder(), writer, settings)
-    orch.run_pipeline(TASK, template="linear-chain")
+    with TraceWriter(dict(header), path=path) as writer:
+        Orchestrator(gen, HashEmbedder(), writer, settings).run_pipeline(TASK, template="linear-chain")
     return writer.trace()
 
 
-def synthetic_trace(stability, succeeded, refinements=0, augmentations=0):
+def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=None):
     """Minimal single-subtask trace with a chosen stability score and
-    outcome, for exercising report arithmetic directly."""
-    writer = TraceWriter({"task": "synthetic"})
+    outcome, for exercising report arithmetic directly, written to path."""
+    writer = TraceWriter({"task": "synthetic"}, path=path)
     plan = Plan(task_description="synthetic",
                 subtasks=(Subtask(id="s", description="Do the step."),))
     writer.emit("status-change", {"subtask_id": "__run__", "from": None, "to": "running"})
@@ -89,6 +88,7 @@ def synthetic_trace(stability, succeeded, refinements=0, augmentations=0):
     writer.emit("status-change", {"subtask_id": "__run__", "from": "running",
                                   "to": "succeeded" if succeeded else "failed",
                                   "final_output": "42" if succeeded else ""})
+    writer.close()
     return writer.trace()
 
 
@@ -211,7 +211,7 @@ class TestRendering:
 
     def test_same_trace_bytes_give_same_report_bytes(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        write_trace(run_trace(succeed=True), path)
+        run_trace(succeed=True, path=path)
         lines = path.read_text(encoding="utf-8").splitlines()
         first = render_run_report(compute_run_metrics([parse_trace_lines(lines)]))
         second = render_run_report(compute_run_metrics([parse_trace_lines(lines)]))

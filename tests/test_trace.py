@@ -23,7 +23,6 @@ from promptor.trace import (
     parse_trace_lines,
     read_trace,
     replay_trace,
-    write_trace,
 )
 
 from .pipeline_fixture import REFORMULATED_PARSE, TASK, strategy_shift_generator
@@ -57,19 +56,28 @@ def make_trace(events):
     )
 
 
+def write_and_read(trace, path):
+    """Emit trace's header and events through a TraceWriter on path, then
+    read the file back."""
+    with TraceWriter(trace.header, path=path) as writer:
+        for event in trace.events:
+            writer.emit(event.type, event.payload)
+    return read_trace(path)
+
+
 class TestEventAndSerialization:
     def test_unknown_event_type_rejected(self):
         with pytest.raises(ValueError):
             TraceEvent(seq=0, type="telemetry", payload={}, ts=0.0)
 
-    def test_round_trip_preserves_canonical_form(self):
+    def test_round_trip_preserves_canonical_form(self, tmp_path):
         trace = make_trace(
             [
                 TraceEvent(0, "warning", {"reason": "x"}, 1.5),
                 TraceEvent(1, "score", {"subtask_id": "a", "value": 0.25}, 2.5),
             ]
         )
-        parsed = parse_trace_lines(trace.to_lines())
+        parsed = write_and_read(trace, tmp_path / "run.jsonl")
         assert canonicalize(parsed) == canonicalize(trace)
         assert parsed.events[1].payload["value"] == 0.25
 
@@ -86,9 +94,7 @@ class TestEventAndSerialization:
 
     def test_file_round_trip(self, tmp_path):
         trace = make_trace([TraceEvent(0, "warning", {"reason": "x"}, 0.0)])
-        path = tmp_path / "run.jsonl"
-        write_trace(trace, path)
-        assert canonicalize(read_trace(path)) == canonicalize(trace)
+        assert canonicalize(write_and_read(trace, tmp_path / "run.jsonl")) == canonicalize(trace)
 
     @given(
         st.lists(
@@ -103,11 +109,13 @@ class TestEventAndSerialization:
             max_size=8,
         )
     )
-    def test_any_payload_round_trips(self, specs):
+    def test_any_payload_round_trips(self, tmp_path_factory, specs):
         trace = make_trace(
             TraceEvent(i, t, p, float(i)) for i, (t, p) in enumerate(specs)
         )
-        assert canonicalize(parse_trace_lines(trace.to_lines())) == canonicalize(trace)
+        # each example overwrites the one file
+        path = tmp_path_factory.getbasetemp() / "payloads.jsonl"
+        assert canonicalize(write_and_read(trace, path)) == canonicalize(trace)
 
 
 class TestWriter:
@@ -404,6 +412,13 @@ class TestReplay:
         {"note": "no-op", "update": None},
         {"note": "propagate-success", "update": {"source_subtask": "a", "kind": "propagate-success", "targets": ["ghost"], "payload": "x"}},
         {"note": "no-op", "update": {"source_subtask": "ghost", "kind": "no-op", "targets": [], "payload": ""}},
+        # read as its characters, "b" would name the pending subtask b
+        {"note": "propagate-success", "update": {"source_subtask": "a", "kind": "propagate-success", "targets": "b", "payload": "x"}},
+        {"note": "created", "plan_after": {"task_description": "t", "subtasks": [
+            {"id": "a", "description": "first step."},
+            {"id": "b", "description": "second step.", "dependencies": "a"}]}},
+        {"note": "created", "plan_after": {"task_description": "t", "subtasks": [
+            {"id": "a", "description": "first step.", "owner": "me"}]}},
     ])
     def test_delta_without_update_or_with_unknown_target_is_malformed(self, payload):
         events = self.executed_a_events() + [TraceEvent(3, "plan-update", payload, 0.0)]
