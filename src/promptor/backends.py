@@ -98,10 +98,8 @@ class BackendDescriptor:
     max_inflight: int = 4
 
     def __post_init__(self):
-        if self.kind not in (HTTP, SCRIPTED, HASH_EMBEDDER):
-            raise ValueError(f"unknown backend kind: {self.kind!r}")
-        if self.kind == HTTP and not (self.endpoint_url and self.model_name):
-            raise ValueError("http backends require endpoint_url and model_name")
+        if self.kind != HTTP or not (self.endpoint_url and self.model_name):
+            raise ValueError("a backend descriptor needs kind 'http', endpoint_url and model_name")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.max_retries < 0:
@@ -168,7 +166,6 @@ class ScriptedGenerator:
         self._prefix_rules = sorted(prefix_rules, key=lambda rule: len(rule[0]), reverse=True)
         self._default = default
         self.run_seed = run_seed
-        self.descriptor = BackendDescriptor(kind=SCRIPTED)
         self._lock = threading.Lock()
         # (subtask id, fingerprint) -> samples drawn so far
         self._counters: dict[tuple[str | None, str], int] = {}
@@ -220,11 +217,6 @@ class HashEmbedder:
     """Deterministic Embedder: token-hash bucket counts in 64 dimensions plus
     a small constant offset. Not a semantic model; a fixed reference point for
     oracle-based tests."""
-
-    dim = HASH_EMBEDDER_DIM
-
-    def __init__(self):
-        self.descriptor = BackendDescriptor(kind=HASH_EMBEDDER)
 
     @staticmethod
     @functools.lru_cache(maxsize=1 << 16)
@@ -282,8 +274,6 @@ def _auth_headers() -> dict[str, str]:
 
 class _HttpBase:
     def __init__(self, descriptor: BackendDescriptor):
-        if descriptor.kind != HTTP:
-            raise ValueError(f"expected an http descriptor, got kind={descriptor.kind!r}")
         self.descriptor = descriptor
         self._inflight = threading.BoundedSemaphore(descriptor.max_inflight)
 

@@ -10,7 +10,7 @@ import io
 import sys
 from pathlib import Path
 
-from .config import MODULE_KEYS, PipelineConfig, SimulationConfig, _read_json
+from .config import MODULE_KEYS, PipelineConfig, SimulationConfig, _load, _read_json
 from .deviation import AggregationSpec, simulate_deviation_tails
 from .errors import BackendError, ConfigError, MalformedTraceError
 from .orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, Orchestrator
@@ -158,11 +158,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval_stability(args) -> int:
-    data = _read_json(args.prompt, "prompt")
-    try:
-        prompt = ModularPrompt.from_json_dict(data)
-    except ValueError as exc:
-        raise ConfigError(f"invalid prompt {args.prompt}: {exc}") from exc
+    prompt = _load(ModularPrompt, _read_json(args.prompt, "prompt"), f"prompt {args.prompt}")
     if args.config is not None:
         cfg = PipelineConfig.from_file(args.config)
     else:

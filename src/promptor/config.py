@@ -5,9 +5,7 @@ reproducible from the file plus a seed."""
 from __future__ import annotations
 
 import json
-import types
-import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backends import (
@@ -27,6 +25,7 @@ from .backends import (
 from .deviation import AgentOutputModel
 from .errors import ConfigError
 from .orchestrator import OrchestratorSettings, RefinementConfig
+from .prompt import _read_record
 
 EXACT = "exact"
 NUMERIC_MATCH = "numeric"
@@ -48,50 +47,14 @@ def _read_json(path: str | Path, what: str) -> dict:
     return data
 
 
-def _load(cls, data: dict, what: str, path: str = ""):
-    """An instance of the dataclass cls built from the JSON object at path
-    in a what document. Every key must name an init field of cls, and every
-    value must match its field's annotation (see _value). Any mistake is a
-    ConfigError naming the field path, never a traceback."""
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - {f.name for f in fields(cls) if f.init})
-    if unknown:
-        raise ConfigError(f"unknown {what} keys{' in ' + path if path else ''}: {unknown}")
-    values = {
-        name: _value(hints[name], value, what, f"{path}.{name}" if path else name)
-        for name, value in data.items()
-    }
+def _load(cls, data, what: str):
+    """An instance of the dataclass cls read from the JSON object data of a
+    what document by prompt._read_record; any mistake is a ConfigError naming
+    the field path, never a traceback."""
     try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {what}{' ' + path if path else ''}: {exc}") from exc
-
-
-def _value(hint, value, what: str, path: str):
-    """value checked against the annotation hint: a dataclass is a JSON
-    object, tuple[T, ...] and tuple[A, B] are arrays, dict[str, T] is an
-    object, X | None also takes null, and a plain class takes its instances.
-    A float takes an int too, and only a bool takes a boolean."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if is_dataclass(hint) and isinstance(value, dict):
-        return _load(hint, value, what, path)
-    if origin is tuple and isinstance(value, list):
-        items = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(items) == len(value):
-            return tuple(
-                _value(item, v, what, f"{path}[{i}]")
-                for i, (item, v) in enumerate(zip(items, value))
-            )
-    elif origin is dict and isinstance(value, dict):
-        return {k: _value(args[1], v, what, f"{path}.{k}") for k, v in value.items()}
-    elif origin in (typing.Union, types.UnionType):
-        # every union in a config is X | None
-        return None if value is None else _value(args[0], value, what, path)
-    elif origin is None:
-        allowed = (float, int) if hint is float else (hint,)
-        if isinstance(value, allowed) and isinstance(value, bool) == (hint is bool):
-            return value
-    raise ConfigError(f"{what} field {path} has invalid value {value!r}")
+        return _read_record(cls, data)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
 @dataclass(frozen=True, kw_only=True)

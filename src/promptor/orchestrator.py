@@ -223,6 +223,12 @@ def _rewire(plan: Plan, replaced_ids: tuple[str, ...], pieces: list[Subtask]) ->
     return dataclasses.replace(plan, subtasks=tuple(rewired))
 
 
+def _reply_text(response: dict | None, key: str) -> str:
+    """An agent reply's JSON string at key, stripped, or "" for anything else."""
+    value = (response or {}).get(key)
+    return value.strip() if isinstance(value, str) else ""
+
+
 def _group_samples(texts: list[str], drop_blank: bool = False) -> tuple[list[str], list[int]]:
     """The distinct texts in first-seen order, and each text's position among
     them. With drop_blank, a blank text is left out and its position is -1."""
@@ -446,18 +452,15 @@ class Orchestrator:
         entries = response["subtasks"]
         if not isinstance(entries, list) or not entries:
             raise ValueError("plan must list at least one subtask")
-        subtasks = tuple(Subtask.from_json_dict(
-            {key: entry[key] for key in _PLANNED_FIELDS if key in entry}
-            if isinstance(entry, dict) else entry) for entry in entries)
-        plan = Plan(
-            task_description=task,
-            subtasks=subtasks,
-            interaction_template=template,
-            created_from=created_from,
-        )
-        for sub, entry in zip(subtasks, entries):
+        plan = Plan.from_json_dict({
+            "task_description": task, "interaction_template": template,
+            "created_from": created_from,
+            "subtasks": [{key: entry[key] for key in _PLANNED_FIELDS if key in entry}
+                         if isinstance(entry, dict) else entry for entry in entries],
+        })
+        for entry in entries:
             if "io_spec" not in entry:
-                self.trace.warning("io-spec-defaulted", subtask_id=sub.id)
+                self.trace.warning("io-spec-defaulted", subtask_id=entry["id"])
         return plan
 
     def decompose_task(self, task: str, template: str | None = None) -> Plan:
@@ -510,18 +513,14 @@ class Orchestrator:
             return None
         entries = response.get("subtasks") or []
         try:
-            if not all(isinstance(entry, dict) for entry in entries):
-                raise ValueError("every piece must be a JSON object")
+            # a piece gives its description and maybe its id; the rest is sub's
             pieces = [
-                Subtask(
-                    id=entry.get("id", f"{sub.id}.{k + 1}"),
-                    description=entry["description"],
-                    io_spec=sub.io_spec,
-                    injected_notes=sub.injected_notes,
-                )
+                Subtask.from_json_dict({"id": f"{sub.id}.{k + 1}", **{
+                    key: entry[key] for key in ("id", "description") if key in entry}}
+                    if isinstance(entry, dict) else entry)
                 for k, entry in enumerate(entries)
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             self.trace.warning("invalid-split", subtask_id=sub.id, error=str(exc))
             return None
         if len(pieces) < 2 or any(p.granularity > 2 * target for p in pieces):
@@ -536,7 +535,8 @@ class Orchestrator:
         # the pieces form a chain standing where the original stood
         chained = [
             dataclasses.replace(
-                piece, dependencies=frozenset({pieces[k - 1].id}) if k else sub.dependencies
+                piece, dependencies=frozenset({pieces[k - 1].id}) if k else sub.dependencies,
+                io_spec=sub.io_spec, injected_notes=sub.injected_notes,
             )
             for k, piece in enumerate(pieces)
         ]
@@ -549,9 +549,9 @@ class Orchestrator:
         )
         if not response or response.get("action") != "merge":
             return None
-        description = str(response.get("description", "")).strip()
+        description = _reply_text(response, "description")
         if not description:
-            self.trace.warning("invalid-merge", subtask_id=a.id, error="empty description")
+            self.trace.warning("invalid-merge", subtask_id=a.id, error="no description text")
             return None
         if not self._semantics_preserved(
             a.id, f"{a.description}\n{b.description}", description
@@ -764,7 +764,7 @@ class Orchestrator:
             temperature=self.settings.refinement.reviewer_temperature,
             purpose="augmentation", subtask_id=failure.subtask_id,
         )
-        clause = str((response or {}).get("clause", "")).strip()
+        clause = _reply_text(response, "clause")
         if not clause:
             self.trace.warning("augmentation-rejected", subtask_id=failure.subtask_id)
             return p
@@ -788,7 +788,7 @@ class Orchestrator:
             ap.summarizer_prompt(plan, sub, raw_output),
             temperature=0.0, purpose="summarize", subtask_id=sub.id,
         )
-        text = str((response or {}).get("summary", "")).strip()
+        text = _reply_text(response, "summary")
         keys = (response or {}).get("preserved_keys", [])
         if not text or len(text) >= len(raw_output) or not isinstance(keys, list):
             self.trace.warning("summary-fallback", subtask_id=sub.id)
@@ -867,7 +867,7 @@ class Orchestrator:
                 ap.plan_update_success_prompt(plan, source, summary_text),
                 temperature=0.0, purpose="plan-update", subtask_id=source.id,
             )
-            payload = str((response or {}).get("payload", "")).strip()
+            payload = _reply_text(response, "payload")
             if not payload:
                 self._emit_plan_event("updater-failed", update=no_op)
                 return no_op
@@ -883,7 +883,7 @@ class Orchestrator:
             ),
             temperature=0.0, purpose="plan-update", subtask_id=source.id,
         )
-        description = str((response or {}).get("description", "")).strip()
+        description = _reply_text(response, "description")
         if not description:
             self._emit_plan_event("updater-failed", update=no_op)
             return no_op

@@ -8,8 +8,8 @@ the id and dependents indexes, so status, note and description changes skip
 the re-sort.
 
 Subtasks, plans and plan updates are read from JSON (planner replies, trace
-records) through prompt._json_record, as strictly as prompt files: a string
-where a list belongs is a ValueError, never read as its characters.
+records) by prompt._read_record, as strictly as prompt files: a string where
+a list belongs is a ValueError, never read as its characters.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import PlanningFailure, StateError
-from .prompt import _LIST, _NUMBER_OR_NULL, _OBJECT, _TEXT, _TEXTS, IoSpec, _json_record
+from .prompt import IoSpec, _JsonRecord
 
 
 PROPAGATE_SUCCESS = "propagate-success"
@@ -61,7 +61,7 @@ def estimate_granularity(description: str) -> int:
 
 
 @dataclass(frozen=True)
-class Subtask:
+class Subtask(_JsonRecord):
     id: str
     description: str
     dependencies: frozenset[str] = frozenset()
@@ -71,9 +71,6 @@ class Subtask:
     injected_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not isinstance(self.description, str):
-            raise ValueError(f"subtask id and description must be text: "
-                             f"{self.id!r}, {self.description!r}")
         if not self.id or not self.id.strip():
             raise ValueError("subtask id must be non-empty")
         if not self.description.strip():
@@ -95,10 +92,6 @@ class Subtask:
             )
         return replace(self, status=status)
 
-    _KINDS = {"id": _TEXT, "description": _TEXT, "dependencies": _TEXTS,
-              "granularity": _NUMBER_OR_NULL, "io_spec": _OBJECT, "status": _TEXT,
-              "injected_notes": _TEXTS}
-
     def to_json_dict(self) -> dict:
         return {
             "id": self.id,
@@ -109,11 +102,6 @@ class Subtask:
             "status": self.status.value,
             "injected_notes": list(self.injected_notes),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Subtask":
-        _json_record(data, cls._KINDS, "subtask")
-        return cls(**{**data, "io_spec": IoSpec.from_json_dict(data.get("io_spec", {}))})
 
 
 def _topological(subtasks: tuple[Subtask, ...]) -> tuple[Subtask, ...]:
@@ -153,7 +141,7 @@ def _topological(subtasks: tuple[Subtask, ...]) -> tuple[Subtask, ...]:
 
 
 @dataclass(frozen=True)
-class Plan:
+class Plan(_JsonRecord):
     task_description: str
     subtasks: tuple[Subtask, ...]
     interaction_template: str = "linear-chain"
@@ -186,9 +174,6 @@ class Plan:
     def dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
         return tuple(self.subtask(sid) for sid in self._dependents[subtask_id])
 
-    _KINDS = {"task_description": _TEXT, "interaction_template": _TEXT, "created_from": _TEXT,
-              "subtasks": _LIST}
-
     def to_json_dict(self) -> dict:
         return {
             "task_description": self.task_description,
@@ -196,12 +181,6 @@ class Plan:
             "created_from": self.created_from,
             "subtasks": [s.to_json_dict() for s in self.subtasks],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Plan":
-        _json_record(data, cls._KINDS, "plan")
-        subtasks = [Subtask.from_json_dict(s) for s in data.get("subtasks", ())]
-        return cls(**{**data, "subtasks": subtasks})
 
 
 def with_subtask(plan: Plan, new_subtask: Subtask) -> Plan:
@@ -222,7 +201,7 @@ def with_status(plan: Plan, subtask_id: str, status: SubtaskStatus) -> Plan:
 
 
 @dataclass(frozen=True)
-class PlanUpdate:
+class PlanUpdate(_JsonRecord):
     """One feedback step: inject a success payload into pending dependents
     of the source, rewrite the failed source, or change nothing.
 
@@ -240,8 +219,6 @@ class PlanUpdate:
             raise ValueError(f"unknown update kind: {self.kind!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
 
-    _KINDS = {"source_subtask": _TEXT, "kind": _TEXT, "targets": _TEXTS, "payload": _TEXT}
-
     def to_json_dict(self) -> dict:
         return {
             "source_subtask": self.source_subtask,
@@ -249,11 +226,6 @@ class PlanUpdate:
             "targets": list(self.targets),
             "payload": self.payload,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PlanUpdate":
-        _json_record(data, cls._KINDS, "plan update")
-        return cls(**data)
 
 
 def with_update(plan: Plan, update: PlanUpdate) -> Plan:

@@ -4,17 +4,20 @@ A prompt is four components (role, requirements, knowledge, history) plus an
 I/O spec. All values here are immutable; edits go through replace_component,
 which returns a new prompt with the revision counter bumped.
 
-Every JSON record the package reads (prompts, I/O specs, and plan.py's
-subtasks, plans and plan updates) passes one check, _json_record, against its
-type's kinds table: a non-object, an unknown key or a wrong JSON type is a
-ValueError.
+Every JSON record the package reads (prompt files, planner replies, trace
+records, config files) goes through one reader, _read_record, which checks it
+against a dataclass's annotations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import json
 import re
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -38,39 +41,131 @@ class PromptComponentKind(enum.Enum):
     HISTORY = "history"
 
 
-# The kinds of a JSON record's values: a JSON type, and the type of every
-# item of a list or object or None. No kind takes a boolean. A record type's
-# _KINDS table names exactly its dataclass fields, so a checked record
-# constructs as cls(**data).
-_TEXT, _INTEGER, _NUMBER_OR_NULL = (str, None), (int, None), ((int, float, type(None)), None)
-_TEXTS, _TEXT_MAP, _OBJECT, _LIST = (list, str), (dict, str), (dict, None), (list, None)
-
-
-def _json_record(data, kinds: dict, what: str) -> None:
-    """Raise ValueError unless data is a JSON object whose every key is in
-    kinds and whose every value has its key's kind."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+def _read_record(cls, data, path=()):
+    """The dataclass cls read from the JSON object data: every key names an
+    init field, every field without a default is given, and every value
+    matches its annotation (see _kind), else a ValueError names the field
+    path. path is a nested record's (parent path, key), () at the top."""
+    kinds, required = _reader(cls)
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object at {_where(path) or 'the top'}, got {data!r}")
+    values = {}
     for key, value in data.items():
         kind = kinds.get(key)
         if kind is None:
-            raise ValueError(f"unknown {what} key {key!r}")
-        json_type, item_type = kind
-        ok = isinstance(value, json_type) and not isinstance(value, bool)
-        # replay reads a record per revision and per snapshot subtask, most
-        # lists empty: test the items only of a non-empty list or object
-        if ok and item_type and value:
-            ok = all(isinstance(item, item_type)
-                     for item in (value.values() if json_type is dict else value))
-        if not ok:
-            raise ValueError(f"{what} field {key} has invalid value {value!r}")
+            raise ValueError(f"unknown field {_where((path, key))}")
+        allowed, items, build = kind
+        if type(value) not in allowed:
+            raise _invalid((path, key), value)
+        if build is not None and value is not None:
+            if items is None:
+                value = build(value, (path, key))
+            else:
+                for item in value.values() if type(value) is dict else value:
+                    if type(item) not in items:
+                        raise _invalid((path, key), value, items)
+                value = build(value)
+        values[key] = value
+    if not data.keys() >= required:
+        raise ValueError(f"missing field {_where((path, min(required - data.keys())))}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        if not path:
+            raise
+        raise ValueError(f"{_where(path)}: {exc}") from exc
+
+
+@functools.cache
+def _reader(cls) -> tuple[dict, frozenset]:
+    """cls's init field name -> kind, and the names of those without a default."""
+    hints = typing.get_type_hints(cls)
+    init = [f for f in dataclasses.fields(cls) if f.init]
+    return ({f.name: _kind(f.metadata.get("json", hints[f.name])) for f in init},
+            frozenset(f.name for f in init
+                      if f.default is f.default_factory is dataclasses.MISSING))
+
+
+def _kind(hint) -> tuple:
+    """How a value annotated hint (or metadata["json"], where the JSON shape
+    differs) is read: (allowed, items, build), allowed holding its exact JSON
+    types. A dataclass is an object, tuple[T, ...] and frozenset[T] are
+    arrays, tuple[A, B] of plain A and B is an array of that length,
+    dict[str, T] is an object, an Enum one of its values, X | None also takes
+    null, and a plain class itself (a float an int too). A container of plain
+    values is built by build(value) once its items have the types in items;
+    any other non-plain value is checked again, as an array item must be, and
+    built by build(value, path)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        # every union read here is X | None
+        allowed, items, build = _kind(args[0])
+        return allowed | {type(None)}, items, build
+    if dataclasses.is_dataclass(hint):
+        return frozenset({dict}), None, functools.partial(_read_record, hint)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        members = {member.value: member for member in hint}
+        allowed = frozenset(map(type, members))
+
+        def member(value, path):
+            if type(value) in allowed and value in members:
+                return members[value]
+            raise _invalid(path, value)
+        return allowed, None, member
+    if origin is tuple and args[-1] is not Ellipsis:
+        fixed = [_kind(arg)[0] for arg in args]
+
+        def pair(value, path):
+            if type(value) is not list or len(value) != len(fixed):
+                raise _invalid(path, value)
+            for i, (item_types, item) in enumerate(zip(fixed, value)):
+                if type(item) not in item_types:
+                    raise _invalid((path, i), item)
+            return tuple(value)
+        return frozenset({list}), None, pair
+    if origin in (tuple, frozenset, dict):
+        allowed, items, build = _kind(args[-1] if origin is dict else args[0])
+        if build is None:
+            return frozenset({dict if origin is dict else list}), allowed, origin
+
+        def array(value, path):  # of records or of fixed-size tuples
+            return tuple([build(item, (path, i)) for i, item in enumerate(value)])
+        return frozenset({list}), None, array
+    return frozenset({float, int} if hint is float else {hint}), None, None
+
+
+def _where(path) -> str:
+    """A (parent path, key) chain as text, such as behaviors[0].outcomes."""
+    if not path:
+        return ""
+    parent, key = path
+    text = _where(parent)
+    return f"{text}[{key}]" if type(key) is int else f"{text}.{key}" if text else key
+
+
+def _invalid(path, value, items=None) -> ValueError:
+    """The error for value at path, or for its first item not of the items types."""
+    if items is not None:
+        pairs = value.items() if type(value) is dict else enumerate(value)
+        path, value = next(((path, k), v) for k, v in pairs if type(v) not in items)
+    return ValueError(f"field {_where(path)} has invalid value {value!r}")
+
+
+class _JsonRecord:
+    """A dataclass that to_json_dict writes as JSON and from_json_dict reads back."""
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        return _read_record(cls, data)
 
 
 @dataclass(frozen=True)
-class IoSpec:
+class IoSpec(_JsonRecord):
     """Input schema plus the admissible-output constraint for one subtask."""
 
-    input_schema: tuple[tuple[str, str], ...] = ()
+    # a JSON object of field name -> kind, held as sorted pairs
+    input_schema: tuple[tuple[str, str], ...] = field(
+        default=(), metadata={"json": dict[str, str]})
     output_constraint: str = ""
     output_format: str = FREE_TEXT
     required_keys: tuple[str, ...] = ()
@@ -88,9 +183,6 @@ class IoSpec:
         if self.output_format == JSON_OBJECT and not self.required_keys:
             raise ValueError("a json-object spec must declare its required keys")
 
-    _KINDS = {"input_schema": _TEXT_MAP, "output_constraint": _TEXT, "output_format": _TEXT,
-              "required_keys": _TEXTS}
-
     def to_json_dict(self) -> dict:
         return {
             "input_schema": {name: kind for name, kind in self.input_schema},
@@ -98,13 +190,6 @@ class IoSpec:
             "output_format": self.output_format,
             "required_keys": list(self.required_keys),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IoSpec":
-        """The spec to_json_dict writes. Every key is optional; a non-object,
-        an unknown key or a value of the wrong JSON type is a ValueError."""
-        _json_record(data, cls._KINDS, "io_spec")
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -117,7 +202,7 @@ class ValidationResult:
 
 
 @dataclass(frozen=True)
-class ModularPrompt:
+class ModularPrompt(_JsonRecord):
     """The unit of refinement: role, requirement clauses, domain knowledge,
     history, and an I/O spec, with a monotone revision counter."""
 
@@ -137,9 +222,6 @@ class ModularPrompt:
         if self.revision < 0:
             raise ValueError("revision must be non-negative")
 
-    _KINDS = {"role": _TEXT, "requirements": _TEXTS, "knowledge": _TEXT, "history": _TEXT,
-              "io_spec": _OBJECT, "revision": _INTEGER}
-
     def to_json_dict(self) -> dict:
         return {
             "role": self.role,
@@ -149,15 +231,6 @@ class ModularPrompt:
             "io_spec": self.io_spec.to_json_dict(),
             "revision": self.revision,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModularPrompt":
-        """The prompt to_json_dict writes. Only role is required; a non-object,
-        an unknown key or a value of the wrong JSON type is a ValueError."""
-        _json_record(data, cls._KINDS, "prompt")
-        if "role" not in data:
-            raise ValueError("a prompt needs a role")
-        return cls(**{**data, "io_spec": IoSpec.from_json_dict(data.get("io_spec", {}))})
 
 
 def _coerce_clauses(value) -> tuple[str, ...]:

@@ -61,7 +61,7 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         BackendDescriptor(kind="grpc")
     with pytest.raises(ValueError):
-        BackendDescriptor(kind="scripted", max_inflight=0)
+        http_descriptor("http://localhost:1", max_inflight=0)
 
 
 def test_behavior_validation():

@@ -49,9 +49,9 @@ MALFORMED_INPUTS = [
     ("eval-stability", {"role": 5}, "role"),
     ("eval-stability", {"requirements": "abc"}, "requirements"),
     ("eval-stability", {"revision": 2.9}, "revision"),
-    ("eval-stability", {"io_spec": {"input_schema": 5}}, "input_schema"),
-    ("eval-stability", {"io_spec": {"required_keys": 5}}, "required_keys"),
-    ("eval-stability", {"io_spec": {"output_fromat": "numeric"}}, "output_fromat"),
+    ("eval-stability", {"io_spec": {"input_schema": 5}}, "io_spec.input_schema"),
+    ("eval-stability", {"io_spec": {"required_keys": 5}}, "io_spec.required_keys"),
+    ("eval-stability", {"io_spec": {"output_fromat": "numeric"}}, "io_spec.output_fromat"),
 ]
 
 

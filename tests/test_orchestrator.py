@@ -74,7 +74,6 @@ class CountingGenerator:
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
-        self.descriptor = inner.descriptor
 
     def generate(self, request):
         self.calls += 1
@@ -87,7 +86,6 @@ class BlankingGenerator:
     def __init__(self, inner, position):
         self.inner = inner
         self.position = position
-        self.descriptor = inner.descriptor
 
     def generate(self, request):
         outputs = self.inner.generate(request)
@@ -105,7 +103,6 @@ class SequenceGenerator:
         self.replies = replies
         self.inner = inner
         self.calls = 0
-        self.descriptor = None
 
     def generate(self, request):
         if not request.prompt_text.startswith(self.mark):
@@ -116,9 +113,6 @@ class SequenceGenerator:
 
 
 class TransportFailingGenerator:
-    def __init__(self):
-        self.descriptor = None
-
     def generate(self, request):
         raise TransportError("connection reset")
 
@@ -559,8 +553,8 @@ class TestOptimizeSubtasks:
         assert [s.id for s in plan.subtasks] == ["coarse", "report"]
         assert len(warnings_with_reason(orch, "split-not-preserving")) == 1
 
-    def test_merge_combines_adjacent_fine_subtasks(self):
-        plan = Plan(
+    def fine_plan(self):
+        return Plan(
             task_description=TASK,
             subtasks=(
                 Subtask(id="fetch", description="Fetch the page. Extract the table."),
@@ -575,22 +569,35 @@ class TestOptimizeSubtasks:
                 ),
             ),
         )
-        merged_text = (
-            "Fetch the page. Extract the table. Clean the cells. Save the csv."
-        )
+
+    def merge_orchestrator(self, description):
         rules = [
             prefix_json(ap.OPTIMIZER_MERGE_MARK, "Subtasks: fetch, clean",
-                        {"action": "merge", "description": merged_text}),
+                        {"action": "merge", "description": description}),
             prefix_json(ap.OPTIMIZER_CHECK_MARK, "Subtask: fetch", {"preserved": True}),
         ]
-        orch = make_orchestrator(
+        return make_orchestrator(
             ScriptedGenerator(prefix_rules=rules),
             OrchestratorSettings(target_granularity=8.0),
         )
-        out = orch.optimize_subtasks(plan)
+
+    def test_merge_combines_adjacent_fine_subtasks(self):
+        orch = self.merge_orchestrator(
+            "Fetch the page. Extract the table. Clean the cells. Save the csv."
+        )
+        out = orch.optimize_subtasks(self.fine_plan())
         assert [s.id for s in out.subtasks] == ["fetch+clean", "verify"]
         assert out.subtask("fetch+clean").granularity == pytest.approx(4.0)
         assert out.subtask("verify").dependencies == frozenset({"fetch+clean"})
+
+    # failure injection: a merge description that is not JSON text, once
+    # merged as its Python repr "['Fetch it.', 'Clean it.']"
+    @pytest.mark.parametrize("description", ["  ", ["Fetch it.", "Clean it."], None])
+    def test_merge_without_description_text_keeps_the_plan(self, description):
+        orch = self.merge_orchestrator(description)
+        plan = self.fine_plan()
+        assert orch.optimize_subtasks(plan).subtasks == plan.subtasks
+        assert len(warnings_with_reason(orch, "invalid-merge")) == 1
 
     def test_in_band_plan_makes_no_backend_calls(self):
         plan = Plan(
@@ -702,15 +709,22 @@ class TestAugmentRequirements:
         assert twice.requirements == prompt.requirements + ("Show no words.", "Show no words.")
         assert twice.revision == 2
 
-    def test_empty_clause_leaves_prompt_unchanged(self):
+    def assert_clause_rejected(self, clause):
         prompt = executor_prompt("calc", "Compute the sum.")
         rules = [
-            prefix_json(ap.REVIEWER_FAILURE_MARK, "Subtask: calc", {"clause": "  "}),
+            prefix_json(ap.REVIEWER_FAILURE_MARK, "Subtask: calc", {"clause": clause}),
         ]
         orch = make_orchestrator(ScriptedGenerator(prefix_rules=rules))
         augmented = orch.augment_requirements(prompt, self.failed())
         assert augmented is prompt
         assert len(warnings_with_reason(orch, "augmentation-rejected")) == 1
+
+    def test_empty_clause_leaves_prompt_unchanged(self):
+        self.assert_clause_rejected("  ")
+
+    def test_non_text_clause_leaves_prompt_unchanged(self):
+        # failure injection: a list is no clause, not its Python repr
+        self.assert_clause_rejected(["Print one integer only."])
 
     def test_successful_result_rejected(self):
         prompt = executor_prompt("calc", "Compute the sum.")
@@ -964,15 +978,29 @@ class TestUpdatePlan:
             "subtask_id": "a", "from": "executed-failed", "to": "reformulated"
         }
 
-    def test_unusable_updater_response_degrades_to_no_op(self):
-        default = ScriptedBehavior(
-            prompt_fingerprint="default", outcomes=(("not structured", 1.0),)
-        )
+    def assert_degrades_to_no_op(self, ok, reply):
+        default = ScriptedBehavior(prompt_fingerprint="default", outcomes=((reply, 1.0),))
         orch = make_orchestrator(ScriptedGenerator(default=default))
-        before = self.fan_plan(a_status=SubtaskStatus.EXECUTED_FAILED)
-        plan, update = orch.update_plan(before, self.failed_result())
+        before = self.fan_plan(a_status=SubtaskStatus.EXECUTED_OK if ok
+                               else SubtaskStatus.EXECUTED_FAILED)
+        plan, update = orch.update_plan(before, self.ok_result() if ok else self.failed_result(),
+                                        "100")
         assert update.kind == "no-op"
-        assert plan.subtask("a").status is SubtaskStatus.EXECUTED_FAILED
+        assert plan.subtasks == before.subtasks
+        [event] = orch.trace.trace().events_of_type("plan-update")
+        assert event.payload["note"] == "updater-failed"
+
+    def test_unusable_updater_response_degrades_to_no_op(self):
+        self.assert_degrades_to_no_op(False, "not structured")
+
+    # failure injection: a payload or description that is not a JSON string
+    # is no answer, not its Python repr
+    @pytest.mark.parametrize("ok, reply", [
+        (False, {"description": ["Use the closed-form sum instead."]}),
+        (True, {"payload": ["use schema X"], "targets": ["b"]}),
+    ], ids=["strategy-shift", "propagate-success"])
+    def test_non_text_updater_response_degrades_to_no_op(self, ok, reply):
+        self.assert_degrades_to_no_op(ok, json.dumps(reply))
 
     def test_apply_plan_update_validates_source_status(self):
         orch = make_orchestrator(ScriptedGenerator())
@@ -1014,6 +1042,8 @@ MALFORMED_REPLIES = [
                                     {"id": "b", "description": "Parse it."},
                                     {"id": "c", "description": "Sum it.", "dependencies": "ab"}]},
      "invalid-plan"),
+    # read as its Python repr, the list would pass for a summary
+    (ap.SUMMARIZER_MARK, {"summary": ["Rows parsed."]}, "summary-fallback"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Run-ahead execution: independent subtasks run on a thread pool and commit
 in plan order, so a trace is byte-identical at any width."""
 
+import hashlib
 import json
 import random
 import sys
@@ -241,6 +242,19 @@ def test_a_chain_starts_no_thread(monkeypatch, pools):
     trace, error = run(pipeline_generator(), 4, monkeypatch, settings, "linear-chain")
     assert error is None and replay_trace(trace).run_status == "succeeded"
     assert pools == []
+
+
+# the canonical trace of the pipeline_fixture pipeline, pinned so that any
+# change to a trace byte fails here and is made on purpose
+PIPELINE_TRACE_SHA256 = "c213868ce479148753a69aae4a23e685066a8b642147b6a6209e260087dd59a2"
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_pipeline_fixture_trace_digest_is_pinned(monkeypatch, width):
+    settings = OrchestratorSettings(knowledge_enabled=False)
+    trace, error = run(pipeline_generator(), width, monkeypatch, settings, "linear-chain")
+    assert error is None
+    assert hashlib.sha256(canonical_trace_bytes(trace)).hexdigest() == PIPELINE_TRACE_SHA256
 
 
 # -- shared prompts ---------------------------------------------------------------

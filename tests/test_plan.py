@@ -1,9 +1,14 @@
+import dataclasses
+import json
+
 import pytest
 
 from promptor import (
     IoSpec,
+    ModularPrompt,
     Plan,
     PlanningFailure,
+    PlanUpdate,
     StateError,
     Subtask,
     SubtaskStatus,
@@ -188,3 +193,26 @@ def test_subtask_json_round_trip_with_spec_and_notes():
         injected_notes=("upstream schema: cols a,b",),
     )
     assert Subtask.from_json_dict(sub.to_json_dict()) == sub
+
+
+SPEC = IoSpec(input_schema={"rows": "list", "unit": "text"}, output_format="json-object",
+              required_keys=("answer", "unit"), output_constraint="SI units")
+RECORDS = [
+    SPEC,
+    ModularPrompt(role="You are the executor.", requirements=("Answer in SI units.",),
+                  knowledge="Rows are daily.", history="- load: 3 rows", io_spec=SPEC,
+                  revision=2),
+    Subtask(id="sum", description="Sum the rows. Convert the unit.",
+            dependencies=frozenset({"load", "clean"}), granularity=1.5, io_spec=SPEC,
+            status=SubtaskStatus.STABLE_PROMPT_READY, injected_notes=("rows are kg",)),
+    with_status(chain_plan(), "load", SubtaskStatus.STABLE_PROMPT_READY),
+    PlanUpdate("load", "propagate-success", ("clean",), "rows are kg"),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
+def test_every_record_reads_back_what_it_writes(record):
+    # the writer is each record's only second declaration of its fields
+    data = json.loads(json.dumps(record.to_json_dict()))
+    assert set(data) == {f.name for f in dataclasses.fields(record) if f.init}
+    assert type(record).from_json_dict(data) == record

@@ -419,6 +419,10 @@ class TestReplay:
             {"id": "b", "description": "second step.", "dependencies": "a"}]}},
         {"note": "created", "plan_after": {"task_description": "t", "subtasks": [
             {"id": "a", "description": "first step.", "owner": "me"}]}},
+        {"note": "created", "plan_after": {"task_description": "t", "subtasks": [
+            {"id": "a", "description": "first step.", "status": "done"}]}},
+        {"note": "created", "plan_after": {"task_description": "t", "subtasks": [
+            {"id": "a", "description": "first step.", "granularity": True}]}},
     ])
     def test_delta_without_update_or_with_unknown_target_is_malformed(self, payload):
         events = self.executed_a_events() + [TraceEvent(3, "plan-update", payload, 0.0)]
