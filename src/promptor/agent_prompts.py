@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .metrics import StabilityScore
 from .plan import Plan, Subtask
 from .prompt import ModularPrompt, render_prompt
 
@@ -68,19 +67,28 @@ def classifier_prompt(task: str) -> str:
 
 
 def reviewer_stability_prompt(
-    subtask_id: str, p: ModularPrompt, score: StabilityScore, samples: list[str]
+    subtask_id: str, p: ModularPrompt, value: float, outputs: list[str],
+    sample_index: list[int], distances: list[float],
 ) -> str:
-    distances = "\n".join(f"sample {k}: {d:.6f}" for k, d in enumerate(score.sample_distances))
-    farthest = max(range(score.sample_count), key=score.sample_distances.__getitem__)
-    numbered = "\n\n".join(f"[sample {i}]\n{s}" for i, s in enumerate(samples))
+    """The reviewer's view of one measure: each distinct output once, in
+    first-seen order, with the samples that gave it (sample s gave output
+    sample_index[s]) and its mean distance to the other samples."""
+    positions: list[list[str]] = [[] for _ in outputs]
+    for sample, k in enumerate(sample_index):
+        positions[k].append(str(sample))
+    listed = "\n\n".join(
+        f"[output {k}: samples {', '.join(at)} ({len(at)} of {len(sample_index)}),"
+        f" mean distance {d:.6f}]\n{text}"
+        for k, (text, at, d) in enumerate(zip(outputs, positions, distances))
+    )
+    farthest = max(range(len(outputs)), key=distances.__getitem__)
     return (
         f"{REVIEWER_STABILITY_MARK}\n"
         f"Subtask: {subtask_id}\n"
-        f"Stability: {score.value:.6f} over {score.sample_count} samples\n\n"
+        f"Stability: {value:.6f} over {len(sample_index)} samples\n\n"
         f"Current prompt:\n{render_prompt(p)}\n\n"
-        f"Samples:\n{numbered}\n\n"
-        f"Mean distance from each sample to the others:\n{distances}\n"
-        f"Farthest from the rest: sample {farthest}\n\n"
+        f"Distinct outputs:\n{listed}\n\n"
+        f"Farthest from the rest: output {farthest}\n\n"
         "The outputs diverge. Name the one prompt component responsible and give "
         "its full replacement. Respond with "
         '{"component": "role|requirements|knowledge|history", "replacement": "..."}. '

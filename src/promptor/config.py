@@ -111,9 +111,17 @@ def build_generator(spec: dict, run_seed: int = 0) -> Generator:
     raise ConfigError(f"unknown generator kind: {kind!r}")
 
 
+@dataclass(frozen=True)
+class _HashSpec:
+    """A hash embedder has no settings: its spec holds only its kind."""
+
+    kind: str
+
+
 def build_embedder(spec: dict) -> Embedder:
     kind = spec.get("kind")
     if kind == HASH_EMBEDDER:
+        _load(_HashSpec, spec, "hash embedder")
         return HashEmbedder()
     if kind == HTTP:
         return HttpEmbedder(_load(BackendDescriptor, spec, "http backend"))

@@ -91,13 +91,6 @@ class StabilityScore:
         if d and not (0.0 <= min(d) and max(d) <= 2.0):
             raise ValueError(f"sample distances outside [0, 2]: {min(d)}..{max(d)}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "sample_count": self.sample_count,
-            "sample_distances": list(self.sample_distances),
-        }
-
 
 @functools.lru_cache(maxsize=8)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -377,7 +377,9 @@ class Orchestrator:
     def _generate(
         self, prompt_text: str, *, temperature: float, sample_count: int,
         purpose: str, subtask_id: str,
-    ) -> list[str]:
+    ) -> tuple[list[str], list[int]]:
+        """The distinct outputs in first-seen order and each sample's position
+        among them, as the generation event records them."""
         request = GenerationRequest(
             prompt_text=prompt_text,
             temperature=temperature,
@@ -399,7 +401,7 @@ class Orchestrator:
         if len(distinct) < len(outputs):
             payload["sample_index"] = sample_index
         self.trace.emit("generation", payload)
-        return outputs
+        return distinct, sample_index
 
     def _ask_json(
         self, prompt_text: str, *, temperature: float, purpose: str, subtask_id: str,
@@ -412,7 +414,7 @@ class Orchestrator:
         when the attempts are spent, or at once on a backend error."""
         for _ in range(self.settings.reask_budget + 1):
             try:
-                outputs = self._generate(
+                outputs, _ = self._generate(
                     prompt_text,
                     temperature=temperature,
                     sample_count=1,
@@ -604,10 +606,14 @@ class Orchestrator:
 
     # -- stability and refinement ---------------------------------------------
 
-    def _measure(self, p: ModularPrompt, subtask_id: str) -> tuple[StabilityScore, list[str]]:
+    def _measure(self, p: ModularPrompt, subtask_id: str) -> tuple[StabilityScore, tuple]:
+        """The score of N samples of p, and (outputs, sample_index,
+        output_distances): the distinct outputs, each sample's position among
+        them, and each output's mean distance to the other samples, taken
+        from its first sample."""
         cfg = self.settings.refinement
         rendered = render_prompt(p)
-        outputs = self._generate(
+        outputs, sample_index = self._generate(
             rendered,
             temperature=cfg.stability_temperature,
             sample_count=cfg.sample_count,
@@ -616,7 +622,8 @@ class Orchestrator:
         )
         # each distinct text is embedded and scored once; a blank sample is
         # scored as maximally distant, not embedded
-        texts, rows = _group_samples(outputs, drop_blank=True)
+        texts, output_rows = _group_samples(outputs, drop_blank=True)
+        rows = [output_rows[k] for k in sample_index]
         if cfg.metric == SEMANTIC:
             vectors = self._backend(self.embedder.embed, texts) if texts else []
             if vectors:
@@ -628,11 +635,14 @@ class Orchestrator:
             score = semantic_stability(vectors, rows=rows)
         else:
             score = kl_stability_score(texts, alpha=cfg.kl_alpha, rows=rows)
+        distances = [score.sample_distances[sample_index.index(k)]
+                     for k in range(len(outputs))]
         self.trace.emit(
             "score",
-            {"subtask_id": subtask_id, "metric": cfg.metric, **score.to_json_dict()},
+            {"subtask_id": subtask_id, "metric": cfg.metric, "value": score.value,
+             "sample_count": score.sample_count, "output_distances": distances},
         )
-        return score, outputs
+        return score, (outputs, sample_index, distances)
 
     def evaluate_prompt_stability(
         self, p: ModularPrompt, subtask_id: str = "adhoc"
@@ -656,7 +666,7 @@ class Orchestrator:
         return None
 
     def _reviewer_revision(
-        self, p: ModularPrompt, score: StabilityScore, samples: list[str], subtask_id: str,
+        self, p: ModularPrompt, score: StabilityScore, outputs: tuple, subtask_id: str,
     ) -> tuple[ModularPrompt, PromptComponentKind] | None:
         """One reviewer cycle: name a component, apply its replacement.
         None when the reviewer never produced a usable revision."""
@@ -675,7 +685,7 @@ class Orchestrator:
                 return None
 
         return self._ask_json(
-            ap.reviewer_stability_prompt(subtask_id, p, score, samples),
+            ap.reviewer_stability_prompt(subtask_id, p, score.value, *outputs),
             temperature=self.settings.refinement.reviewer_temperature,
             purpose="review", subtask_id=subtask_id, accept=accept,
         )
@@ -688,7 +698,7 @@ class Orchestrator:
         Raises ReviewFailure (carrying best prompt and history) when the
         reviewer never names a usable component."""
         cfg = self.settings.refinement
-        current, (score, samples) = p, self._measure(p, subtask_id)
+        current, (score, outputs) = p, self._measure(p, subtask_id)
         best_prompt, best_value = current, score.value
         steps: list[RefinementStep] = []
         if score.value >= cfg.tau:
@@ -698,7 +708,7 @@ class Orchestrator:
                                value=score.value)
             return current, RefinementHistory((), EXHAUSTED, score, cfg.tau)
         for _ in range(cfg.max_iterations):
-            revised = self._reviewer_revision(current, score, samples, subtask_id)
+            revised = self._reviewer_revision(current, score, outputs, subtask_id)
             if revised is None:
                 history = RefinementHistory(tuple(steps), EXHAUSTED, score, cfg.tau)
                 raise ReviewFailure(
@@ -712,7 +722,7 @@ class Orchestrator:
                  "revision": revised_prompt.revision,
                  "prompt_after": revised_prompt.to_json_dict()},
             )
-            new_score, samples = self._measure(revised_prompt, subtask_id)
+            new_score, outputs = self._measure(revised_prompt, subtask_id)
             steps.append(
                 RefinementStep(revised_prompt.revision, kind.value, score, new_score)
             )
@@ -731,7 +741,7 @@ class Orchestrator:
                 f"subtask {sub.id!r} must be stable-prompt-ready, is {sub.status.value}"
             )
         try:
-            outputs = self._generate(
+            outputs, _ = self._generate(
                 render_prompt(p),
                 temperature=self.settings.execution_temperature,
                 sample_count=1,
@@ -790,14 +800,15 @@ class Orchestrator:
         )
         text = _reply_text(response, "summary")
         keys = (response or {}).get("preserved_keys", [])
-        if not text or len(text) >= len(raw_output) or not isinstance(keys, list):
+        if (not text or len(text) >= len(raw_output) or not isinstance(keys, list)
+                or not all(isinstance(key, str) for key in keys)):
             self.trace.warning("summary-fallback", subtask_id=sub.id)
             return Summary(sub.id, raw_output)
-        return Summary(sub.id, text, preserved_keys=tuple(map(str, keys)))
+        return Summary(sub.id, text, preserved_keys=tuple(keys))
 
     def generate_domain_knowledge(self, sub: Subtask) -> str:
         try:
-            outputs = self._generate(
+            outputs, _ = self._generate(
                 ap.knowledge_prompt(sub), temperature=0.0, sample_count=1,
                 purpose="knowledge", subtask_id=sub.id,
             )

@@ -18,6 +18,13 @@ position in outputs. Without sample_index, as in earlier versions, outputs
 lists every sample. Either way an execution's output is outputs[0]. An
 embedding event's count is the number of texts embedded, which from
 version 4 on is the distinct non-blank samples.
+
+Version 5 scores the same way but records a score event per distinct
+output: output_distances holds one mean distance per entry of outputs in
+the subtask's last stability generation event, that of the output's first
+sample, so sample p's is output_distances[sample_index[p]]. Replay checks
+the length; earlier versions' sample_distances and pair_distances are not
+read.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import MalformedTraceError
 from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
 from .prompt import ModularPrompt
 
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 EVENT_TYPES = (
     "generation",
@@ -45,6 +52,8 @@ EVENT_TYPES = (
     "status-change",
     "warning",
 )
+
+_EVENT_KEYS = {"kind", "seq", "ts", "type", "payload"}
 
 
 @dataclass(frozen=True)
@@ -143,17 +152,21 @@ def parse_trace_lines(lines: Iterable[str]) -> ExecutionTrace:
             continue
         if kind != "event":
             raise MalformedTraceError(f"line {line_no}: expected an event record, got kind={kind!r}")
-        try:
-            event = TraceEvent(
-                seq=int(record["seq"]),
-                type=record["type"],
-                payload=record["payload"],
-                ts=float(record.get("ts", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedTraceError(f"line {line_no}: bad event record: {exc}") from exc
-        if not isinstance(event.payload, dict):
+        # checked inline, not by prompt._read_record: this runs once per event
+        if record.keys() != _EVENT_KEYS:
+            raise MalformedTraceError(f"line {line_no}: bad event record: keys {sorted(record)},"
+                                      f" expected {sorted(_EVENT_KEYS)}")
+        seq, ts, payload = record["seq"], record["ts"], record["payload"]
+        if type(seq) is not int or type(ts) not in (int, float):
+            raise MalformedTraceError(f"line {line_no}: bad event record: seq must be an integer"
+                                      f" and ts a number, got {seq!r} and {ts!r}")
+        if type(payload) is not dict:
             raise MalformedTraceError(f"line {line_no}: event payload must be an object")
+        if record["type"] not in EVENT_TYPES:
+            raise MalformedTraceError(
+                f"line {line_no}: bad event record: unknown type {record['type']!r}"
+            )
+        event = TraceEvent(seq=seq, type=record["type"], payload=payload, ts=ts)
         if event.seq <= last_seq:
             raise MalformedTraceError(
                 f"line {line_no}: sequence numbers must strictly increase ({event.seq} after {last_seq})"
@@ -223,7 +236,9 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
     """Rebuild plan and prompt states from the recorded events. Raises
     MalformedTraceError if the events do not fold into consistent state."""
     state = ReplayState()
-    indexed = trace.header["version"] >= 4
+    version = trace.header["version"]
+    # the output count of each subtask's last stability generation
+    measured: dict[str, int] = {}
     for event in trace.events:
         payload = event.payload
         try:
@@ -265,12 +280,20 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                 elif payload.get("component") != "initial":
                     state.refinements[sid] = state.refinements.get(sid, 0) + 1
             elif event.type == "score":
-                state.scores.setdefault(payload["subtask_id"], []).append(payload["value"])
+                sid = payload["subtask_id"]
+                if version >= 5 and len(payload["output_distances"]) != measured.get(sid):
+                    raise MalformedTraceError(
+                        f"event {event.seq}: {len(payload['output_distances'])} output"
+                        f" distances for {measured.get(sid, 'no')} stability outputs"
+                    )
+                state.scores.setdefault(sid, []).append(payload["value"])
             elif event.type == "generation":
-                if indexed:
+                if version >= 4:
                     _check_sample_index(event)
                 if payload.get("purpose") == "execution":
                     state.outputs[payload["subtask_id"]] = payload["outputs"][0]
+                elif payload.get("purpose") == "stability":
+                    measured[payload["subtask_id"]] = len(payload["outputs"])
         except MalformedTraceError:
             raise
         except Exception as exc:

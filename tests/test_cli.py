@@ -52,6 +52,8 @@ MALFORMED_INPUTS = [
     ("eval-stability", {"io_spec": {"input_schema": 5}}, "io_spec.input_schema"),
     ("eval-stability", {"io_spec": {"required_keys": 5}}, "io_spec.required_keys"),
     ("eval-stability", {"io_spec": {"output_fromat": "numeric"}}, "io_spec.output_fromat"),
+    ("run", {"embedder": {"kind": "hash-embedder", "dim": 32, "endpoint_url": 5}},
+     "unknown field dim"),
 ]
 
 

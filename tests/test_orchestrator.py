@@ -156,9 +156,10 @@ class TestRefineUntilStable:
         payload = events.events_of_type("score")[0].payload
         assert payload["metric"] == "semantic"
         assert payload["subtask_id"] == "sA"
+        # five equal samples: one output, at its first sample's distance
         assert payload == {"subtask_id": "sA", "metric": "semantic",
-                           "value": 1.0, "sample_count": 5, "sample_distances": [0.0] * 5}
-        assert payload["sample_distances"] == list(history.final_score.sample_distances)
+                           "value": 1.0, "sample_count": 5, "output_distances": [0.0]}
+        assert history.final_score.sample_distances == (0.0,) * 5
         assert len(events.events_of_type("embedding")) == 1
 
     def test_single_reviewer_step_stabilizes(self):
@@ -369,9 +370,10 @@ class TestRefineUntilStable:
         trace = orch.trace.trace()
         generation = trace.events_of_type("generation")[0].payload
         outputs = generation["outputs"]
-        samples = [outputs[k] for k in generation.get("sample_index", range(len(outputs)))]
+        index = generation.get("sample_index", range(len(outputs)))
         payload = trace.events_of_type("score")[0].payload
-        review = ap.reviewer_stability_prompt("sJ", prompt, score, samples)
+        review = ap.reviewer_stability_prompt("sJ", prompt, score.value, outputs, index,
+                                              payload["output_distances"])
         return len(json.dumps(payload, sort_keys=True)), len(review.splitlines())
 
     def test_score_payload_and_reviewer_prompt_grow_linearly_in_samples(self):
@@ -380,12 +382,24 @@ class TestRefineUntilStable:
         assert bytes50 / bytes10 <= 6
         assert lines50 / lines10 <= 6
 
+    def test_score_payload_and_reviewer_prompt_grow_with_distinct_outputs(self):
+        # the same four outputs at N 10 and 200: the same reviewer lines, and
+        # score payloads that differ only in the digits of their floats
+        (bytes10, lines10), (bytes200, lines200) = self.measure(10), self.measure(200)
+        assert lines200 == lines10
+        assert abs(bytes200 - bytes10) <= 8
+
     def test_reviewer_prompt_points_at_the_farthest_sample(self):
         prompt = ModularPrompt(role="You echo numbers.", requirements=("Say 7.",))
         score = semantic_stability([(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
-        text = ap.reviewer_stability_prompt("sK", prompt, score, ["7", "seven", "7"])
-        assert "sample 0: 0.500000\nsample 1: 1.000000\nsample 2: 0.500000\n" in text
-        assert "Farthest from the rest: sample 1\n" in text
+        assert score.sample_distances == (0.5, 1.0, 0.5)
+        text = ap.reviewer_stability_prompt("sK", prompt, score.value, ["7", "seven"],
+                                            [0, 1, 0], [0.5, 1.0])
+        assert "Stability: 0.333333 over 3 samples\n" in text
+        assert ("Distinct outputs:\n"
+                "[output 0: samples 0, 2 (2 of 3), mean distance 0.500000]\n7\n\n"
+                "[output 1: samples 1 (1 of 3), mean distance 1.000000]\nseven\n\n"
+                "Farthest from the rest: output 1\n") in text
 
 
 class TestDecomposeTask:
@@ -776,6 +790,20 @@ class TestSummarize:
         orch = make_orchestrator(ScriptedGenerator(default=default))
         summary = orch.summarize(raw, plan, sub)
         assert summary.structured_text == raw
+        assert len(warnings_with_reason(orch, "summary-fallback")) == 1
+
+    # read through str(), these items would pass for key names
+    @pytest.mark.parametrize("keys", [[5, {"k": 1}], ["schema", None]])
+    def test_preserved_keys_other_than_text_fall_back_verbatim(self, keys):
+        sub = Subtask(id="a", description="Big step.")
+        plan = self.plan_with(sub)
+        raw = "row " * 120
+        gen = ScriptedGenerator(behaviors=[json_behavior(
+            ap.summarizer_prompt(plan, sub, raw),
+            {"summary": "120 rows parsed", "preserved_keys": keys})])
+        orch = make_orchestrator(gen)
+        summary = orch.summarize(raw, plan, sub)
+        assert (summary.structured_text, summary.preserved_keys) == (raw, ())
         assert len(warnings_with_reason(orch, "summary-fallback")) == 1
 
 
@@ -1256,7 +1284,7 @@ class TestRunPipeline:
         for event in scores:
             # four equal samples and one empty: 4 of the 10 pairs at the ceiling
             quarter = ceiling / 4
-            assert event.payload["sample_distances"] == [quarter, quarter, ceiling, quarter, quarter]
+            assert event.payload["output_distances"] == [quarter, ceiling]
             assert event.payload["value"] == pytest.approx(1.0 - 0.4 * ceiling)
         # the four equal samples are embedded once
         embedded = [e.payload["count"] for e in trace.events_of_type("embedding")]

@@ -246,7 +246,7 @@ def test_a_chain_starts_no_thread(monkeypatch, pools):
 
 # the canonical trace of the pipeline_fixture pipeline, pinned so that any
 # change to a trace byte fails here and is made on purpose
-PIPELINE_TRACE_SHA256 = "c213868ce479148753a69aae4a23e685066a8b642147b6a6209e260087dd59a2"
+PIPELINE_TRACE_SHA256 = "8ccf5cd467495786510dd34c23adfd3f5b238287603e2a0f1ac5ba44b33a746f"
 
 
 @pytest.mark.parametrize("width", [1, 4])

@@ -74,8 +74,11 @@ def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=N
     for k in range(refinements):
         writer.emit("revision", {"subtask_id": "s", "component": "requirements",
                                  "revision": k + 1, "prompt_after": prompt.to_json_dict()})
-    writer.emit("score", {"subtask_id": "s", "metric": "semantic",
-                          "value": stability, "sample_count": 5})
+    # five distinct samples, each at the mean distance 1 - stability
+    writer.emit("generation", {"subtask_id": "s", "purpose": "stability", "fingerprint": "f",
+                               "temperature": 1.0, "sample_count": 5, "outputs": list("abcde")})
+    writer.emit("score", {"subtask_id": "s", "metric": "semantic", "value": stability,
+                          "sample_count": 5, "output_distances": [1.0 - stability] * 5})
     writer.emit("status-change", {"subtask_id": "s", "from": "pending",
                                   "to": "stable-prompt-ready"})
     for k in range(augmentations):

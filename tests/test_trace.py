@@ -36,6 +36,9 @@ V2_TRACE = Path(__file__).parent / "data" / "trace_v2_strategy_shift.jsonl"
 # The same run as written by trace version 3, whose generation events list
 # every sample and whose embedding events count every non-blank sample.
 V3_TRACE = Path(__file__).parent / "data" / "trace_v3_strategy_shift.jsonl"
+# The same run as written by trace version 4, whose score events list one
+# mean distance per sample (sample_distances).
+V4_TRACE = Path(__file__).parent / "data" / "trace_v4_strategy_shift.jsonl"
 V1_REPORT = """runs: 1
 execution success rate: 1.000000
 completion rate: 1.000000 (1/1 reference checks passed)
@@ -205,6 +208,25 @@ class TestParsingErrors:
         with pytest.raises(MalformedTraceError, match="payload"):
             parse_trace_lines([self.HEADER, bad])
 
+    @pytest.mark.parametrize("change, match", [
+        ({"seq": "3"}, "got '3' and 1.5"),
+        ({"seq": 4.9}, "got 4.9 and 1.5"),
+        ({"seq": True}, "got True and 1.5"),
+        ({"ts": "1.5"}, "got 3 and '1.5'"),
+        ({"ts": None}, "got 3 and None"),
+        ({"extra": 1}, "keys .*'extra'"),
+        ({"type": ["warning"]}, "unknown type"),
+    ])
+    def test_event_envelope_is_read_without_coercion(self, change, match):
+        ev = {"kind": "event", "seq": 3, "type": "warning", "payload": {}, "ts": 1.5}
+        with pytest.raises(MalformedTraceError, match=f"line 2: bad event record: .*{match}"):
+            parse_trace_lines([self.HEADER, json.dumps({**ev, **change})])
+
+    def test_event_envelope_needs_a_timestamp(self):
+        ev = {"kind": "event", "seq": 3, "type": "warning", "payload": {}}
+        with pytest.raises(MalformedTraceError, match="bad event record: keys"):
+            parse_trace_lines([self.HEADER, json.dumps(ev)])
+
     def test_seq_must_strictly_increase(self):
         ev = {"kind": "event", "seq": 3, "type": "warning", "payload": {}, "ts": 0}
         with pytest.raises(MalformedTraceError, match="strictly increase"):
@@ -350,11 +372,31 @@ class TestReplay:
         assert replay_trace(trace) == replay_trace(read_trace(V2_TRACE))
         scores = [e.payload for e in trace.events_of_type("score")]
         assert all(set(p) == {"subtask_id", "metric", "value", "sample_count",
-                              "sample_distances"} for p in scores)
+                              "output_distances"} for p in scores)
         assert [p["value"] for p in scores] == [
             e.payload["value"] for e in read_trace(V2_TRACE).events_of_type("score")]
-        # the score events are those of version 3, sample_distances included
-        assert scores == [e.payload for e in read_trace(V3_TRACE).events_of_type("score")]
+        # each output's distance is version 3's distance of its first sample
+        v3 = [e.payload for e in read_trace(V3_TRACE).events_of_type("score")]
+        stability = [e.payload for e in trace.events_of_type("generation")
+                     if e.payload["purpose"] == "stability"]
+        assert len(scores) == len(v3) == len(stability)
+        for score, old, generation in zip(scores, v3, stability):
+            index = generation["sample_index"]
+            assert score["output_distances"] == [
+                old["sample_distances"][index.index(k)] for k in range(len(generation["outputs"]))]
+            assert ({k: v for k, v in score.items() if k != "output_distances"}
+                    == {k: v for k, v in old.items() if k != "sample_distances"})
+
+    def test_version_4_trace_with_sample_distances_replays_to_the_same_report(self):
+        trace, current = read_trace(V4_TRACE), self.current_run()
+        assert trace.header["version"] == 4
+        scores = [e.payload for e in trace.events_of_type("score")]
+        assert scores and all("sample_distances" in p for p in scores)
+        report = render_run_report(compute_run_metrics([current]))
+        assert render_run_report(compute_run_metrics([trace])) == report == V1_REPORT
+        assert replay_trace(trace) == replay_trace(current)
+        assert [p["value"] for p in scores] == [
+            e.payload["value"] for e in current.events_of_type("score")]
 
     def test_repeated_samples_are_stored_once_and_expand_back(self):
         trace = self.current_run()
@@ -390,6 +432,29 @@ class TestReplay:
                                events=(TraceEvent(0, "generation", payload, 0.0),))
         with pytest.raises(MalformedTraceError, match=match):
             replay_trace(trace)
+
+    @pytest.mark.parametrize("outputs, purpose, distances, match", [
+        (["x", "y"], "stability", [0.5], "1 output distances for 2 stability outputs"),
+        (["x", "y"], "stability", [0.5, 0.5, 0.5], "3 output distances for 2"),
+        (["x", "y"], "execution", [0.5, 0.5], "2 output distances for no stability"),
+        (None, None, [0.5], "1 output distances for no stability outputs"),
+        (["x", "y"], "stability", None, "replay failed"),
+    ])
+    def test_score_without_one_distance_per_output_is_malformed(self, outputs, purpose,
+                                                                distances, match):
+        score = {"subtask_id": "a", "metric": "semantic", "value": 0.5, "sample_count": 3}
+        if distances is not None:
+            score["output_distances"] = distances
+        events = [TraceEvent(1, "score", score, 0.0)]
+        if outputs is not None:
+            generation = {"subtask_id": "a", "purpose": purpose, "sample_count": 3,
+                          "outputs": outputs, "sample_index": [0, 1, 0]}
+            events.insert(0, TraceEvent(0, "generation", generation, 0.0))
+        trace = ExecutionTrace(header={"version": 5}, events=tuple(events))
+        with pytest.raises(MalformedTraceError, match=match):
+            replay_trace(trace)
+        # version 4 reads only the score's value
+        assert replay_trace(ExecutionTrace({"version": 4}, tuple(events))).scores == {"a": [0.5]}
 
     def executed_a_events(self):
         return [
