@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import http.client
 import json
 import logging
 import math
 import os
+import ssl
 import threading
 import time
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import BackendError, TransportError, UnknownPromptError
 from .metrics import EmbeddingVector, tokenize
@@ -100,6 +101,10 @@ class BackendDescriptor:
     def __post_init__(self):
         if self.kind != HTTP or not (self.endpoint_url and self.model_name):
             raise ValueError("a backend descriptor needs kind 'http', endpoint_url and model_name")
+        url = urlsplit(self.endpoint_url)  # url.port raises ValueError past 65535
+        if (url.scheme not in ("http", "https") or not url.hostname or not url.hostname.isascii()
+                or url.username is not None or url.query or url.fragment or url.port == 0):
+            raise ValueError(f"endpoint_url must be http(s)://host[:port][/path], got {self.endpoint_url!r}")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if self.max_retries < 0:
@@ -276,6 +281,12 @@ class _HttpBase:
     def __init__(self, descriptor: BackendDescriptor):
         self.descriptor = descriptor
         self._inflight = threading.BoundedSemaphore(descriptor.max_inflight)
+        url = urlsplit(descriptor.endpoint_url)
+        # one TLS context, verifying against the system CA store, serves every attempt
+        tls = {"context": ssl.create_default_context()} if url.scheme == "https" else {}
+        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        self._connect = functools.partial(connection, url.netloc, timeout=descriptor.timeout, **tls)
+        self._path = url.path.rstrip("/")
 
     def _post(self, path: str, body: dict) -> dict:
         url = self.descriptor.endpoint_url.rstrip("/") + path
@@ -286,25 +297,26 @@ class _HttpBase:
         for attempt in range(attempts):
             if attempt:
                 time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
+            connection = self._connect()  # one per attempt, closed on every path
             try:
                 with self._inflight:
-                    response = requests.post(
-                        url, data=payload, headers=headers, timeout=self.descriptor.timeout
-                    )
-            except requests.RequestException as exc:
+                    connection.request("POST", self._path + path, payload, headers)
+                    with connection.getresponse() as response:
+                        status, data = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
                 last_failure = str(exc)
                 logger.warning("attempt %d/%d to %s failed: %s", attempt + 1, attempts, url, exc)
                 continue
-            if 200 <= response.status_code < 300:
+            finally:
+                connection.close()
+            if 200 <= status < 300:
                 try:
-                    return response.json()
+                    return json.loads(data)
                 except ValueError as exc:
                     raise BackendError(f"non-JSON response from {url}: {exc}") from exc
-            last_failure = f"HTTP {response.status_code}"
-            logger.warning(
-                "attempt %d/%d to %s failed: %s", attempt + 1, attempts, url, last_failure
-            )
-            if 400 <= response.status_code < 500 and response.status_code not in _RETRIED_4XX:
+            last_failure = f"HTTP {status}"
+            logger.warning("attempt %d/%d to %s failed: %s", attempt + 1, attempts, url, last_failure)
+            if status < 500 and status not in _RETRIED_4XX:  # a redirect fails like a 4xx
                 raise TransportError(f"{url} rejected the request: {last_failure}")
         raise TransportError(f"{url} failed after {attempts} attempts: {last_failure}")
 

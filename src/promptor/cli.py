@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .config import MODULE_KEYS, PipelineConfig, SimulationConfig, _load, _read_json
 from .deviation import AggregationSpec, simulate_deviation_tails
-from .errors import BackendError, ConfigError, MalformedTraceError
+from .errors import BackendError, ConfigError, MalformedTraceError, MetricError
 from .orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, Orchestrator
 from .prompt import ModularPrompt
 from .reports import (
@@ -34,7 +34,7 @@ exit codes:
   0  success
   1  usage error (unknown subcommand or bad flags)
   2  configuration error (unreadable or invalid config, prompt, or inputs)
-  3  backend error (generation or embedding failed)
+  3  backend error (generation or embedding failed) or metric error
   4  malformed trace
 """
 
@@ -248,6 +248,11 @@ def main(argv=None) -> int:
         return EXIT_TRACE
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
+        return EXIT_BACKEND
+    except MetricError as exc:
+        # a metric's precondition failed on data the run produced: never
+        # a config fault, though MetricError is a ValueError
+        print(f"metric error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import EXACT, NUMERIC_MATCH
-from .errors import InsufficientSamplesError, MalformedTraceError
+from .errors import InsufficientSamplesError, MalformedTraceError, UndefinedCorrelationError
 from .metrics import pearson_correlation
 from .plan import SubtaskStatus
 from .trace import ExecutionTrace, replay_trace
@@ -153,15 +153,20 @@ def stability_success_pairs(
 @dataclass(frozen=True)
 class CorrelationReport:
     pair_count: int
-    coefficient: float
+    # None when r is undefined for these pairs (fewer than two, or a
+    # constant series, such as every scored subtask succeeding); the reason
+    # is in undefined_reason
+    coefficient: float | None
+    undefined_reason: str | None = None
 
 
 def correlate_traces(traces: list[ExecutionTrace]) -> CorrelationReport:
     stabilities, successes = stability_success_pairs(traces)
-    return CorrelationReport(
-        pair_count=len(stabilities),
-        coefficient=pearson_correlation(stabilities, successes),
-    )
+    try:
+        coefficient = pearson_correlation(stabilities, successes)
+    except (InsufficientSamplesError, UndefinedCorrelationError) as exc:
+        return CorrelationReport(len(stabilities), None, str(exc))
+    return CorrelationReport(len(stabilities), coefficient)
 
 
 def render_run_report(report: RunReport) -> str:
@@ -197,7 +202,8 @@ def render_run_report(report: RunReport) -> str:
 
 
 def render_correlation_report(report: CorrelationReport) -> str:
-    return (
-        f"pairs: {report.pair_count}\n"
-        f"pearson_r: {report.coefficient:.10f}\n"
-    )
+    if report.coefficient is None:
+        r = f"n/a ({report.undefined_reason})"
+    else:
+        r = f"{report.coefficient:.10f}"
+    return f"pairs: {report.pair_count}\npearson_r: {r}\n"

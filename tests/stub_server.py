@@ -1,12 +1,14 @@
 """Instrumented local HTTP stub for backend tests.
 
 Records every request body byte-for-byte, counts concurrent in-flight
-requests, and can be told to fail, stall, or return malformed payloads.
+requests, and can be told to fail, stall, hang up, or return malformed
+payloads.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -24,6 +26,7 @@ class StubConfig:
     choices_override: int | None = None  # force a wrong choice count
     drop_last_embedding: bool = False
     raw_response: bytes | None = None  # verbatim 200 body
+    close_without_reply: bool = False  # read the request, then close the socket
 
 
 @dataclass
@@ -65,6 +68,9 @@ class _Handler(BaseHTTPRequestHandler):
             cfg = server.config
             if cfg.delay:
                 time.sleep(cfg.delay)
+            if cfg.close_without_reply:
+                self.close_connection = True
+                return
             if cfg.always_fail or count <= cfg.fail_first:
                 self._reply(cfg.fail_status, b'{"error": "induced failure"}')
                 return
@@ -92,6 +98,17 @@ class _Handler(BaseHTTPRequestHandler):
                 server.inflight -= 1
 
 
+class _Server(ThreadingHTTPServer):
+    # server_close waits for every handler, so a test ends with no request
+    # still being served
+    daemon_threads = False
+
+    def handle_error(self, request, client_address):
+        # a client that timed out has closed its end before the reply
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
 class StubApiServer:
     """Context manager running the stub on an ephemeral localhost port."""
 
@@ -99,7 +116,7 @@ class StubApiServer:
         self.config = config or StubConfig()
 
     def __enter__(self) -> "StubApiServer":
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+        self._httpd = _Server(("127.0.0.1", 0), _Handler)
         self._httpd.config = self.config
         self._httpd.lock = threading.Lock()
         self._httpd.records = []

@@ -1,5 +1,7 @@
 import hashlib
+import logging
 import math
+import socket
 import threading
 
 import pytest
@@ -62,6 +64,21 @@ def test_descriptor_validation():
         BackendDescriptor(kind="grpc")
     with pytest.raises(ValueError):
         http_descriptor("http://localhost:1", max_inflight=0)
+
+
+@pytest.mark.parametrize("url", [
+    "localhost:8000/v1", "ftp://h/v1", "http:///v1", "http://user:pw@h/v1",
+    "http://h/v1?x=1", "http://h/v1#x", "http://h:0/v1", "http://h:99999/v1",
+    "http://h:port/v1", "http://\u00e9.example/v1",
+])
+def test_descriptor_rejects_an_endpoint_not_of_the_form_scheme_host_port_path(url):
+    with pytest.raises(ValueError):
+        http_descriptor(url)
+
+
+@pytest.mark.parametrize("url", ["http://h", "https://h:8443/v1/", "http://[::1]:8000/v1"])
+def test_descriptor_accepts_an_http_or_https_endpoint(url):
+    assert http_descriptor(url).endpoint_url == url
 
 
 def test_behavior_validation():
@@ -298,6 +315,61 @@ def test_http_generator_does_not_retry_a_client_error():
     with StubApiServer(StubConfig(always_fail=True, fail_status=400)) as server:
         gen = HttpGenerator(http_descriptor(server.base_url, max_retries=3))
         with pytest.raises(TransportError, match="HTTP 400"):
+            gen.generate(GenerationRequest(prompt_text="x"))
+        assert server.request_count == 1
+
+
+def failed_attempts(caplog) -> int:
+    return sum("failed" in r.getMessage() for r in caplog.records
+               if r.name == "promptor.backends")
+
+
+def closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_http_generator_retries_a_refused_connection(caplog):
+    gen = HttpGenerator(http_descriptor(f"http://127.0.0.1:{closed_port()}", max_retries=2))
+    with caplog.at_level(logging.WARNING, logger="promptor.backends"):
+        with pytest.raises(TransportError, match="after 3 attempts"):
+            gen.generate(GenerationRequest(prompt_text="x"))
+    assert failed_attempts(caplog) == 3
+
+
+def test_http_generator_retries_a_read_timeout(caplog):
+    with StubApiServer(StubConfig(delay=0.3)) as server:
+        gen = HttpGenerator(http_descriptor(server.base_url, timeout=0.1, max_retries=1))
+        with caplog.at_level(logging.WARNING, logger="promptor.backends"):
+            with pytest.raises(TransportError, match="after 2 attempts: timed out"):
+                gen.generate(GenerationRequest(prompt_text="x"))
+    # counted once the stub has finished serving both stalled requests
+    assert server.request_count == 2
+    assert failed_attempts(caplog) == 2
+
+
+def test_http_embedder_retries_a_hang_up_without_reply(caplog):
+    with StubApiServer(StubConfig(close_without_reply=True)) as server:
+        embedder = HttpEmbedder(http_descriptor(server.base_url, max_retries=2))
+        with caplog.at_level(logging.WARNING, logger="promptor.backends"):
+            with pytest.raises(TransportError, match="after 3 attempts"):
+                embedder.embed(["a"])
+        assert server.request_count == 3
+    assert failed_attempts(caplog) == 3
+
+
+def test_endpoint_path_prefixes_every_request():
+    with StubApiServer() as server:
+        HttpGenerator(http_descriptor(server.base_url + "/v1/")).generate(
+            GenerationRequest(prompt_text="x"))
+        assert [r.path for r in server.records] == ["/v1/chat/completions"]
+
+
+def test_http_generator_does_not_follow_or_retry_a_redirect():
+    with StubApiServer(StubConfig(always_fail=True, fail_status=307)) as server:
+        gen = HttpGenerator(http_descriptor(server.base_url, max_retries=3))
+        with pytest.raises(TransportError, match="rejected the request: HTTP 307"):
             gen.generate(GenerationRequest(prompt_text="x"))
         assert server.request_count == 1
 

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from promptor.cli import main
+from promptor.errors import ZeroVectorError
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
 from promptor.trace import canonical_trace_bytes, read_trace
@@ -12,6 +14,8 @@ from .pipeline_fixture import executor_prompt, pipeline_config_dict
 from .stub_server import StubApiServer, StubConfig
 from .test_reports import synthetic_trace
 
+
+DATA = Path(__file__).parent / "data"
 
 HTTP_SPEC = {"kind": "http", "endpoint_url": "http://localhost:1", "model_name": "m"}
 
@@ -54,6 +58,8 @@ MALFORMED_INPUTS = [
     ("eval-stability", {"io_spec": {"output_fromat": "numeric"}}, "io_spec.output_fromat"),
     ("run", {"embedder": {"kind": "hash-embedder", "dim": 32, "endpoint_url": 5}},
      "unknown field dim"),
+    ("run", {"generator": {**HTTP_SPEC, "endpoint_url": "localhost:8000/v1"}}, "endpoint_url"),
+    ("run", {"embedder": {**HTTP_SPEC, "endpoint_url": "ftp://h/v1"}}, "endpoint_url"),
 ]
 
 
@@ -243,6 +249,24 @@ class TestReplayAndReport:
         assert code == 0
         oracle = statistics.correlation(stabilities, successes)
         assert out == f"pairs: 6\npearson_r: {oracle:.10f}\n"
+
+    @pytest.mark.parametrize("trace", sorted(DATA.glob("trace_v*_strategy_shift.jsonl")) + [DATA],
+                             ids=lambda path: path.name)
+    def test_correlate_reports_an_undefined_r_as_not_available(self, trace, capsys):
+        # every scored subtask of the committed runs succeeded: a constant series
+        code, out, err = invoke(["correlate", "--trace", str(trace)], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("\npearson_r: n/a (correlation undefined for a constant series)\n")
+
+    def test_a_metric_error_is_exit_3_not_a_config_error(self, monkeypatch, capsys):
+        def no_metric(traces):
+            raise ZeroVectorError("cosine distance undefined for a zero vector")
+
+        monkeypatch.setattr("promptor.cli.compute_run_metrics", no_metric)
+        code, out, err = invoke(["replay", "--trace", str(DATA / "trace_v4_strategy_shift.jsonl")],
+                                capsys)
+        assert (code, out) == (3, "")
+        assert err == "metric error: cosine distance undefined for a zero vector\n"
 
 
 class TestEvalStability:

@@ -226,3 +226,14 @@ class TestRendering:
         text = render_correlation_report(correlate_traces(traces))
         assert text.startswith("pairs: 4\npearson_r: 0.")
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("traces, reason", [
+        ([synthetic_trace(0.2, True), synthetic_trace(0.8, True)],
+         "correlation undefined for a constant series"),
+        ([synthetic_trace(0.8, True)], "need at least 2 points"),
+    ])
+    def test_undefined_correlation_layout(self, traces, reason):
+        report = correlate_traces(traces)
+        assert (report.coefficient, report.undefined_reason) == (None, reason)
+        assert render_correlation_report(report) == (
+            f"pairs: {len(traces)}\npearson_r: n/a ({reason})\n")
