@@ -574,6 +574,7 @@ class Orchestrator:
         scripted splits and merges; anything still outside the band is flagged
         and left as-is. Only valid before execution starts."""
         target = self.settings.target_granularity
+        original = plan
         if any(s.status is not SubtaskStatus.PENDING for s in plan.subtasks):
             raise StateError("optimize_subtasks requires an unexecuted plan")
         for sub in list(plan.subtasks):
@@ -601,7 +602,8 @@ class Orchestrator:
             if not (target / 2 <= sub.granularity <= 2 * target):
                 self.trace.warning("unoptimizable-granularity", subtask_id=sub.id,
                                    granularity=sub.granularity, target=target)
-        self._emit_plan_event("optimized", plan=plan)
+        if plan is not original:
+            self._emit_plan_event("optimized", plan=plan)
         return plan
 
     # -- stability and refinement ---------------------------------------------
@@ -635,8 +637,10 @@ class Orchestrator:
             score = semantic_stability(vectors, rows=rows)
         else:
             score = kl_stability_score(texts, alpha=cfg.kl_alpha, rows=rows)
-        distances = [score.sample_distances[sample_index.index(k)]
-                     for k in range(len(outputs))]
+        first = {}  # output position -> its first sample
+        for sample, k in enumerate(sample_index):
+            first.setdefault(k, sample)
+        distances = [score.sample_distances[first[k]] for k in range(len(outputs))]
         self.trace.emit(
             "score",
             {"subtask_id": subtask_id, "metric": cfg.metric, "value": score.value,
@@ -842,9 +846,11 @@ class Orchestrator:
     def _emit_plan_event(
         self, note: str, *, plan: Plan | None = None, update: PlanUpdate | None = None
     ) -> None:
-        """A plan-update event. A new plan structure ('created', 'optimized')
-        is recorded as a full plan_after snapshot; a feedback step records
-        only its update, which replay applies to the current plan."""
+        """A plan-update event. A new plan structure is recorded as a full
+        plan_after snapshot: 'created', and 'optimized' only when a split or
+        merge changed the plan. A feedback step records only its update,
+        which replay applies to the current plan. Plan records leave out the
+        fields that hold their defaults (see prompt._without_defaults)."""
         payload = {"note": note, "update": update.to_json_dict() if update else None}
         if plan is not None:
             payload["plan_after"] = plan.to_json_dict()

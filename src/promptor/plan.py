@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import PlanningFailure, StateError
-from .prompt import IoSpec, _JsonRecord
+from .prompt import IoSpec, _JsonRecord, _without_defaults
 
 
 PROPAGATE_SUCCESS = "propagate-success"
@@ -93,7 +93,7 @@ class Subtask(_JsonRecord):
         return replace(self, status=status)
 
     def to_json_dict(self) -> dict:
-        return {
+        return _without_defaults(self, {
             "id": self.id,
             "description": self.description,
             "dependencies": sorted(self.dependencies),
@@ -101,7 +101,7 @@ class Subtask(_JsonRecord):
             "io_spec": self.io_spec.to_json_dict(),
             "status": self.status.value,
             "injected_notes": list(self.injected_notes),
-        }
+        })
 
 
 def _topological(subtasks: tuple[Subtask, ...]) -> tuple[Subtask, ...]:
@@ -175,12 +175,12 @@ class Plan(_JsonRecord):
         return tuple(self.subtask(sid) for sid in self._dependents[subtask_id])
 
     def to_json_dict(self) -> dict:
-        return {
+        return _without_defaults(self, {
             "task_description": self.task_description,
             "interaction_template": self.interaction_template,
             "created_from": self.created_from,
             "subtasks": [s.to_json_dict() for s in self.subtasks],
-        }
+        })
 
 
 def with_subtask(plan: Plan, new_subtask: Subtask) -> Plan:

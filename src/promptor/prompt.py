@@ -45,8 +45,9 @@ def _read_record(cls, data, path=()):
     """The dataclass cls read from the JSON object data: every key names an
     init field, every field without a default is given, and every value
     matches its annotation (see _kind), else a ValueError names the field
-    path. path is a nested record's (parent path, key), () at the top."""
-    kinds, required = _reader(cls)
+    path; a field left out takes its default. path is a nested record's
+    (parent path, key), () at the top."""
+    kinds, required, _ = _reader(cls)
     if type(data) is not dict:
         raise ValueError(f"expected a JSON object at {_where(path) or 'the top'}, got {data!r}")
     values = {}
@@ -76,14 +77,26 @@ def _read_record(cls, data, path=()):
         raise ValueError(f"{_where(path)}: {exc}") from exc
 
 
+def _without_defaults(record, data: dict) -> dict:
+    """data, the JSON object of record, less every field that holds its
+    default, which _read_record fills back in."""
+    for key, default in _reader(type(record))[2].items():
+        if getattr(record, key) == default:
+            del data[key]
+    return data
+
+
 @functools.cache
-def _reader(cls) -> tuple[dict, frozenset]:
-    """cls's init field name -> kind, and the names of those without a default."""
+def _reader(cls) -> tuple[dict, frozenset, dict]:
+    """cls's init field name -> kind, the names of those without a default,
+    and the others' name -> default."""
     hints = typing.get_type_hints(cls)
     init = [f for f in dataclasses.fields(cls) if f.init]
-    return ({f.name: _kind(f.metadata.get("json", hints[f.name])) for f in init},
-            frozenset(f.name for f in init
-                      if f.default is f.default_factory is dataclasses.MISSING))
+    required = frozenset(f.name for f in init
+                         if f.default is f.default_factory is dataclasses.MISSING)
+    return ({f.name: _kind(f.metadata.get("json", hints[f.name])) for f in init}, required,
+            {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
+             for f in init if f.name not in required})
 
 
 def _kind(hint) -> tuple:
@@ -152,7 +165,8 @@ def _invalid(path, value, items=None) -> ValueError:
 
 
 class _JsonRecord:
-    """A dataclass that to_json_dict writes as JSON and from_json_dict reads back."""
+    """A dataclass that to_json_dict writes as JSON, without the fields that
+    hold their defaults, and from_json_dict reads back."""
 
     @classmethod
     def from_json_dict(cls, data: dict):
@@ -184,12 +198,12 @@ class IoSpec(_JsonRecord):
             raise ValueError("a json-object spec must declare its required keys")
 
     def to_json_dict(self) -> dict:
-        return {
+        return _without_defaults(self, {
             "input_schema": {name: kind for name, kind in self.input_schema},
             "output_constraint": self.output_constraint,
             "output_format": self.output_format,
             "required_keys": list(self.required_keys),
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -223,14 +237,14 @@ class ModularPrompt(_JsonRecord):
             raise ValueError("revision must be non-negative")
 
     def to_json_dict(self) -> dict:
-        return {
+        return _without_defaults(self, {
             "role": self.role,
             "requirements": list(self.requirements),
             "knowledge": self.knowledge,
             "history": self.history,
             "io_spec": self.io_spec.to_json_dict(),
             "revision": self.revision,
-        }
+        })
 
 
 def _coerce_clauses(value) -> tuple[str, ...]:

@@ -5,8 +5,9 @@ increasing sequence numbers. Timestamps are excluded from determinism
 comparisons via canonicalize(); everything else is replayable state.
 
 Version 2 records a plan-update as a full plan_after snapshot only when the
-plan's structure is new; feedback steps carry just their update, which
-replay applies to the current plan. Version 1 traces, with a snapshot on
+plan's structure is new: when it is created, and when the optimizer split or
+merged a subtask. Feedback steps carry just their update, which replay
+applies to the current plan. Version 1 traces, with a snapshot on
 every plan-update, still replay. Version 3 summarizes a score event per
 sample (sample_distances) where earlier versions listed every pair
 (pair_distances); replay reads only the score value, so both replay.
@@ -24,7 +25,10 @@ output: output_distances holds one mean distance per entry of outputs in
 the subtask's last stability generation event, that of the output's first
 sample, so sample p's is output_distances[sample_index[p]]. Replay checks
 the length; earlier versions' sample_distances and pair_distances are not
-read.
+read. The plan, subtask, I/O spec and prompt records inside events leave out
+each field that holds its default, which the reader fills back in, so the
+same records written in full, as earlier version 5 traces hold them, read
+the same.
 """
 
 from __future__ import annotations

@@ -68,6 +68,12 @@ def warnings_with_reason(orch, reason):
     ]
 
 
+def optimized_snapshots(orch):
+    """The plan_after of each 'optimized' plan-update orch has recorded."""
+    return [e.payload["plan_after"] for e in orch.trace.trace().events_of_type("plan-update")
+            if e.payload["note"] == "optimized"]
+
+
 class CountingGenerator:
     """Wraps a generator to count generate() calls."""
 
@@ -356,6 +362,21 @@ class TestRefineUntilStable:
         with pytest.raises(ZeroVectorError):
             orch.evaluate_prompt_stability(prompt, subtask_id="sZ")
 
+    def test_each_output_is_recorded_at_its_first_samples_distance(self):
+        # the two "a b c" samples sum the same pairs in a different order, so
+        # their distances differ in the last bit
+        samples = ["a b d", "a b c", "b c d e", "a b c", "a e f g"]
+
+        class FixedSamples:
+            def generate(self, request):
+                return list(samples)
+
+        orch = make_orchestrator(FixedSamples())
+        d = orch.evaluate_prompt_stability(ModularPrompt(role="You list letters."), "sF")
+        assert d.sample_distances[1] != d.sample_distances[3]
+        payload = orch.trace.trace().events_of_type("score")[0].payload
+        assert payload["output_distances"] == [d.sample_distances[p] for p in (0, 1, 2, 4)]
+
 
     def measure(self, n):
         """The score payload and reviewer prompt of one N-sample measure."""
@@ -546,6 +567,8 @@ class TestOptimizeSubtasks:
         assert plan.subtask("report").dependencies == frozenset({"coarse.4"})
         assert all(1.0 <= s.granularity <= 4.0 for s in plan.subtasks)
         assert warnings_with_reason(orch, "unoptimizable-granularity") == []
+        [snapshot] = optimized_snapshots(orch)
+        assert Plan.from_json_dict(snapshot) == plan
 
     def test_keep_answer_leaves_plan_and_flags_band(self):
         rules = [
@@ -555,6 +578,8 @@ class TestOptimizeSubtasks:
         plan = orch.optimize_subtasks(self.coarse_plan())
         assert [s.id for s in plan.subtasks] == ["coarse", "report"]
         assert len(warnings_with_reason(orch, "unoptimizable-granularity")) == 1
+        # an unchanged plan is not recorded again
+        assert optimized_snapshots(orch) == []
 
     def test_failed_semantics_check_reverts_split(self):
         rules = [
@@ -566,6 +591,7 @@ class TestOptimizeSubtasks:
         plan = orch.optimize_subtasks(self.coarse_plan())
         assert [s.id for s in plan.subtasks] == ["coarse", "report"]
         assert len(warnings_with_reason(orch, "split-not-preserving")) == 1
+        assert optimized_snapshots(orch) == []
 
     def fine_plan(self):
         return Plan(
@@ -1264,8 +1290,9 @@ class TestRunPipeline:
         orch = make_orchestrator(gen, OrchestratorSettings(knowledge_enabled=False))
         trace = orch.run_pipeline(TASK, template="linear-chain")
         assert replay_trace(trace).run_status == "succeeded"
-        # created, optimized, then one feedback event per subtask
-        assert len(trace.events_of_type("plan-update")) == n + 2
+        # created, then one feedback event per subtask; the optimizer
+        # changes nothing, so it records no snapshot
+        assert len(trace.events_of_type("plan-update")) == n + 1
         return len(canonical_trace_bytes(trace))
 
     def test_trace_bytes_grow_linearly_with_the_plan_updater_on(self):

@@ -246,7 +246,7 @@ def test_a_chain_starts_no_thread(monkeypatch, pools):
 
 # the canonical trace of the pipeline_fixture pipeline, pinned so that any
 # change to a trace byte fails here and is made on purpose
-PIPELINE_TRACE_SHA256 = "8ccf5cd467495786510dd34c23adfd3f5b238287603e2a0f1ac5ba44b33a746f"
+PIPELINE_TRACE_SHA256 = "25344c6334ac694c0303270485dbdec871e397b9c88a322fe1b4a9800ce1090e"
 
 
 @pytest.mark.parametrize("width", [1, 4])

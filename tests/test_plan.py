@@ -205,14 +205,46 @@ RECORDS = [
     Subtask(id="sum", description="Sum the rows. Convert the unit.",
             dependencies=frozenset({"load", "clean"}), granularity=1.5, io_spec=SPEC,
             status=SubtaskStatus.STABLE_PROMPT_READY, injected_notes=("rows are kg",)),
-    with_status(chain_plan(), "load", SubtaskStatus.STABLE_PROMPT_READY),
+    dataclasses.replace(with_status(chain_plan(), "load", SubtaskStatus.STABLE_PROMPT_READY),
+                        interaction_template="fan-out-fan-in", created_from="ab12"),
     PlanUpdate("load", "propagate-success", ("clean",), "rows are kg"),
 ]
 
 
+# every field of each record holds a value other than its default
 @pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
 def test_every_record_reads_back_what_it_writes(record):
     # the writer is each record's only second declaration of its fields
     data = json.loads(json.dumps(record.to_json_dict()))
     assert set(data) == {f.name for f in dataclasses.fields(record) if f.init}
     assert type(record).from_json_dict(data) == record
+
+
+FULL_SPEC = {"input_schema": {}, "output_constraint": "", "output_format": "free-text",
+             "required_keys": []}
+FULL_SUBTASK = {"id": "s", "description": "Do it.", "dependencies": [], "granularity": 1,
+                "io_spec": FULL_SPEC, "status": "pending", "injected_notes": []}
+# each record with every field at its default; what it writes, which keeps
+# only the fields without a default (and a subtask's granularity, which is
+# never None once built); and the full form, every field written, as version
+# 5 traces held it before defaults were left out
+AT_DEFAULTS = [
+    (IoSpec(), {}, FULL_SPEC),
+    (ModularPrompt(role="r"), {"role": "r"},
+     {"role": "r", "requirements": [], "knowledge": "", "history": "", "io_spec": FULL_SPEC,
+      "revision": 0}),
+    (Subtask(id="s", description="Do it."), {"id": "s", "description": "Do it.", "granularity": 1},
+     FULL_SUBTASK),
+    (Plan("t", (Subtask(id="s", description="Do it."),)),
+     {"task_description": "t", "subtasks": [{"id": "s", "description": "Do it.", "granularity": 1}]},
+     {"task_description": "t", "interaction_template": "linear-chain", "created_from": "",
+      "subtasks": [FULL_SUBTASK]}),
+]
+
+
+@pytest.mark.parametrize("record, written, full", AT_DEFAULTS,
+                         ids=[type(r).__name__ for r, _, _ in AT_DEFAULTS])
+def test_a_record_at_its_defaults_writes_only_its_required_keys(record, written, full):
+    assert json.loads(json.dumps(record.to_json_dict())) == written
+    assert type(record).from_json_dict(written) == record
+    assert type(record).from_json_dict(full) == record

@@ -39,6 +39,10 @@ V3_TRACE = Path(__file__).parent / "data" / "trace_v3_strategy_shift.jsonl"
 # The same run as written by trace version 4, whose score events list one
 # mean distance per sample (sample_distances).
 V4_TRACE = Path(__file__).parent / "data" / "trace_v4_strategy_shift.jsonl"
+# The same run as written by trace version 5 before its records left out the
+# fields that hold their defaults and the optimizer's snapshot of an
+# unchanged plan.
+V5_TRACE = Path(__file__).parent / "data" / "trace_v5_strategy_shift.jsonl"
 V1_REPORT = """runs: 1
 execution success rate: 1.000000
 completion rate: 1.000000 (1/1 reference checks passed)
@@ -367,7 +371,8 @@ class TestReplay:
         trace = self.current_run()
         snapshots = [e.payload["note"] for e in trace.events_of_type("plan-update")
                      if "plan_after" in e.payload]
-        assert snapshots == ["created", "optimized"]
+        # the optimizer leaves this plan as it is, so only its creation is a snapshot
+        assert snapshots == ["created"]
         assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
         assert replay_trace(trace) == replay_trace(read_trace(V2_TRACE))
         scores = [e.payload for e in trace.events_of_type("score")]
@@ -397,6 +402,25 @@ class TestReplay:
         assert replay_trace(trace) == replay_trace(current)
         assert [p["value"] for p in scores] == [
             e.payload["value"] for e in current.events_of_type("score")]
+
+    def test_version_5_trace_with_full_records_replays_to_the_same_report(self):
+        trace, current = read_trace(V5_TRACE), self.current_run()
+        assert trace.header["version"] == 5
+        snapshots = [e.payload["note"] for e in trace.events_of_type("plan-update")
+                     if "plan_after" in e.payload]
+        assert snapshots == ["created", "optimized"]
+        report = render_run_report(compute_run_metrics([current]))
+        assert render_run_report(compute_run_metrics([trace])) == report == V1_REPORT
+        assert replay_trace(trace) == replay_trace(current)
+        # each full prompt record reads as the shorter one written now
+        full, compact = ([e.payload["prompt_after"] for e in t.events
+                          if e.type in ("revision", "augmentation")] for t in (trace, current))
+        assert len(full) == len(compact)
+        for old, new in zip(full, compact):
+            assert set(old) == {"role", "requirements", "knowledge", "history", "io_spec",
+                                "revision"}
+            assert len(new) < len(old)
+            assert ModularPrompt.from_json_dict(new) == ModularPrompt.from_json_dict(old)
 
     def test_repeated_samples_are_stored_once_and_expand_back(self):
         trace = self.current_run()
