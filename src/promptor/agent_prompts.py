@@ -9,7 +9,6 @@ that keep matching after the variable sections change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .plan import Plan, Subtask
@@ -224,35 +223,12 @@ def _fan_out_fan_in_violations(plan: Plan) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class InteractionTemplate:
-    name: str
-    description: str
-    checker: Callable[[Plan], list[str]] = field(compare=False)
-
-    def violations(self, plan: Plan) -> list[str]:
-        return self.checker(plan)
-
-
-TEMPLATES: dict[str, InteractionTemplate] = {
-    t.name: t
-    for t in (
-        InteractionTemplate(
-            name="linear-chain",
-            description="subtasks run one after another, each consuming the previous result",
-            checker=_linear_chain_violations,
-        ),
-        InteractionTemplate(
-            name="fan-out-fan-in",
-            description="independent branches from one root, joined by a final sink",
-            checker=_fan_out_fan_in_violations,
-        ),
-        InteractionTemplate(
-            name="review-loop",
-            description="a chain in which alternating subtasks produce and review work",
-            checker=_linear_chain_violations,
-        ),
-    )
+# each interaction template's name and the checker that lists a plan's
+# departures from its dependency structure
+TEMPLATES: dict[str, Callable[[Plan], list[str]]] = {
+    "linear-chain": _linear_chain_violations,
+    "fan-out-fan-in": _fan_out_fan_in_violations,
+    "review-loop": _linear_chain_violations,
 }
 
 DEFAULT_TEMPLATE = "linear-chain"

@@ -15,12 +15,7 @@ from .deviation import AggregationSpec, simulate_deviation_tails
 from .errors import BackendError, ConfigError, MalformedTraceError, MetricError
 from .orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, Orchestrator
 from .prompt import ModularPrompt
-from .reports import (
-    compute_run_metrics,
-    correlate_traces,
-    render_correlation_report,
-    render_run_report,
-)
+from .reports import compute_run_metrics, render_run_report
 from .trace import TraceWriter, read_trace
 
 EXIT_OK = 0
@@ -105,13 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", default=None, help="write the report here instead of stdout")
     report.set_defaults(func=cmd_report)
 
-    corr = commands.add_parser(
-        "correlate", help="Pearson r between per-prompt stability and success"
-    )
-    corr.add_argument("--trace", action="append", required=True,
-                      help="trace file or directory of *.jsonl (repeatable)")
-    corr.add_argument("--out", default=None, help="write the result here instead of stdout")
-    corr.set_defaults(func=cmd_correlate)
     return parser
 
 
@@ -227,12 +215,6 @@ def cmd_replay(args) -> int:
 def cmd_report(args) -> int:
     traces = _collect_traces(args.trace)
     _emit(render_run_report(compute_run_metrics(traces)), args.out)
-    return EXIT_OK
-
-
-def cmd_correlate(args) -> int:
-    traces = _collect_traces(args.trace)
-    _emit(render_correlation_report(correlate_traces(traces)), args.out)
     return EXIT_OK
 
 

@@ -489,7 +489,7 @@ class Orchestrator:
                               subtask_id="__plan__", accept=accept)
         if plan is None:
             raise PlanningFailure(f"planner produced no valid plan: {last_problem}")
-        violations = ap.TEMPLATES[template].violations(plan)
+        violations = ap.TEMPLATES[template](plan)
         if violations:
             self.trace.warning("template-violation", template=template,
                                violations=violations)

@@ -1,5 +1,7 @@
 """Reports computed from execution traces alone: success rates, reference
-checks, per-subtask trajectories, and the stability/success correlation.
+checks, per-subtask trajectories, and the Pearson r between each scored
+subtask's last stability score and its success. Each trace is replayed once
+into a digest, and every figure of the report is read from the digests.
 Reports never read anything but the trace, so identical trace bytes always
 produce identical report bytes."""
 
@@ -85,20 +87,33 @@ def digest_trace(trace: ExecutionTrace) -> TraceDigest:
                 )
             )
     reference = trace.header.get("reference_answer")
-    passed = None
-    if reference is not None:
-        passed = reference_check(
-            state.final_output,
-            str(reference),
-            trace.header.get("reference_match", EXACT),
-            float(trace.header.get("reference_tolerance", 1e-6)),
-        )
+    match = trace.header.get("reference_match", EXACT)
+    tolerance = trace.header.get("reference_tolerance", 1e-6)
+    # type(...) in: a boolean is an int, but never a tolerance
+    if not (isinstance(reference, (str, type(None))) and match in (EXACT, NUMERIC_MATCH)
+            and type(tolerance) in (int, float) and tolerance >= 0):
+        raise MalformedTraceError(
+            "header reference fields must be a string reference_answer, a "
+            f"reference_match of '{EXACT}' or '{NUMERIC_MATCH}' and a reference_tolerance >= 0: "
+            f"got {reference!r}, {match!r}, {tolerance!r}")
+    passed = None if reference is None else reference_check(
+        state.final_output, reference, match, tolerance)
     return TraceDigest(
         run_status=state.run_status,
         final_output=state.final_output,
         subtasks=tuple(subtasks),
         reference_passed=passed,
     )
+
+
+@dataclass(frozen=True)
+class CorrelationReport:
+    pair_count: int
+    # None when r is undefined for these pairs (fewer than two, or a
+    # constant series, such as every scored subtask succeeding); the reason
+    # is in undefined_reason
+    coefficient: float | None
+    undefined_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -127,46 +142,25 @@ class RunReport:
         passed = sum(1 for d in self.digests if d.reference_passed)
         return passed / self.reference_count
 
+    @property
+    def correlation(self) -> CorrelationReport:
+        """Pearson r over one (last stability score, succeeded) pair per
+        scored subtask, in trace order. Unscored subtasks contribute nothing."""
+        scored = [sub for d in self.digests for sub in d.subtasks
+                  if sub.last_stability is not None]
+        stabilities = [sub.last_stability for sub in scored]
+        successes = [1.0 if sub.succeeded else 0.0 for sub in scored]
+        try:
+            coefficient = pearson_correlation(stabilities, successes)
+        except (InsufficientSamplesError, UndefinedCorrelationError) as exc:
+            return CorrelationReport(len(scored), None, str(exc))
+        return CorrelationReport(len(scored), coefficient)
+
 
 def compute_run_metrics(traces: list[ExecutionTrace]) -> RunReport:
     if not traces:
         raise InsufficientSamplesError("compute_run_metrics needs at least one trace")
     return RunReport(digests=tuple(digest_trace(t) for t in traces))
-
-
-def stability_success_pairs(
-    traces: list[ExecutionTrace],
-) -> tuple[list[float], list[float]]:
-    """One (last stability score, succeeded) pair per scored subtask, in
-    trace order. Unscored subtasks contribute nothing."""
-    stabilities: list[float] = []
-    successes: list[float] = []
-    for trace in traces:
-        for sub in digest_trace(trace).subtasks:
-            if sub.last_stability is None:
-                continue
-            stabilities.append(sub.last_stability)
-            successes.append(1.0 if sub.succeeded else 0.0)
-    return stabilities, successes
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    pair_count: int
-    # None when r is undefined for these pairs (fewer than two, or a
-    # constant series, such as every scored subtask succeeding); the reason
-    # is in undefined_reason
-    coefficient: float | None
-    undefined_reason: str | None = None
-
-
-def correlate_traces(traces: list[ExecutionTrace]) -> CorrelationReport:
-    stabilities, successes = stability_success_pairs(traces)
-    try:
-        coefficient = pearson_correlation(stabilities, successes)
-    except (InsufficientSamplesError, UndefinedCorrelationError) as exc:
-        return CorrelationReport(len(stabilities), None, str(exc))
-    return CorrelationReport(len(stabilities), coefficient)
 
 
 def render_run_report(report: RunReport) -> str:
@@ -182,6 +176,13 @@ def render_run_report(report: RunReport) -> str:
             f"completion rate: {report.completion_rate:.6f} "
             f"({passed}/{report.reference_count} reference checks passed)"
         )
+    correlation = report.correlation
+    if correlation.coefficient is None:
+        r = f"n/a ({correlation.undefined_reason})"
+    else:
+        r = f"{correlation.coefficient:.10f}"
+    lines.append(f"stability-success pairs: {correlation.pair_count}")
+    lines.append(f"pearson_r: {r}")
     for k, digest in enumerate(report.digests, start=1):
         lines.append("")
         lines.append(f"run {k}: {digest.run_status}")
@@ -199,11 +200,3 @@ def render_run_report(report: RunReport) -> str:
                 f" augmentations={sub.augmentation_count}"
             )
     return "\n".join(lines) + "\n"
-
-
-def render_correlation_report(report: CorrelationReport) -> str:
-    if report.coefficient is None:
-        r = f"n/a ({report.undefined_reason})"
-    else:
-        r = f"{report.coefficient:.10f}"
-    return f"pairs: {report.pair_count}\npearson_r: {r}\n"

@@ -37,11 +37,7 @@ from promptor.prompt import (
     render_prompt,
     replace_component,
 )
-from promptor.reports import (
-    compute_run_metrics,
-    correlate_traces,
-    render_run_report,
-)
+from promptor.reports import compute_run_metrics, render_run_report
 from promptor.trace import TraceWriter, canonical_trace_bytes, read_trace
 
 from .pipeline_fixture import (
@@ -427,7 +423,7 @@ def test_criterion_8_stability_success_correlation():
         stabilities.append(stability)
         successes.append(1.0 if succeeded else 0.0)
         traces.append(synthetic_trace(stability, succeeded))
-    report = correlate_traces(traces)
+    report = compute_run_metrics(traces).correlation
     assert report.pair_count == 200
 
     # brute-force Pearson, spelled out independently of the library

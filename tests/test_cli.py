@@ -224,6 +224,9 @@ class TestReplayAndReport:
         code, replay_report, _ = invoke(["replay", "--trace", str(trace_path)], capsys)
         assert code == 0
         assert replay_report == run_report
+        code, report, _ = invoke(["report", "--trace", str(trace_path)], capsys)
+        assert code == 0
+        assert report == run_report
 
     def test_report_aggregates_a_directory(self, tmp_path, config_path, capsys):
         runs = tmp_path / "runs"
@@ -236,7 +239,7 @@ class TestReplayAndReport:
         assert out.startswith("runs: 2\n")
         assert out.count("run ") >= 2
 
-    def test_correlate_matches_stdlib_oracle(self, tmp_path, capsys):
+    def test_report_correlation_matches_stdlib_oracle(self, tmp_path, capsys):
         import statistics
 
         stabilities = [0.2, 0.35, 0.55, 0.65, 0.8, 0.95]
@@ -245,18 +248,18 @@ class TestReplayAndReport:
         runs.mkdir()
         for k, (s, ok) in enumerate(zip(stabilities, successes)):
             synthetic_trace(s, ok == 1.0, path=runs / f"{k}.jsonl")
-        code, out, _ = invoke(["correlate", "--trace", str(runs)], capsys)
+        code, out, _ = invoke(["report", "--trace", str(runs)], capsys)
         assert code == 0
         oracle = statistics.correlation(stabilities, successes)
-        assert out == f"pairs: 6\npearson_r: {oracle:.10f}\n"
+        assert f"\nstability-success pairs: 6\npearson_r: {oracle:.10f}\n\n" in out
 
     @pytest.mark.parametrize("trace", sorted(DATA.glob("trace_v*_strategy_shift.jsonl")) + [DATA],
                              ids=lambda path: path.name)
-    def test_correlate_reports_an_undefined_r_as_not_available(self, trace, capsys):
+    def test_report_gives_an_undefined_r_as_not_available(self, trace, capsys):
         # every scored subtask of the committed runs succeeded: a constant series
-        code, out, err = invoke(["correlate", "--trace", str(trace)], capsys)
+        code, out, err = invoke(["report", "--trace", str(trace)], capsys)
         assert (code, err) == (0, "")
-        assert out.endswith("\npearson_r: n/a (correlation undefined for a constant series)\n")
+        assert "\npearson_r: n/a (correlation undefined for a constant series)\n\n" in out
 
     def test_a_metric_error_is_exit_3_not_a_config_error(self, monkeypatch, capsys):
         def no_metric(traces):
@@ -376,9 +379,12 @@ class TestSimulateBound:
 
 
 class TestExitCodes:
-    def test_unknown_subcommand_is_usage_error(self, capsys):
+    # correlate is no subcommand: every report prints the correlation itself
+    @pytest.mark.parametrize("argv", [["transmogrify"], ["correlate", "--trace", str(DATA)]],
+                             ids=lambda argv: argv[0])
+    def test_unknown_subcommand_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["transmogrify"])
+            main(argv)
         assert exc.value.code == 1
 
     def test_missing_required_flag_is_usage_error(self, capsys):
@@ -501,6 +507,24 @@ class TestExitCodes:
         code, _, err = invoke(["replay", "--trace", str(garbage)], capsys)
         assert code == 4
         assert err.startswith("malformed trace:")
+
+    @pytest.mark.parametrize("changes", [
+        {"reference_tolerance": "abc"}, {"reference_match": "fuzzy"},
+        {"reference_answer": 87}, {"reference_tolerance": True},
+        {"reference_answer": None, "reference_match": "fuzzy"},
+    ])
+    def test_malformed_reference_fields_are_a_malformed_trace(self, tmp_path, capsys,
+                                                              changes):
+        # failure injection: a header reference field of the wrong type or
+        # value is neither coerced nor a config error, with or without an answer
+        header, *events = (DATA / "trace_v5_strategy_shift.jsonl").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text(json.dumps({**json.loads(header), **changes}) + "\n"
+                          + "".join(events), encoding="utf-8")
+        code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("malformed trace:") and repr([*changes.values()][-1]) in err
 
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = invoke(

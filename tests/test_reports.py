@@ -9,12 +9,9 @@ from promptor.plan import Plan, Subtask
 from promptor.prompt import render_prompt
 from promptor.reports import (
     compute_run_metrics,
-    correlate_traces,
     digest_trace,
     reference_check,
-    render_correlation_report,
     render_run_report,
-    stability_success_pairs,
 )
 from promptor.trace import TraceWriter, parse_trace_lines
 
@@ -184,7 +181,7 @@ class TestCorrelation:
         successes = [1.0 if s > median else 0.0 for s in stabilities]
         traces = [synthetic_trace(s, ok == 1.0)
                   for s, ok in zip(stabilities, successes)]
-        report = correlate_traces(traces)
+        report = compute_run_metrics(traces).correlation
         assert report.pair_count == 10
         oracle = statistics.correlation(stabilities, successes)
         assert report.coefficient == pytest.approx(oracle, abs=1e-12)
@@ -192,9 +189,9 @@ class TestCorrelation:
 
     def test_pairs_skip_unscored_subtasks(self):
         trace = run_trace(succeed=False)  # net and balance never get scored
-        stabilities, successes = stability_success_pairs([trace])
-        assert len(stabilities) == 1
-        assert successes == [0.0]
+        report = compute_run_metrics([trace]).correlation
+        assert report.pair_count == 1
+        assert (report.coefficient, report.undefined_reason) == (None, "need at least 2 points")
 
 
 class TestRendering:
@@ -223,9 +220,9 @@ class TestRendering:
     def test_correlation_report_layout(self):
         traces = [synthetic_trace(0.2, False), synthetic_trace(0.4, False),
                   synthetic_trace(0.8, True), synthetic_trace(0.9, True)]
-        text = render_correlation_report(correlate_traces(traces))
-        assert text.startswith("pairs: 4\npearson_r: 0.")
-        assert text.endswith("\n")
+        text = render_run_report(compute_run_metrics(traces))
+        assert "completion rate: n/a (no reference answer configured)\n" \
+            "stability-success pairs: 4\npearson_r: 0." in text
 
     @pytest.mark.parametrize("traces, reason", [
         ([synthetic_trace(0.2, True), synthetic_trace(0.8, True)],
@@ -233,7 +230,8 @@ class TestRendering:
         ([synthetic_trace(0.8, True)], "need at least 2 points"),
     ])
     def test_undefined_correlation_layout(self, traces, reason):
-        report = correlate_traces(traces)
-        assert (report.coefficient, report.undefined_reason) == (None, reason)
-        assert render_correlation_report(report) == (
-            f"pairs: {len(traces)}\npearson_r: n/a ({reason})\n")
+        report = compute_run_metrics(traces)
+        correlation = report.correlation
+        assert (correlation.coefficient, correlation.undefined_reason) == (None, reason)
+        assert f"\nstability-success pairs: {len(traces)}\npearson_r: n/a ({reason})\n\n" \
+            in render_run_report(report)

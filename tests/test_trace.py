@@ -46,6 +46,8 @@ V5_TRACE = Path(__file__).parent / "data" / "trace_v5_strategy_shift.jsonl"
 V1_REPORT = """runs: 1
 execution success rate: 1.000000
 completion rate: 1.000000 (1/1 reference checks passed)
+stability-success pairs: 3
+pearson_r: n/a (correlation undefined for a constant series)
 
 run 1: succeeded
   final output: '87'
