@@ -8,6 +8,7 @@ Embedder protocols.
 
 from __future__ import annotations
 
+import email.utils
 import functools
 import hashlib
 import http.client
@@ -19,8 +20,11 @@ import ssl
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from typing import Protocol, Sequence, runtime_checkable
 from urllib.parse import urlsplit
+
+import numpy as np
 
 from .errors import BackendError, TransportError, UnknownPromptError
 from .metrics import EmbeddingVector, tokenize
@@ -39,6 +43,8 @@ AUTH_ENV_VAR = "PROMPTOR_API_KEY"
 
 # client errors worth another attempt: request timeout, too many requests
 _RETRIED_4XX = (408, 429)
+# replies whose Retry-After header sets the wait before the next attempt
+_RETRY_AFTER_STATUSES = (429, 503)
 
 
 @dataclass(frozen=True)
@@ -232,17 +238,16 @@ class HashEmbedder:
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if len(texts) == 0:
             raise ValueError("embed requires at least one text")
-        vectors = []
-        for text in texts:
-            if not text.strip():
-                raise ValueError("cannot embed an empty string")
-            counts = [0.0] * HASH_EMBEDDER_DIM
-            for token in tokenize(text):
-                counts[self._bucket(token)] += 1.0
-            vectors.append(
-                EmbeddingVector(tuple(c + HASH_EMBEDDER_OFFSET for c in counts))
-            )
-        return vectors
+        if any(not text.strip() for text in texts):
+            raise ValueError("cannot embed an empty string")
+        # one count per (text, bucket) id; integer counts convert exactly, so
+        # each component is the same float as a per-text count plus the offset
+        bucket = self._bucket
+        ids = [row * HASH_EMBEDDER_DIM + bucket(token)
+               for row, text in enumerate(texts) for token in tokenize(text)]
+        counts = np.bincount(ids, minlength=len(texts) * HASH_EMBEDDER_DIM)
+        rows = (counts.reshape(len(texts), HASH_EMBEDDER_DIM) + HASH_EMBEDDER_OFFSET).tolist()
+        return [EmbeddingVector(row) for row in rows]
 
 
 # -- HTTP backends ---------------------------------------------------------------
@@ -277,9 +282,30 @@ def _auth_headers() -> dict[str, str]:
     return headers
 
 
+def _retry_after_s(value: str | None, cap: float) -> float | None:
+    """The wait a Retry-After header asks for, in seconds and at most cap:
+    delay-seconds or an HTTP-date. None when the header is absent,
+    unparseable or negative, a date in the past included."""
+    if value is None:
+        return None
+    try:
+        delay = int(value)
+    except ValueError:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # "-0000": a UTC time with no stated zone
+            when = when.replace(tzinfo=timezone.utc)
+        delay = (when - datetime.now(timezone.utc)).total_seconds()
+    return float(min(delay, cap)) if delay >= 0 else None
+
+
 class _HttpBase:
     def __init__(self, descriptor: BackendDescriptor):
         self.descriptor = descriptor
+        # every wait between attempts goes through here; tests replace it
+        self._sleep = time.sleep
         self._inflight = threading.BoundedSemaphore(descriptor.max_inflight)
         url = urlsplit(descriptor.endpoint_url)
         # one TLS context, verifying against the system CA store, serves every attempt
@@ -294,15 +320,21 @@ class _HttpBase:
         headers = _auth_headers()
         attempts = self.descriptor.max_retries + 1
         last_failure = None
+        retry_after = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
+                backoff = min(0.05 * 2 ** (attempt - 1), 1.0)
+                self._sleep(backoff if retry_after is None else retry_after)
+            retry_after = None
             connection = self._connect()  # one per attempt, closed on every path
             try:
                 with self._inflight:
                     connection.request("POST", self._path + path, payload, headers)
                     with connection.getresponse() as response:
                         status, data = response.status, response.read()
+                        if status in _RETRY_AFTER_STATUSES:
+                            retry_after = _retry_after_s(response.getheader("Retry-After"),
+                                                         self.descriptor.timeout)
             except (OSError, http.client.HTTPException) as exc:
                 last_failure = str(exc)
                 logger.warning("attempt %d/%d to %s failed: %s", attempt + 1, attempts, url, exc)

@@ -22,6 +22,7 @@ class StubConfig:
     fail_first: int = 0  # reply 500 to this many requests before succeeding
     always_fail: bool = False
     fail_status: int = 500  # the status of the induced failures above
+    retry_after: str | None = None  # a Retry-After header on the induced failures
     delay: float = 0.0
     choices_override: int | None = None  # force a wrong choice count
     drop_last_embedding: bool = False
@@ -44,9 +45,12 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):
         pass
 
-    def _reply(self, status: int, data: bytes, content_type: str = "application/json"):
+    def _reply(self, status: int, data: bytes, content_type: str = "application/json",
+               headers: dict | None = None):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -72,7 +76,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self.close_connection = True
                 return
             if cfg.always_fail or count <= cfg.fail_first:
-                self._reply(cfg.fail_status, b'{"error": "induced failure"}')
+                headers = {} if cfg.retry_after is None else {"Retry-After": cfg.retry_after}
+                self._reply(cfg.fail_status, b'{"error": "induced failure"}', headers=headers)
                 return
             if cfg.raw_response is not None:
                 self._reply(200, cfg.raw_response)

@@ -1,8 +1,10 @@
+import email.utils
 import hashlib
 import logging
 import math
 import socket
 import threading
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -252,6 +254,22 @@ def test_hash_embedder_cached_buckets_match_oracle():
     assert vectors[0] == vectors[2]
 
 
+# a text with repeated tokens, a one-token text and a 100-token text
+ONE_ARRAY_TEXTS = ["Beta alpha BETA beta gamma alpha", "solo",
+                   " ".join(f"t{i % 37}" for i in range(100))]
+
+
+@pytest.mark.parametrize("texts", [[t] for t in ONE_ARRAY_TEXTS] + [ONE_ARRAY_TEXTS])
+def test_hash_embedder_matches_the_element_by_element_construction(texts):
+    # the counts of all texts come from one array; each component must
+    # still be the Python float a per-text count plus the offset gives
+    vectors = HashEmbedder().embed(texts)
+    for text, vec in zip(texts, vectors, strict=True):
+        assert [c.hex() for c in vec.components] == [
+            c.hex() for c in independent_hash_vector(text)]
+        assert all(type(c) is float for c in vec.components)
+
+
 def test_hash_embedder_rejects_empty_input():
     with pytest.raises(ValueError):
         HashEmbedder().embed([])
@@ -380,6 +398,45 @@ def test_http_generator_retries_timeout_and_rate_limit(status):
         gen = HttpGenerator(http_descriptor(server.base_url, max_retries=2))
         assert gen.generate(GenerationRequest(prompt_text="x")) == ["canned completion"]
         assert server.request_count == 2
+
+
+def in_ten_seconds() -> str:
+    when = datetime.now(timezone.utc) + timedelta(seconds=10)
+    return email.utils.format_datetime(when, usegmt=True)
+
+
+@pytest.mark.parametrize("status, retry_after, timeout, expected", [
+    (503, "2", 5.0, (2.0, 2.0)),
+    # an HTTP-date has whole seconds, so the wait is a little under 10 s
+    (429, in_ten_seconds, 60.0, (8.0, 10.0)),
+    # capped at the descriptor's timeout
+    (503, "120", 5.0, (5.0, 5.0)),
+    # unparseable or negative: the fixed first backoff
+    (503, "soon", 5.0, (0.05, 0.05)),
+    (429, "-3", 5.0, (0.05, 0.05)),
+])
+def test_http_generator_waits_as_retry_after_asks(status, retry_after, timeout, expected):
+    if callable(retry_after):
+        retry_after = retry_after()
+    config = StubConfig(fail_first=1, fail_status=status, retry_after=retry_after)
+    with StubApiServer(config) as server:
+        gen = HttpGenerator(http_descriptor(server.base_url, timeout=timeout))
+        waits = []
+        gen._sleep = waits.append
+        assert gen.generate(GenerationRequest(prompt_text="x")) == ["canned completion"]
+        assert server.request_count == 2
+    (wait,) = waits
+    assert expected[0] <= wait <= expected[1]
+
+
+def test_retry_after_is_read_only_on_429_and_503():
+    # a 500 with Retry-After keeps the fixed, doubling backoff
+    with StubApiServer(StubConfig(fail_first=2, retry_after="3")) as server:
+        gen = HttpGenerator(http_descriptor(server.base_url, max_retries=2))
+        waits = []
+        gen._sleep = waits.append
+        gen.generate(GenerationRequest(prompt_text="x"))
+    assert waits == [0.05, 0.1]
 
 
 def test_http_generator_rejects_malformed_success():

@@ -2,8 +2,10 @@
 (derivations inline) and were frozen before being checked against the code.
 """
 
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from promptor import (
     semantic_stability,
     tokenize,
 )
-from promptor.metrics import _cosine_distances, _kl_divergences
+from promptor import metrics
+from promptor.metrics import _cosine_distances, _kl_divergences, _pair_sums, _score
 
 TOL = 1e-9
 
@@ -342,6 +345,174 @@ def test_repeated_samples_are_checked_like_distinct_ones():
             kl_stability_score(["a b", "b"][:max(rows) + 1], alpha=0.0, rows=rows)
     with pytest.raises(DimensionMismatchError):
         semantic_stability([(1.0, 0.0), (1.0, 0.0, 0.0)], rows=[0, 1, 1])
+
+
+# -- kernel bit identity ------------------------------------------------------
+#
+# The kernels are fast forms of simple loops: a loop over rows for the pair
+# sums, and an fsum over every gathered sample pair for the score. Each must
+# give the bits of its loop. Semantic scores are pinned as float.hex()
+# constants, computed with those loops; only exactly rounded IEEE operations
+# (products, sums in numpy's fixed order, sqrt, division) lead to them, so
+# they hold on any CPU. KL divergences go through np.log, whose last bit can
+# differ between CPUs, so KL is checked against the loops instead.
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _row_loop_pair_sums(x, y):
+    """The pair loop one row at a time: the oracle for _pair_sums."""
+    return np.concatenate(
+        [np.empty(0)]
+        + [((x[i] - x[i + 1:]) * (y[i] - y[i + 1:])).sum(axis=1) for i in range(len(x) - 1)]
+    )
+
+
+def _row_loop_kl(outputs, alpha):
+    """Symmetrized KL of every output pair through _row_loop_pair_sums."""
+    tokens = [tokenize(out) for out in outputs]
+    column = {tok: k for k, tok in enumerate(sorted({t for toks in tokens for t in toks}))}
+    counts = np.zeros((len(tokens), len(column)))
+    for row, toks in enumerate(tokens):
+        for tok in toks:
+            counts[row, column[tok]] += 1.0
+    probs = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha * len(column))
+    return np.maximum(_row_loop_pair_sums(probs, np.log(probs)), 0.0)
+
+
+def _gathered_score(rows, k, distances, ceiling) -> tuple[float, tuple[float, ...]]:
+    """(value, sample_distances) from every sample pair gathered out of the
+    pair table, the value as one fsum over all N(N-1)/2 of them."""
+    n = len(rows)
+    table = np.zeros((k + 1, k + 1))
+    a, b = np.triu_indices(k, 1)
+    table[a, b] = table[b, a] = distances
+    table[k] = table[:, k] = ceiling
+    i, j = np.triu_indices(n, 1)
+    rows = np.asarray(rows)
+    pairs = table[rows[i], rows[j]]
+    totals = np.bincount(i, pairs, n) + np.bincount(j, pairs, n)
+    return 1.0 - math.fsum(pairs.tolist()) / len(pairs), tuple((totals / (n - 1)).tolist())
+
+
+def _uniform_vectors(n: int, dim: int, seed: int) -> list[tuple[float, ...]]:
+    # random.Random(seed).random() gives the same sequence in every Python
+    rnd = random.Random(seed)
+    return [tuple(rnd.random() - 0.5 for _ in range(dim)) for _ in range(n)]
+
+
+# 50 samples of five inputs, 17, 13, 9, 6 and 3 times, and two blank ones,
+# spread over the sample positions by the permutation p -> 37p mod 50
+_REPEATS_BY_INPUT = [0] * 17 + [1] * 13 + [2] * 9 + [3] * 6 + [4] * 3 + [-1] * 2
+PINNED_INPUTS = {
+    "repeats": (_uniform_vectors(5, 64, 50), [_REPEATS_BY_INPUT[p * 37 % 50] for p in range(50)]),
+    "distinct": (_uniform_vectors(200, 64, 200), None),
+    "pair": (_uniform_vectors(2, 64, 2), None),
+}
+# value, then sample_distances as hex strings, or for the 200 distinct
+# samples the sha256 of those strings joined by spaces
+PINNED_SCORES = {
+    "repeats": ("0x1.72b36ca2cc28cp-3", """
+        0x1.6a3601b5d0cc1p-1 0x1.a2665f825ebe8p-1 0x1.6b17778a6c70cp-1
+        0x1.6a3601b5d0cc1p-1 0x1.0000000000000p+1 0x1.a2665f825ebeap-1
+        0x1.6b17778a6c70dp-1 0x1.6a3601b5d0cc1p-1 0x1.d4b5ade91bce1p-1
+        0x1.a2665f825ebeap-1 0x1.6b17778a6c70dp-1 0x1.6a3601b5d0cc1p-1
+        0x1.de1f44f0556f9p-1 0x1.a2665f825ebebp-1 0x1.6b17778a6c70dp-1
+        0x1.6a3601b5d0cc1p-1 0x1.de1f44f0556fbp-1 0x1.6b17778a6c70dp-1
+        0x1.6a3601b5d0cc1p-1 0x1.6a3601b5d0cc1p-1 0x1.de1f44f0556fbp-1
+        0x1.6b17778a6c70dp-1 0x1.6a3601b5d0cc1p-1 0x1.6a3601b5d0cc1p-1
+        0x1.a2665f825ebeap-1 0x1.6b17778a6c70dp-1 0x1.6a3601b5d0cc1p-1
+        0x1.0000000000000p+1 0x1.a2665f825ebeap-1 0x1.6b17778a6c70dp-1
+        0x1.6a3601b5d0cc1p-1 0x1.d4b5ade91bce2p-1 0x1.a2665f825ebeap-1
+        0x1.6b17778a6c70dp-1 0x1.6a3601b5d0cc1p-1 0x1.d4b5ade91bce2p-1
+        0x1.a2665f825ebe8p-1 0x1.6b17778a6c70dp-1 0x1.6a3601b5d0cc1p-1
+        0x1.de1f44f0556f8p-1 0x1.a2665f825ebeap-1 0x1.6b17778a6c70dp-1
+        0x1.6a3601b5d0cc1p-1 0x1.de1f44f0556f8p-1 0x1.6b17778a6c70dp-1
+        0x1.6a3601b5d0cc1p-1 0x1.6a3601b5d0cc1p-1 0x1.de1f44f0556f8p-1
+        0x1.6b17778a6c70dp-1 0x1.6a3601b5d0cc1p-1
+    """.split()),
+    "distinct": ("-0x1.1035a02684000p-10",
+                 "b06b7e356f31b3bd0f9c989ed59bd9e85326e7152832acb0266d8ef256c0cb7d"),
+    "pair": ("-0x1.fbe411c550660p-5", ["0x1.0fdf208e2a833p+0"] * 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_semantic_stability_bits_are_pinned(name):
+    vectors, rows = PINNED_INPUTS[name]
+    score = semantic_stability(vectors, rows=rows)
+    value, sample_distances = PINNED_SCORES[name]
+    assert score.value.hex() == value
+    got = _bits(score.sample_distances)
+    if isinstance(sample_distances, str):
+        got = hashlib.sha256(" ".join(got).encode()).hexdigest()
+    assert got == sample_distances
+
+
+@pytest.mark.parametrize("k, rows", [
+    (5, [_REPEATS_BY_INPUT[p * 37 % 50] for p in range(50)]),
+    (50, None),
+    (2, None),
+])
+def test_kl_kernel_matches_the_row_loop_bit_for_bit(k, rows):
+    outputs = _random_outputs(k)
+    assert len(set(outputs)) == k
+    divergences = _kl_divergences(outputs, 1.0)
+    oracle = _row_loop_kl(outputs, 1.0)
+    assert _bits(divergences) == _bits(oracle)
+    score = kl_stability_score(outputs, rows=rows)
+    value, sample_distances = _gathered_score(
+        range(k) if rows is None else rows, k, oracle / (1.0 + oracle), 1.0)
+    assert _bits([score.value]) == _bits([value])
+    assert _bits(score.sample_distances) == _bits(sample_distances)
+
+
+@pytest.mark.parametrize("block", [1, 7, metrics._PAIR_BLOCK])
+@pytest.mark.parametrize("n, width", [(1, 3), (9, 3), (40, 64)])
+def test_pair_sums_bits_do_not_depend_on_the_block(monkeypatch, block, n, width):
+    monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
+    x = np.random.default_rng(n).random((n, width))
+    for y in (x, np.log(x)):
+        assert _bits(_pair_sums(x, y)) == _bits(_row_loop_pair_sums(x, y))
+
+
+def test_value_sum_is_exact_at_the_largest_multiplicity():
+    # N = 1000 in two halves: one input pair stands for 500 * 500 = 250,000
+    # sample pairs
+    d = _cosine_distances(_uniform_vectors(2, 64, 7))
+    expanded = d.tolist() * 250_000 + [0.0] * 249_500
+    score = _score([0] * 500 + [1] * 500, 2, d, 2.0)
+    assert score.value == 1.0 - math.fsum(expanded) / 499_500
+    # three inputs 395, 36 and 569 times: here a value from the fsum of the
+    # rounded products c_a * c_b * d_ab would be one ulp off
+    d = np.array([0.04048437818077755, 0.9654648863619172, 0.48592769656281265])
+    weights = [395 * 36, 395 * 569, 36 * 569]
+    expanded = [x for x, w in zip(d.tolist(), weights) for _ in range(w)]
+    expanded += [0.0] * (499_500 - len(expanded))
+    exact = 1.0 - math.fsum(expanded) / 499_500
+    assert 1.0 - math.fsum(x * w for x, w in zip(d.tolist(), weights)) / 499_500 != exact
+    assert _score([0] * 395 + [1] * 36 + [2] * 569, 3, d, 2.0).value == exact
+
+
+@pytest.mark.parametrize("vectors, error", [
+    # ragged dimensions among EmbeddingVectors
+    ([EmbeddingVector((1.0, 0.0)), EmbeddingVector((1.0, 0.0, 0.0))], DimensionMismatchError),
+    # a 2-D array passed as one vector, among vectors and on its own
+    ([np.ones((2, 2)), (1.0, 0.0)], DimensionMismatchError),
+    ([np.ones((2, 2)), np.ones((2, 2))], DimensionMismatchError),
+    ([EmbeddingVector((0.0, 0.0)), (1.0, 0.0)], ZeroVectorError),
+])
+def test_cosine_input_errors_keep_their_classes(vectors, error):
+    # DimensionMismatchError is a ValueError, so a bare numpy ValueError
+    # would not match
+    with pytest.raises(error):
+        _cosine_distances(vectors)
+
+
+def test_cosine_mixes_tuples_and_arrays_of_one_dimension():
+    assert _cosine_distances([(1.0, 0.0), np.array([0.0, 1.0])]).tolist() == [1.0]
 
 
 # -- kl_stability -------------------------------------------------------------
