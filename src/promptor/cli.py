@@ -193,7 +193,7 @@ def cmd_simulate_bound(args) -> int:
     return EXIT_OK
 
 
-def _collect_traces(paths: list[str]) -> list:
+def _trace_files(paths: list[str]) -> list[Path]:
     files: list[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -203,7 +203,7 @@ def _collect_traces(paths: list[str]) -> list:
             files.append(path)
     if not files:
         raise ConfigError("no trace files found")
-    return [read_trace(f) for f in files]
+    return files
 
 
 def cmd_replay(args) -> int:
@@ -213,7 +213,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
-    traces = _collect_traces(args.trace)
+    # each trace is read as the report digests it, so one is in memory at a time
+    traces = (read_trace(f) for f in _trace_files(args.trace))
     _emit(render_run_report(compute_run_metrics(traces)), args.out)
     return EXIT_OK
 

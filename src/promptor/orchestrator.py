@@ -368,6 +368,9 @@ class Orchestrator:
         self.settings = settings or OrchestratorSettings()
         # set while steps run ahead
         self._turns: _Turns | None = None
+        # each subtask's prompt as its last revision or augmentation left it;
+        # run-ahead copies share it, and each step writes only its subtask's
+        self._traced_prompts: dict[str, ModularPrompt] = {}
 
     # -- backend plumbing -------------------------------------------------
 
@@ -720,12 +723,11 @@ class Orchestrator:
                     best_prompt=best_prompt, history=history,
                 )
             revised_prompt, kind = revised
-            self.trace.emit(
-                "revision",
-                {"subtask_id": subtask_id, "component": kind.value,
-                 "revision": revised_prompt.revision,
-                 "prompt_after": revised_prompt.to_json_dict()},
-            )
+            value = getattr(revised_prompt, kind.value)
+            if kind is PromptComponentKind.REQUIREMENTS:
+                value = list(value)
+            self._emit_prompt("revision", subtask_id, current, revised_prompt,
+                              {"component": kind.value, "value": value})
             new_score, outputs = self._measure(revised_prompt, subtask_id)
             steps.append(
                 RefinementStep(revised_prompt.revision, kind.value, score, new_score)
@@ -785,12 +787,7 @@ class Orchestrator:
         augmented = replace_component(
             p, PromptComponentKind.REQUIREMENTS, p.requirements + (clause,)
         )
-        self.trace.emit(
-            "augmentation",
-            {"subtask_id": failure.subtask_id, "clause": clause,
-             "revision": augmented.revision,
-             "prompt_after": augmented.to_json_dict()},
-        )
+        self._emit_prompt("augmentation", failure.subtask_id, p, augmented, {"clause": clause})
         return augmented
 
     def summarize(self, raw_output: str, plan: Plan, sub: Subtask) -> Summary:
@@ -945,12 +942,21 @@ class Orchestrator:
             history=context.history_for(sub, plan),
             io_spec=sub.io_spec,
         )
-        self.trace.emit(
-            "revision",
-            {"subtask_id": sub.id, "component": "initial", "revision": 0,
-             "prompt_after": prompt.to_json_dict()},
-        )
+        self._emit_prompt("revision", sub.id, None, prompt, {"component": "initial"})
         return prompt
+
+    def _emit_prompt(
+        self, event_type: str, subtask_id: str, before: ModularPrompt | None,
+        after: ModularPrompt, change: dict,
+    ) -> None:
+        """Record a subtask's prompt change from before to after: change
+        alone when before is the prompt the trace last holds for the subtask,
+        else with after in full as prompt_after."""
+        payload = {"subtask_id": subtask_id, **change}
+        if before is None or self._traced_prompts.get(subtask_id) is not before:
+            payload["prompt_after"] = after.to_json_dict()
+        self.trace.emit(event_type, payload)
+        self._traced_prompts[subtask_id] = after
 
     def _refine_for_subtask(
         self, plan: Plan, sub: Subtask, context: ContextStore

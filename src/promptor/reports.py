@@ -8,6 +8,7 @@ produce identical report bytes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .config import EXACT, NUMERIC_MATCH
 from .errors import InsufficientSamplesError, MalformedTraceError, UndefinedCorrelationError
@@ -157,10 +158,13 @@ class RunReport:
         return CorrelationReport(len(scored), coefficient)
 
 
-def compute_run_metrics(traces: list[ExecutionTrace]) -> RunReport:
-    if not traces:
+def compute_run_metrics(traces: Iterable[ExecutionTrace]) -> RunReport:
+    """The report over traces, each digested as it is taken from the
+    iterable and then let go, so a generator of traces holds one at a time."""
+    digests = tuple(map(digest_trace, traces))
+    if not digests:
         raise InsufficientSamplesError("compute_run_metrics needs at least one trace")
-    return RunReport(digests=tuple(digest_trace(t) for t in traces))
+    return RunReport(digests=digests)
 
 
 def render_run_report(report: RunReport) -> str:

@@ -29,6 +29,18 @@ read. The plan, subtask, I/O spec and prompt records inside events leave out
 each field that holds its default, which the reader fills back in, so the
 same records written in full, as earlier version 5 traces hold them, read
 the same.
+
+Version 6 writes each output text and each prompt once. The writer numbers
+the texts of generation outputs 0, 1, 2... in the order they first appear
+in the trace; a text new to the trace is written in full, and a later copy
+as its ordinal, a JSON int. A reviewer revision writes its component and
+value, the component's JSON form after replace_component, and an
+augmentation its clause; replay applies each to the subtask's current
+prompt with replace_component. The initial revision, and a change to a
+prompt other than the one the trace last holds for the subtask, also write
+the full prompt_after, which replay then takes as it is. Replay checks that
+every output is a text (from version 6 on, or the ordinal of an earlier
+one), that a score's value is a number and a run's final_output a text.
 """
 
 from __future__ import annotations
@@ -42,9 +54,9 @@ from typing import Iterable
 
 from .errors import MalformedTraceError
 from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
-from .prompt import ModularPrompt
+from .prompt import ModularPrompt, PromptComponentKind, replace_component
 
-TRACE_VERSION = 5
+TRACE_VERSION = 6
 
 EVENT_TYPES = (
     "generation",
@@ -97,6 +109,8 @@ class TraceWriter:
         self._events: list[TraceEvent] = []
         self._lock = threading.Lock()
         self._next_seq = 0
+        # each generation output text written so far -> its ordinal
+        self._ordinals: dict[str, int] = {}
         self._file = open(path, "w", encoding="utf-8") if path is not None else None
         if self._file is not None:
             self._file.write(json.dumps({"kind": "header", **self._header}, sort_keys=True) + "\n")
@@ -104,6 +118,8 @@ class TraceWriter:
 
     def emit(self, event_type: str, payload: dict) -> TraceEvent:
         with self._lock:
+            if event_type == "generation" and type(payload.get("outputs")) is list:
+                payload = self._by_reference(payload)
             event = TraceEvent(seq=self._next_seq, type=event_type, payload=payload, ts=time.time())
             self._next_seq += 1
             self._events.append(event)
@@ -111,6 +127,20 @@ class TraceWriter:
                 self._file.write(json.dumps(event.to_json_dict(), sort_keys=True) + "\n")
                 self._file.flush()
         return event
+
+    def _by_reference(self, payload: dict) -> dict:
+        """payload with each output text the trace already holds replaced by
+        its ordinal; payload itself when every text is new."""
+        ordinals, outputs, seen = self._ordinals, [], False
+        for text in payload["outputs"]:
+            ordinal = ordinals.get(text)
+            if ordinal is None:
+                ordinals[text] = len(ordinals)
+                outputs.append(text)
+            else:
+                outputs.append(ordinal)
+                seen = True
+        return {**payload, "outputs": outputs} if seen else payload
 
     def warning(self, reason: str, **payload) -> TraceEvent:
         return self.emit("warning", {"reason": reason, **payload})
@@ -236,6 +266,49 @@ def _check_sample_index(event: TraceEvent) -> None:
         )
 
 
+def _read_outputs(event: TraceEvent, texts: list[str] | None) -> list[str]:
+    """A generation event's outputs as texts. Before version 6 (texts is
+    None) each must be a text. From version 6 on, texts holds every text the
+    trace wrote in full before this one: a text is appended to it, and an
+    int must be the ordinal of one of them."""
+    outputs = event.payload["outputs"]
+    if type(outputs) is not list:
+        raise MalformedTraceError(f"event {event.seq}: outputs must be a list")
+    resolved = []
+    for output in outputs:
+        if type(output) is str:
+            if texts is not None:
+                texts.append(output)
+        elif texts is not None and type(output) is int and 0 <= output < len(texts):
+            output = texts[output]
+        else:
+            raise MalformedTraceError(
+                f"event {event.seq}: output {output!r} is not a text"
+                + ("" if texts is None else " or the ordinal of an earlier one"))
+        resolved.append(output)
+    return resolved
+
+
+def _changed_prompt(event: TraceEvent, current: ModularPrompt | None) -> ModularPrompt:
+    """The prompt a version 6 revision or augmentation without prompt_after
+    leaves: its delta applied to the subtask's current prompt."""
+    payload = event.payload
+    if current is None:
+        raise MalformedTraceError(f"event {event.seq}: {event.type} delta before any prompt"
+                                  f" of subtask {payload['subtask_id']!r}")
+    if event.type == "augmentation":
+        clause = payload["clause"]
+        kind, value = PromptComponentKind.REQUIREMENTS, current.requirements + (clause,)
+        well_typed = type(clause) is str
+    else:
+        kind, value = PromptComponentKind(payload["component"]), payload["value"]
+        well_typed = (type(value) is list and all(type(c) is str for c in value)
+                      if kind is PromptComponentKind.REQUIREMENTS else type(value) is str)
+    if not well_typed:
+        raise MalformedTraceError(f"event {event.seq}: bad {kind.value} change {payload!r}")
+    return replace_component(current, kind, value)
+
+
 def replay_trace(trace: ExecutionTrace) -> ReplayState:
     """Rebuild plan and prompt states from the recorded events. Raises
     MalformedTraceError if the events do not fold into consistent state."""
@@ -243,6 +316,8 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
     version = trace.header["version"]
     # the output count of each subtask's last stability generation
     measured: dict[str, int] = {}
+    # from version 6 on, every output text written in full so far
+    texts: list[str] | None = [] if version >= 6 else None
     for event in trace.events:
         payload = event.payload
         try:
@@ -268,6 +343,9 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                 if payload.get("subtask_id") == "__run__":
                     state.run_status = payload["to"]
                     state.final_output = payload.get("final_output", state.final_output)
+                    if type(state.final_output) is not str:
+                        raise MalformedTraceError(f"event {event.seq}: final_output"
+                                                  f" {state.final_output!r} is not a text")
                 else:
                     if state.plan is None:
                         raise MalformedTraceError(
@@ -278,7 +356,10 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                     )
             elif event.type in ("revision", "augmentation"):
                 sid = payload["subtask_id"]
-                state.prompts[sid] = ModularPrompt.from_json_dict(payload["prompt_after"])
+                if version < 6 or "prompt_after" in payload:
+                    state.prompts[sid] = ModularPrompt.from_json_dict(payload["prompt_after"])
+                else:
+                    state.prompts[sid] = _changed_prompt(event, state.prompts.get(sid))
                 if event.type == "augmentation":
                     state.augmentations[sid] = state.augmentations.get(sid, 0) + 1
                 elif payload.get("component") != "initial":
@@ -290,14 +371,19 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                         f"event {event.seq}: {len(payload['output_distances'])} output"
                         f" distances for {measured.get(sid, 'no')} stability outputs"
                     )
-                state.scores.setdefault(sid, []).append(payload["value"])
+                value = payload["value"]
+                if type(value) not in (int, float):
+                    raise MalformedTraceError(f"event {event.seq}: score value {value!r}"
+                                              " is not a number")
+                state.scores.setdefault(sid, []).append(value)
             elif event.type == "generation":
+                outputs = _read_outputs(event, texts)
                 if version >= 4:
                     _check_sample_index(event)
                 if payload.get("purpose") == "execution":
-                    state.outputs[payload["subtask_id"]] = payload["outputs"][0]
+                    state.outputs[payload["subtask_id"]] = outputs[0]
                 elif payload.get("purpose") == "stability":
-                    measured[payload["subtask_id"]] = len(payload["outputs"])
+                    measured[payload["subtask_id"]] = len(outputs)
         except MalformedTraceError:
             raise
         except Exception as exc:

@@ -211,7 +211,8 @@ class TestRun:
             events = read_trace(trace_path).events
             draws = [e.payload["outputs"] for e in events if e.type == "generation"
                      and e.payload["purpose"] == "stability" and e.payload["subtask_id"] == "parse"]
-            assert any(not text.strip() for outs in draws for text in outs)
+            # a text is written in full where it first appears, later as its ordinal
+            assert any(type(text) is str and not text.strip() for outs in draws for text in outs)
             assert any(e.type == "score" and e.payload["subtask_id"] == "parse" for e in events)
 
 
@@ -238,6 +239,27 @@ class TestReplayAndReport:
         assert code == 0
         assert out.startswith("runs: 2\n")
         assert out.count("run ") >= 2
+
+    def test_report_holds_one_parsed_trace_at_a_time(self, monkeypatch, capsys):
+        import weakref
+
+        from promptor import cli
+
+        read = []
+
+        def read_and_watch(path):
+            # every trace read before this one is gone already
+            assert [ref for ref in read if ref() is not None] == []
+            trace = read_trace(path)
+            read.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(cli, "read_trace", read_and_watch)
+        code, out, err = invoke(["report", "--trace", str(DATA)], capsys)
+        assert (code, err) == (0, "")
+        files = sorted(DATA.glob("*.jsonl"))
+        assert out.startswith(f"runs: {len(files)}\n") and len(read) == len(files) > 1
+        assert all(ref() is None for ref in read)
 
     def test_report_correlation_matches_stdlib_oracle(self, tmp_path, capsys):
         import statistics
@@ -525,6 +547,36 @@ class TestExitCodes:
         code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
         assert (code, out) == (4, "")
         assert err.startswith("malformed trace:") and repr([*changes.values()][-1]) in err
+
+    @pytest.mark.parametrize("version, kind, change, message", [
+        (5, "score", {"value": "x"}, "score value 'x' is not a number"),
+        (5, "score", {"value": None}, "score value None is not a number"),
+        (5, "score", {"value": True}, "score value True is not a number"),
+        (5, "score", {"value": [0.5]}, "score value [0.5] is not a number"),
+        (5, "final", {"final_output": 0}, "final_output 0 is not a text"),
+        (5, "final", {"final_output": None}, "final_output None is not a text"),
+        (5, "execution", {"outputs": [7]}, "output 7 is not a text"),
+        (6, "execution", {"outputs": [99]}, "output 99 is not a text or the ordinal"),
+        (6, "execution", {"outputs": [False]}, "output False is not a text or the ordinal"),
+        (6, "execution", {"outputs": [None]}, "output None is not a text or the ordinal"),
+    ])
+    def test_a_field_of_the_wrong_type_is_a_malformed_trace(self, tmp_path, capsys, version,
+                                                            kind, change, message):
+        # failure injection: one field of a committed fixture's first event of
+        # a kind takes a value that replay cannot read, and replay names it
+        header, *events = (DATA / f"trace_v{version}_strategy_shift.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        events = [json.loads(line) for line in events]
+        picks = {"score": lambda p: "value" in p,
+                 "final": lambda p: p.get("to") == "succeeded",
+                 "execution": lambda p: p.get("purpose") == "execution"}
+        event = next(e for e in events if picks[kind](e["payload"]))
+        event["payload"].update(change)
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join([header, *map(json.dumps, events)]) + "\n", encoding="utf-8")
+        code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"malformed trace: event {event['seq']}: {message}")
 
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = invoke(

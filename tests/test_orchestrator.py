@@ -735,6 +735,7 @@ class TestAugmentRequirements:
         assert augmented.revision == 1
         event = orch.trace.trace().events_of_type("augmentation")[0].payload
         assert event["clause"] == "Print one integer only."
+        # the trace holds no prompt of calc before, so the change is written in full
         assert event["prompt_after"]["revision"] == 1
 
     def test_repeated_failures_accumulate_clauses(self):
@@ -748,6 +749,11 @@ class TestAugmentRequirements:
         twice = orch.augment_requirements(once, self.failed("still words"))
         assert twice.requirements == prompt.requirements + ("Show no words.", "Show no words.")
         assert twice.revision == 2
+        # the second clause changes the prompt the first left, so it is written alone
+        events = orch.trace.trace().events_of_type("augmentation")
+        assert [set(e.payload) for e in events] == [
+            {"subtask_id", "clause", "prompt_after"}, {"subtask_id", "clause"}]
+        assert replay_trace(orch.trace.trace()).prompts == {"calc": twice}
 
     def assert_clause_rejected(self, clause):
         prompt = executor_prompt("calc", "Compute the sum.")
@@ -896,8 +902,10 @@ class TestContextStore:
         assert prompt.history == "- dep: dep: total=41"
         assert prompt.io_spec == NUMERIC_SPEC
         event = orch.trace.trace().events_of_type("revision")[0].payload
+        # the initial prompt in full, and no revision counter beside it
+        assert set(event) == {"subtask_id", "component", "prompt_after"}
         assert event["component"] == "initial"
-        assert event["revision"] == 0
+        assert ModularPrompt.from_json_dict(event["prompt_after"]) == prompt
 
     def test_knowledge_failure_degrades_to_notes_only(self):
         plan = Plan(
@@ -1174,6 +1182,126 @@ class TestRunPipeline:
         report = render_run_report(compute_run_metrics([trace]))
         assert render_run_report(compute_run_metrics([written])) == report
         assert "run 1: failed" in report
+
+    def test_prompt_changes_replay_to_the_executed_prompts(self, tmp_path):
+        # calc's initial prompt and its role revision are unstable; the
+        # requirements revision is stable but answers in words, and the
+        # augmented prompt answers in digits
+        solo = [{"id": "calc", "description": "Compute the sum.", "dependencies": [],
+                 "io_spec": {"output_format": "numeric"}}]
+        new_role = "You add numbers."
+        initial = executor_prompt("calc", "Compute the sum.")
+        role = replace_component(initial, PromptComponentKind.ROLE, new_role)
+        required = replace_component(role, PromptComponentKind.REQUIREMENTS, "Print the sum.")
+        augmented = replace_component(required, PromptComponentKind.REQUIREMENTS,
+                                      required.requirements + ("Print digits only.",))
+        behaviors = [
+            planner_behavior(solo),
+            ScriptedBehavior.for_prompt(render_prompt(initial), UNSTABLE_OUTCOMES),
+            ScriptedBehavior.for_prompt(render_prompt(role), UNSTABLE_OUTCOMES),
+            point_mass(render_prompt(required), "twelve"),
+            point_mass(render_prompt(augmented), "12"),
+        ]
+        for prompt in (initial, role):
+            assert_gate_stays_shut(render_prompt(prompt), behaviors, blocks=1)
+        rules = [prefix_json(ap.REVIEWER_FAILURE_MARK, "Subtask: calc",
+                             {"clause": "Print digits only."})]
+
+        class Reviewer:
+            """calc's stability reviewer: it rewrites the role of a prompt
+            that still has the first one, and the requirements after."""
+
+            def __init__(self):
+                self.inner = ScriptedGenerator(behaviors=behaviors, prefix_rules=rules)
+
+            def generate(self, request):
+                if not request.prompt_text.startswith(ap.REVIEWER_STABILITY_MARK):
+                    return self.inner.generate(request)
+                reply = ({"component": "requirements", "replacement": "Print the sum."}
+                         if new_role in request.prompt_text
+                         else {"component": "role", "replacement": new_role})
+                return [json.dumps(reply)] * request.sample_count
+
+        def run(path, in_full):
+            orch = make_orchestrator(Reviewer(), self.settings(
+                plan_updater_enabled=False, subtask_optimizer_enabled=False), path=path)
+            if in_full:
+                class NoPromptTraced(dict):
+                    def get(self, subtask_id, default=None):
+                        return None
+
+                # as if the trace held no prompt of calc: every change in full
+                orch._traced_prompts = NoPromptTraced()
+            executed = []
+
+            def execute(sub, prompt):
+                executed.append(prompt)
+                return Orchestrator.execute_subtask(orch, sub, prompt)
+
+            orch.execute_subtask = execute
+            trace = orch.run_pipeline(TASK, template="linear-chain")
+            orch.trace.close()
+            return trace, executed
+
+        trace, executed = run(tmp_path / "deltas.jsonl", in_full=False)
+        assert executed == [required, augmented]
+        changes = [e.payload for e in trace.events if e.type in ("revision", "augmentation")]
+        assert changes[1:] == [
+            {"subtask_id": "calc", "component": "role", "value": new_role},
+            {"subtask_id": "calc", "component": "requirements", "value": ["Print the sum."]},
+            {"subtask_id": "calc", "clause": "Print digits only."},
+        ]
+        state = replay_trace(trace)
+        assert state.prompts == {"calc": augmented}
+        assert (state.refinements, state.augmentations) == ({"calc": 2}, {"calc": 1})
+        assert replay_trace(read_trace(tmp_path / "deltas.jsonl")) == state
+        full, _ = run(tmp_path / "full.jsonl", in_full=True)
+        assert [e.payload.get("prompt_after") for e in full.events
+                if e.type in ("revision", "augmentation")] == [
+            p.to_json_dict() for p in (initial, role, required, augmented)]
+        assert replay_trace(full) == state
+
+    def test_augmenting_an_earlier_revision_writes_it_in_full(self):
+        # the role revision scores below the initial prompt, so the exhausted
+        # gate executes the initial prompt, and the augmentation changes a
+        # prompt other than the one the trace last holds for calc
+        solo = [{"id": "calc", "description": "Compute the sum.", "dependencies": [],
+                 "io_spec": {"output_format": "numeric"}}]
+        initial = executor_prompt("calc", "Compute the sum.")
+        role = replace_component(initial, PromptComponentKind.ROLE, "You add numbers.")
+        augmented = replace_component(initial, PromptComponentKind.REQUIREMENTS,
+                                      initial.requirements + ("Print digits only.",))
+        samples = {render_prompt(initial): ["red", "red", "red", "blue", "green"],
+                   render_prompt(role): ["one", "two", "three", "four", "five"],
+                   render_prompt(augmented): ["12"]}
+        rules = [
+            prefix_json(ap.REVIEWER_STABILITY_MARK, "Subtask: calc",
+                        {"component": "role", "replacement": "You add numbers."}),
+            prefix_json(ap.REVIEWER_FAILURE_MARK, "Subtask: calc",
+                        {"clause": "Print digits only."}),
+        ]
+        planner = ScriptedGenerator(behaviors=[planner_behavior(solo)], prefix_rules=rules)
+
+        class Samples:
+            def generate(self, request):
+                drawn = samples.get(request.prompt_text)
+                if drawn is None:
+                    return planner.generate(request)
+                return drawn[:request.sample_count]
+
+        orch = make_orchestrator(Samples(), self.settings(
+            plan_updater_enabled=False, subtask_optimizer_enabled=False,
+            refinement=RefinementConfig(max_iterations=1)))
+        trace = orch.run_pipeline(TASK, template="linear-chain")
+        scores = [e.payload["value"] for e in trace.events_of_type("score")]
+        assert len(scores) == 2 and scores[1] < scores[0] < TAU
+        changes = [e.payload for e in trace.events if e.type in ("revision", "augmentation")]
+        assert [set(p) for p in changes] == [
+            {"subtask_id", "component", "prompt_after"}, {"subtask_id", "component", "value"},
+            {"subtask_id", "clause", "prompt_after"}]
+        state = replay_trace(trace)
+        assert state.run_status == "succeeded"
+        assert state.prompts == {"calc": augmented}
 
     def test_augmentation_recovers_format_failure(self):
         solo = [{"id": "calc", "description": "Compute the sum.",

@@ -180,6 +180,13 @@ def test_trace_bytes_are_equal_at_every_width(conflict, monkeypatch, pools, freq
     b2 = state.plan.subtask("b2")
     assert (b2.status, b2.description) == (SubtaskStatus.EXECUTED_OK, REFORMULATED_B2)
     assert state.refinements and state.augmentations["b2"] == 2
+    # run-ahead steps write the reviewer's and the augmentations' changes as
+    # deltas of the prompts they traced, and texts the trace holds as ordinals
+    changes = [e.payload for e in trace.events if e.type in ("revision", "augmentation")
+               and e.payload.get("component") != "initial"]
+    assert changes and not any("prompt_after" in p for p in changes)
+    assert any(type(o) is int for e in trace.events_of_type("generation")
+               for o in e.payload["outputs"])
     assert len(warnings_of(trace, "invariant-violation")) == (1 if conflict else 0)
     assert state.plan.subtask("b4").injected_notes == ("Keep the units.",)
 
@@ -246,7 +253,7 @@ def test_a_chain_starts_no_thread(monkeypatch, pools):
 
 # the canonical trace of the pipeline_fixture pipeline, pinned so that any
 # change to a trace byte fails here and is made on purpose
-PIPELINE_TRACE_SHA256 = "25344c6334ac694c0303270485dbdec871e397b9c88a322fe1b4a9800ce1090e"
+PIPELINE_TRACE_SHA256 = "c35275c81ff4af094bc460b55380d1642cae8b0793c8a19f73fcea6c2fd090bb"
 
 
 @pytest.mark.parametrize("width", [1, 4])

@@ -10,7 +10,7 @@ from promptor.backends import HashEmbedder
 from promptor.errors import MalformedTraceError
 from promptor.orchestrator import Orchestrator, OrchestratorSettings
 from promptor.plan import Plan, Subtask, SubtaskStatus
-from promptor.prompt import ModularPrompt
+from promptor.prompt import ModularPrompt, PromptComponentKind, replace_component
 from promptor.reports import compute_run_metrics, render_run_report
 from promptor.trace import (
     EVENT_TYPES,
@@ -43,6 +43,9 @@ V4_TRACE = Path(__file__).parent / "data" / "trace_v4_strategy_shift.jsonl"
 # fields that hold their defaults and the optimizer's snapshot of an
 # unchanged plan.
 V5_TRACE = Path(__file__).parent / "data" / "trace_v5_strategy_shift.jsonl"
+# The same run as written by trace version 6, whose generation events write a
+# text the trace already holds as its ordinal.
+V6_TRACE = Path(__file__).parent / "data" / "trace_v6_strategy_shift.jsonl"
 V1_REPORT = """runs: 1
 execution success rate: 1.000000
 completion rate: 1.000000 (1/1 reference checks passed)
@@ -63,6 +66,20 @@ def make_trace(events):
         header={"version": 1, "created_at": "2024-01-01T00:00:00", "run": "t"},
         events=tuple(events),
     )
+
+
+def written_outputs(trace):
+    """Each generation event's outputs, with every ordinal replaced by the
+    text it numbers: the texts written in full, counted in trace order."""
+    texts, resolved = [], []
+    for event in trace.events_of_type("generation"):
+        outputs = []
+        for output in event.payload["outputs"]:
+            if type(output) is str:
+                texts.append(output)
+            outputs.append(texts[output] if type(output) is int else output)
+        resolved.append(outputs)
+    return resolved
 
 
 def write_and_read(trace, path):
@@ -163,6 +180,83 @@ class TestWriter:
             t.join()
         seqs = [e.seq for e in writer.trace().events]
         assert seqs == list(range(200))
+
+
+# texts that look like ordinals or like other JSON values, blanks among them
+OUTPUT_TEXTS = st.one_of(st.sampled_from(["", " ", "\n", "0", "1", "7", "-1", "1.0", "true",
+                                          "null", "[0]", "\"7\""]),
+                         st.text(max_size=6))
+
+
+class TestOutputsByReference:
+    def generation(self, k, outputs, purpose="execution"):
+        return {"subtask_id": f"s{k}", "purpose": purpose, "fingerprint": "f",
+                "temperature": 1.0, "sample_count": len(outputs), "outputs": outputs}
+
+    @given(st.lists(st.lists(OUTPUT_TEXTS, min_size=1, max_size=5, unique=True), max_size=8))
+    def test_outputs_round_trip_through_a_file(self, tmp_path_factory, draws):
+        path = tmp_path_factory.getbasetemp() / "outputs.jsonl"
+        payloads = [self.generation(k, outputs) for k, outputs in enumerate(draws)]
+        given_payloads = json.loads(json.dumps(payloads))
+        with TraceWriter({"run": "r"}, path=path) as writer:
+            for payload in payloads:
+                writer.emit("generation", payload)
+            in_memory = writer.trace()
+        # the callers' payloads keep their texts
+        assert payloads == given_payloads
+        parsed = read_trace(path)
+        assert canonical_trace_bytes(parsed) == canonical_trace_bytes(in_memory)
+        assert written_outputs(parsed) == draws
+        # each text is written in full once, and each later copy as its ordinal
+        written = [o for e in parsed.events for o in e.payload["outputs"] if type(o) is str]
+        assert written == list(dict.fromkeys(o for outputs in draws for o in outputs))
+        state = replay_trace(parsed)
+        assert state.outputs == {f"s{k}": outputs[0] for k, outputs in enumerate(draws)}
+
+    def test_never_repeating_outputs_are_written_as_in_version_5(self):
+        payloads = [self.generation(k, [f"answer {k}.{j}" for j in range(3)], "stability")
+                    for k in range(4)]
+        writer = TraceWriter({"run": "r"})
+        for payload in payloads:
+            writer.emit("generation", payload)
+        events = writer.trace().events
+        assert [json.dumps(e.payload, sort_keys=True) for e in events] == [
+            json.dumps(p, sort_keys=True) for p in payloads]
+
+    def test_numbering_follows_the_writer_not_the_emitters(self):
+        writer = TraceWriter({"run": "r"})
+        writer.emit("generation", self.generation(0, ["a", "b"]))
+        writer.emit("warning", {"reason": "x", "outputs": ["a"]})
+        writer.emit("generation", self.generation(1, ["b", "c", "a"]))
+        writer.emit("generation", self.generation(2, ["c"]))
+        outputs = [e.payload["outputs"] for e in writer.trace().events]
+        assert outputs == [["a", "b"], ["a"], [1, "c", 0], [2]]
+
+    def test_version_6_fixture_replays_to_the_same_report(self):
+        trace = read_trace(V6_TRACE)
+        assert trace.header["version"] == 6
+        executions = [e.payload["outputs"] for e in trace.events_of_type("generation")
+                      if e.payload["purpose"] == "execution"]
+        # each execution repeats its stability samples' text
+        assert executions and all(type(o) is int for outputs in executions for o in outputs)
+        assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
+        assert replay_trace(trace) == replay_trace(read_trace(V5_TRACE))
+
+    @pytest.mark.parametrize("version, outputs, match", [
+        (5, [7], "output 7 is not a text$"),
+        (5, ["a", None], "output None is not a text$"),
+        (6, [1], "output 1 is not a text or the ordinal of an earlier one"),
+        (6, [-1], "output -1 is not"),
+        (6, [True], "output True is not"),
+        (6, [0.0], "output 0.0 is not"),
+        (6, ["7", [0]], r"output \[0\] is not"),
+        (6, "ab", "outputs must be a list"),
+    ])
+    def test_an_output_that_is_no_text_is_malformed(self, version, outputs, match):
+        events = (TraceEvent(0, "generation", self.generation(0, ["x"], "review"), 0.0),
+                  TraceEvent(1, "generation", self.generation(1, outputs), 0.0))
+        with pytest.raises(MalformedTraceError, match=f"event 1: {match}"):
+            replay_trace(ExecutionTrace({"version": version}, events))
 
 
 class TestParsingErrors:
@@ -429,8 +523,11 @@ class TestReplay:
         v3 = read_trace(V3_TRACE).events_of_type("generation")
         generations = trace.events_of_type("generation")
         assert len(generations) == len(v3)
-        for event, old in zip(generations, v3):
-            outputs, samples = event.payload["outputs"], old.payload["outputs"]
+        # each text is written in full once in the whole trace
+        written = [o for e in generations for o in e.payload["outputs"] if type(o) is str]
+        assert len(set(written)) == len(written)
+        for event, outputs, old in zip(generations, written_outputs(trace), v3):
+            samples = old.payload["outputs"]
             # an index only where a sample repeats; without one, outputs are the samples
             assert ("sample_index" in event.payload) == (len(set(samples)) < len(samples))
             index = event.payload.get("sample_index", range(len(outputs)))
@@ -481,6 +578,54 @@ class TestReplay:
             replay_trace(trace)
         # version 4 reads only the score's value
         assert replay_trace(ExecutionTrace({"version": 4}, tuple(events))).scores == {"a": [0.5]}
+
+    def test_version_6_prompt_changes_apply_to_the_current_prompt(self):
+        prompt = self.prompt()
+        role = replace_component(prompt, PromptComponentKind.ROLE, "checker")
+        required = replace_component(role, PromptComponentKind.REQUIREMENTS, ["a", "b"])
+        augmented = replace_component(required, PromptComponentKind.REQUIREMENTS,
+                                      required.requirements + ("show units",))
+        other = ModularPrompt(role="elsewhere", revision=4)
+        events = [
+            TraceEvent(0, "revision", {"subtask_id": "a", "component": "initial",
+                                       "prompt_after": prompt.to_json_dict()}, 0.0),
+            TraceEvent(1, "revision", {"subtask_id": "a", "component": "role",
+                                       "value": "checker"}, 0.0),
+            TraceEvent(2, "revision", {"subtask_id": "a", "component": "requirements",
+                                       "value": ["a", "b"]}, 0.0),
+            TraceEvent(3, "augmentation", {"subtask_id": "a", "clause": "show units"}, 0.0),
+            # a prompt_after is taken as it is, delta or not
+            TraceEvent(4, "revision", {"subtask_id": "b", "component": "knowledge",
+                                       "value": "ignored", "prompt_after": other.to_json_dict()}, 0.0),
+        ]
+        state = replay_trace(ExecutionTrace({"version": 6}, tuple(events)))
+        assert state.prompts == {"a": augmented, "b": other}
+        assert augmented.revision == 3
+        assert state.refinements == {"a": 2, "b": 1} and state.augmentations == {"a": 1}
+
+    @pytest.mark.parametrize("payload, match", [
+        ({"subtask_id": "b", "component": "role", "value": "x"}, "revision delta before any prompt of subtask 'b'"),
+        ({"subtask_id": "a", "component": "role", "value": ["x"]}, "bad role change"),
+        ({"subtask_id": "a", "component": "knowledge", "value": 7}, "bad knowledge change"),
+        ({"subtask_id": "a", "component": "requirements", "value": "x"}, "bad requirements change"),
+        ({"subtask_id": "a", "component": "requirements", "value": ["x", 7]}, "bad requirements change"),
+        ({"subtask_id": "a", "component": "role", "value": " "}, "replay failed"),
+        ({"subtask_id": "a", "component": "tone", "value": "x"}, "replay failed"),
+        ({"subtask_id": "a", "component": "initial"}, "replay failed"),
+        ({"subtask_id": "a", "component": "role"}, "replay failed"),
+        ({"subtask_id": "a", "clause": 7}, "bad requirements change"),
+        ({"subtask_id": "a", "clause": ""}, "replay failed"),
+    ])
+    def test_a_bad_version_6_prompt_change_is_malformed(self, payload, match):
+        event_type = "augmentation" if "clause" in payload else "revision"
+        events = (TraceEvent(0, "revision", {"subtask_id": "a", "component": "initial",
+                                             "prompt_after": self.prompt().to_json_dict()}, 0.0),
+                  TraceEvent(1, event_type, payload, 0.0))
+        with pytest.raises(MalformedTraceError, match=f"event 1: {match}"):
+            replay_trace(ExecutionTrace({"version": 6}, events))
+        # before version 6 every change carries its prompt_after
+        with pytest.raises(MalformedTraceError, match="event 1: replay failed"):
+            replay_trace(ExecutionTrace({"version": 5}, events))
 
     def executed_a_events(self):
         return [
