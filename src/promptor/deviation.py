@@ -106,16 +106,6 @@ class DeviationReport:
     seed: int
 
 
-def aggregate(x: Sequence[float], spec: AggregationSpec) -> float:
-    """sum_i u_i v_i x_i with a fixed ascending-index summation order."""
-    if len(x) != spec.n:
-        raise DimensionMismatchError(f"x has length {len(x)}, spec expects {spec.n}")
-    total = 0.0
-    for i in range(spec.n):
-        total += spec.u[i] * spec.v[i] * float(x[i])
-    return total
-
-
 def deviation_bound(spec: AggregationSpec, variances: Sequence[float], epsilon: float) -> float:
     """Tail bound P(|s - s_hat| >= eps) <= min(1, 2 exp(-eps^2 / (2 D))) with
     D = sum_i (u_i v_i)^2 Var(x_i). D = 0 means the deviation is almost surely

@@ -12,9 +12,10 @@ on a thread pool, each against the plan as it stood when it started and
 into a private event buffer. An update changes only its source and the
 source's pending dependents, which start only once it has committed, so no
 commit changes a started step's subtask: the trace is byte-identical at any
-width. While steps run ahead, the pipeline's own code runs on one thread at
-a time and never while a backend call is out: only backend calls overlap
-(see _Turns).
+width. A step gets its dependencies' summaries as its History when it starts
+and shares no state with the commit loop. The threads still take turns, so
+that a profiler that keeps one stack of open calls sees calls nested as at
+width 1: only backend calls overlap (see _Turns).
 """
 
 from __future__ import annotations
@@ -168,20 +169,6 @@ class Summary:
         object.__setattr__(self, "preserved_keys", tuple(self.preserved_keys))
 
 
-class ContextStore:
-    """Summaries of completed subtasks, consumed as History by dependents."""
-
-    def __init__(self):
-        self._summaries: dict[str, Summary] = {}
-
-    def add(self, summary: Summary) -> None:
-        self._summaries[summary.source_subtask] = summary
-
-    def history_for(self, sub: Subtask, plan: Plan) -> str:
-        done = sorted((d for d in sub.dependencies if d in self._summaries), key=plan.position)
-        return "\n".join(f"- {d}: {self._summaries[d].structured_text}" for d in done)
-
-
 @dataclass(frozen=True)
 class OrchestratorSettings:
     refinement: RefinementConfig = field(default_factory=RefinementConfig)
@@ -223,6 +210,14 @@ def _rewire(plan: Plan, replaced_ids: tuple[str, ...], pieces: list[Subtask]) ->
     return dataclasses.replace(plan, subtasks=tuple(rewired))
 
 
+def _history(plan: Plan, subtask_id: str, summaries: dict[str, str]) -> str:
+    """A subtask's History: the summaries of its summarized dependencies, in
+    plan order."""
+    done = sorted((d for d in plan.subtask(subtask_id).dependencies if d in summaries),
+                  key=plan.position)
+    return "\n".join(f"- {d}: {summaries[d]}" for d in done)
+
+
 def _reply_text(response: dict | None, key: str) -> str:
     """An agent reply's JSON string at key, stripped, or "" for anything else."""
     value = (response or {}).get(key)
@@ -262,11 +257,11 @@ class _Turns:
     One thread at a time runs the pipeline's own code. A thread that calls a
     backend gives up its turn, and its call waits until no thread runs or
     waits to run pipeline code; then every waiting call goes out at once,
-    and pipeline code runs again only when the last of them is back. So the
-    state the steps share, such as the context store, is never touched by
-    two threads at once, and an outside profiler that keeps one stack of
-    open calls (perfbench/spans.py) sees calls nested as at width 1, with
-    only backend calls overlapping.
+    and pipeline code runs again only when the last of them is back. The
+    steps share no state with the commit loop, so the turns remain only so
+    that an outside profiler that keeps one stack of open calls
+    (perfbench/spans.py) sees calls nested as at width 1, with only backend
+    calls overlapping.
 
     The thread that creates it holds the first turn."""
 
@@ -369,7 +364,7 @@ class Orchestrator:
         # set while steps run ahead
         self._turns: _Turns | None = None
         # each subtask's prompt as its last revision or augmentation left it;
-        # run-ahead copies share it, and each step writes only its subtask's
+        # only a subtask's own step reads or writes its entry
         self._traced_prompts: dict[str, ModularPrompt] = {}
 
     # -- backend plumbing -------------------------------------------------
@@ -823,23 +818,6 @@ class Orchestrator:
 
     # -- plan updates -------------------------------------------------------------
 
-    def apply_plan_update(self, plan: Plan, update: PlanUpdate) -> Plan:
-        """Validate, apply and record one update. Raises StateError when the
-        update violates plan invariants (wrong source status, executed
-        targets, success targets that are not dependents of the source) and
-        KeyError on an unknown subtask; nothing is recorded then."""
-        updated = with_update(plan, update)
-        outside = set(update.targets) - {s.id for s in plan.dependents(update.source_subtask)}
-        if update.kind == PROPAGATE_SUCCESS and outside:
-            raise StateError(f"update targets non-dependents of "
-                             f"{update.source_subtask!r}: {sorted(outside)}")
-        self._emit_plan_event(update.kind, update=update)
-        if update.kind == STRATEGY_SHIFT:
-            updated = self._apply_status(
-                updated, update.source_subtask, SubtaskStatus.REFORMULATED
-            )
-        return updated
-
     def _emit_plan_event(
         self, note: str, *, plan: Plan | None = None, update: PlanUpdate | None = None
     ) -> None:
@@ -904,18 +882,30 @@ class Orchestrator:
         return PlanUpdate(source.id, STRATEGY_SHIFT, (source.id,), description)
 
     def _apply_update(self, plan: Plan, update: PlanUpdate) -> tuple[Plan, PlanUpdate]:
-        """Apply a proposed update; one that violates the plan's invariants
-        is recorded as rejected and the plan stays as it was."""
+        """Validate, apply and record a proposed update. One that violates
+        the plan's invariants (wrong source status, executed targets, success
+        targets that are not dependents of the source, an unknown subtask) is
+        recorded as rejected, and the plan stays as it was."""
         if update.kind == NO_OP:
             return plan, update
         try:
-            return self.apply_plan_update(plan, update), update
+            updated = with_update(plan, update)
+            outside = set(update.targets) - {s.id for s in plan.dependents(update.source_subtask)}
+            if update.kind == PROPAGATE_SUCCESS and outside:
+                raise StateError(f"update targets non-dependents of "
+                                 f"{update.source_subtask!r}: {sorted(outside)}")
         except (StateError, KeyError) as exc:
             no_op = PlanUpdate(update.source_subtask, NO_OP, (), "")
             self.trace.warning("invariant-violation", subtask_id=update.source_subtask,
                                update=update.to_json_dict(), error=str(exc))
             self._emit_plan_event("update-rejected", update=no_op)
             return plan, no_op
+        self._emit_plan_event(update.kind, update=update)
+        if update.kind == STRATEGY_SHIFT:
+            updated = self._apply_status(
+                updated, update.source_subtask, SubtaskStatus.REFORMULATED
+            )
+        return updated, update
 
     # -- pipeline ------------------------------------------------------------------
 
@@ -928,7 +918,7 @@ class Orchestrator:
         )
         return plan
 
-    def build_subtask_prompt(self, plan: Plan, sub: Subtask, context: ContextStore) -> ModularPrompt:
+    def build_subtask_prompt(self, sub: Subtask, history: str = "") -> ModularPrompt:
         knowledge_parts = []
         if self.settings.knowledge_enabled:
             generated = self.generate_domain_knowledge(sub)
@@ -939,7 +929,7 @@ class Orchestrator:
             role=f"You are the executor agent for subtask '{sub.id}'.",
             requirements=(f"Complete this subtask: {sub.description}",),
             knowledge="\n".join(knowledge_parts),
-            history=context.history_for(sub, plan),
+            history=history,
             io_spec=sub.io_spec,
         )
         self._emit_prompt("revision", sub.id, None, prompt, {"component": "initial"})
@@ -958,26 +948,23 @@ class Orchestrator:
         self.trace.emit(event_type, payload)
         self._traced_prompts[subtask_id] = after
 
-    def _refine_for_subtask(
-        self, plan: Plan, sub: Subtask, context: ContextStore
-    ) -> ModularPrompt:
-        prompt = self.build_subtask_prompt(plan, sub, context)
+    def _refine_for_subtask(self, sub: Subtask, history: str) -> ModularPrompt:
+        prompt = self.build_subtask_prompt(sub, history)
         try:
-            prompt, history = self.refine_until_stable(prompt, subtask_id=sub.id)
+            prompt, refinement = self.refine_until_stable(prompt, subtask_id=sub.id)
         except ReviewFailure as exc:
             self.trace.warning("review-failure", subtask_id=sub.id, error=str(exc))
             return exc.best_prompt
-        if history.outcome == EXHAUSTED:
+        if refinement.outcome == EXHAUSTED:
             # gate soundness: executing below tau is always visible in the trace
             self.trace.warning("gate-exhausted", subtask_id=sub.id,
-                               best_score=history.best_score)
+                               best_score=refinement.best_score)
         return prompt
 
     def _execute_with_augmentation(
-        self, plan: Plan, subtask_id: str, context: ContextStore
+        self, plan: Plan, subtask_id: str, history: str
     ) -> tuple[Plan, ExecutionResult]:
-        sub = plan.subtask(subtask_id)
-        prompt = self._refine_for_subtask(plan, sub, context)
+        prompt = self._refine_for_subtask(plan.subtask(subtask_id), history)
         plan = self._apply_status(plan, subtask_id, SubtaskStatus.STABLE_PROMPT_READY)
         result = self.execute_subtask(plan.subtask(subtask_id), prompt)
         retries = 0
@@ -996,16 +983,17 @@ class Orchestrator:
         plan = self._apply_status(plan, subtask_id, result.status)
         return plan, result
 
-    def _step(self, plan: Plan, subtask_id: str, context: ContextStore) -> _StepOutcome:
-        """One subtask's cycle against plan: refine, execute with
-        augmentation, one strategy-shift retry on failure when the plan
-        updater is on, and on success the summary and the updater's proposed
-        update. It changes no other subtask of the plan."""
-        plan, result = self._execute_with_augmentation(plan, subtask_id, context)
+    def _step(self, plan: Plan, subtask_id: str, history: str) -> _StepOutcome:
+        """One subtask's cycle against plan, with history as its prompt's
+        History: refine, execute with augmentation, one strategy-shift retry
+        on failure when the plan updater is on, and on success the summary
+        and the updater's proposed update. It changes no other subtask of
+        the plan."""
+        plan, result = self._execute_with_augmentation(plan, subtask_id, history)
         if not result.ok and self.settings.plan_updater_enabled:
             plan, update = self.update_plan(plan, result)
             if update.kind == STRATEGY_SHIFT:
-                plan, result = self._execute_with_augmentation(plan, subtask_id, context)
+                plan, result = self._execute_with_augmentation(plan, subtask_id, history)
         sub = plan.subtask(subtask_id)
         if not result.ok:
             return _StepOutcome(sub, result)
@@ -1016,20 +1004,21 @@ class Orchestrator:
         return _StepOutcome(sub, result, summary, update)
 
     def _run_ahead(
-        self, pool: ThreadPoolExecutor, plan: Plan, subtask_id: str, context: ContextStore
+        self, pool: ThreadPoolExecutor, plan: Plan, subtask_id: str, history: str
     ) -> _RunAhead:
         """Start a subtask's step on the pool against plan, on a copy of this
-        orchestrator whose trace is a private buffer. The step reads only the
-        summaries of its dependencies, which are all in context already."""
+        orchestrator whose trace is a private buffer and whose prompt table
+        is its own."""
         started = _RunAhead()
         worker = copy.copy(self)
         worker.trace = started.buffer
+        worker._traced_prompts = {}
         turns = self._turns
 
         def step():
             turns.acquire()
             try:
-                started.done = worker._step(plan, subtask_id, context), None
+                started.done = worker._step(plan, subtask_id, history), None
             except BaseException as exc:  # re-raised at the step's commit turn
                 started.done = None, exc
             finally:
@@ -1086,7 +1075,7 @@ class Orchestrator:
             return "failed", ""
         if self.settings.subtask_optimizer_enabled:
             plan = self.optimize_subtasks(plan)
-        context = ContextStore()
+        summaries: dict[str, str] = {}
         outputs: dict[str, str] = {}
         order = [s.id for s in plan.subtasks]
         # a subtask is ready once all its dependencies committed executed-ok;
@@ -1115,14 +1104,15 @@ class Orchestrator:
                         if pool is None:
                             pool = ThreadPoolExecutor(MAX_PARALLEL - 1)
                             self._turns = _Turns()
-                        ahead[order[pos]] = self._run_ahead(pool, plan, order[pos], context)
-                outcome = (self._take_run_ahead(started) if started
-                           else self._step(plan, subtask_id, context))
+                        ahead[order[pos]] = self._run_ahead(
+                            pool, plan, order[pos], _history(plan, order[pos], summaries))
+                outcome = (self._take_run_ahead(started) if started else
+                           self._step(plan, subtask_id, _history(plan, subtask_id, summaries)))
                 plan = with_subtask(plan, outcome.subtask)
                 if not outcome.result.ok:
                     continue
                 outputs[subtask_id] = outcome.result.output
-                context.add(outcome.summary)
+                summaries[subtask_id] = outcome.summary.structured_text
                 if outcome.update is not None:
                     plan, _ = self._apply_update(plan, outcome.update)
                 for dependent in plan.dependents(subtask_id):

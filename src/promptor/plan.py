@@ -207,7 +207,7 @@ class PlanUpdate(_JsonRecord):
 
     with_update checks only what replaying a trace needs; the rule that a
     success payload targets dependents of its source is the orchestrator's
-    (Orchestrator.apply_plan_update), so traces written before it replay."""
+    (Orchestrator._apply_update), so traces written before it replay."""
 
     source_subtask: str
     kind: str

@@ -252,10 +252,13 @@ class ReplayState:
 
 def _check_sample_index(event: TraceEvent) -> None:
     """A version 4 generation event's sample_index, one position per output
-    when it has none, holds one position per sample, and every output is some
-    sample's text."""
+    when it has none, is a list of one integer position per sample, and every
+    output is some sample's text."""
     outputs, count = event.payload["outputs"], event.payload["sample_count"]
     index = event.payload.get("sample_index", range(len(outputs)))
+    # a bool or a float would pass the set comparison below (True == 1)
+    if not isinstance(index, (list, range)) or not all(type(k) is int for k in index):
+        raise MalformedTraceError(f"event {event.seq}: sample_index is not a list of integers")
     if len(index) != count:
         raise MalformedTraceError(
             f"event {event.seq}: sample_index has {len(index)} entries for {count} samples"

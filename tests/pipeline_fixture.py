@@ -39,7 +39,7 @@ def prefix_json(mark, second_line, obj):
 
 
 def executor_prompt(sub_id, description, io_spec=NUMERIC_SPEC, knowledge="", history=""):
-    # mirrors Orchestrator.build_subtask_prompt for fixtures
+    # mirrors Orchestrator.build_subtask_prompt(sub, history) for fixtures
     return ModularPrompt(
         role=f"You are the executor agent for subtask '{sub_id}'.",
         requirements=(f"Complete this subtask: {description}",),

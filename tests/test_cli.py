@@ -559,6 +559,9 @@ class TestExitCodes:
         (6, "execution", {"outputs": [99]}, "output 99 is not a text or the ordinal"),
         (6, "execution", {"outputs": [False]}, "output False is not a text or the ordinal"),
         (6, "execution", {"outputs": [None]}, "output None is not a text or the ordinal"),
+        *[(6, "stability", {"outputs": ["x", "y"], "sample_count": 3, "sample_index": index},
+           "sample_index is not a list of integers")
+          for index in ([0, True, 0.0], [0, 1.0, 1], {"0": 0, "1": 1, "2": 0})],
     ])
     def test_a_field_of_the_wrong_type_is_a_malformed_trace(self, tmp_path, capsys, version,
                                                             kind, change, message):
@@ -569,7 +572,8 @@ class TestExitCodes:
         events = [json.loads(line) for line in events]
         picks = {"score": lambda p: "value" in p,
                  "final": lambda p: p.get("to") == "succeeded",
-                 "execution": lambda p: p.get("purpose") == "execution"}
+                 "execution": lambda p: p.get("purpose") == "execution",
+                 "stability": lambda p: p.get("purpose") == "stability"}
         event = next(e for e in events if picks[kind](e["payload"]))
         event["payload"].update(change)
         broken = tmp_path / "broken.jsonl"

@@ -13,7 +13,6 @@ from promptor import (
     AgentOutputModel,
     AggregationSpec,
     DimensionMismatchError,
-    aggregate,
     deviation_bound,
     simulate_deviation_tails,
 )
@@ -28,58 +27,7 @@ NORMAL_TAIL_EPS2 = math.erfc(2.0 / math.sqrt(2.0))
 UNIT = AggregationSpec(u=(1.0,), v=(1.0,))
 STD_GAUSSIAN = AgentOutputModel.gaussian(0.0, 1.0)
 
-
-# -- aggregate ----------------------------------------------------------------
-
-
-def test_aggregate_direct_sum():
-    spec = AggregationSpec(u=(1.0, 1.0), v=(1.0, 1.0))
-    assert aggregate((0.5, 0.25), spec) == 0.75
-
-
-def test_aggregate_zero_u_annihilates():
-    spec = AggregationSpec(u=(0.0, 0.0, 0.0), v=(1.0, 2.0, 3.0))
-    assert aggregate((9.0, -4.0, 7.5), spec) == 0.0
-
-
-def test_aggregate_matches_elementwise_oracle():
-    rng = np.random.default_rng(7)
-    u = tuple(rng.normal(size=7))
-    v = tuple(rng.normal(size=7))
-    x = tuple(rng.normal(size=7))
-    oracle = 0.0
-    for i in range(7):
-        oracle += u[i] * v[i] * x[i]
-    assert abs(aggregate(x, AggregationSpec(u, v)) - oracle) <= 1e-12
-
-
-def test_aggregate_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        aggregate((1.0,), AggregationSpec(u=(1.0, 1.0), v=(1.0, 1.0)))
-
-
 small_reals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-@given(
-    st.integers(min_value=1, max_value=8).flatmap(
-        lambda n: st.tuples(
-            st.lists(small_reals, min_size=n, max_size=n),
-            st.lists(small_reals, min_size=n, max_size=n),
-            st.lists(small_reals, min_size=n, max_size=n),
-            st.lists(small_reals, min_size=n, max_size=n),
-        )
-    ),
-    small_reals,
-    small_reals,
-)
-def test_aggregate_linearity(uvxy, a, b):
-    u, v, x, y = uvxy
-    spec = AggregationSpec(tuple(u), tuple(v))
-    combined = aggregate([a * xi + b * yi for xi, yi in zip(x, y)], spec)
-    separate = a * aggregate(x, spec) + b * aggregate(y, spec)
-    assert abs(combined - separate) <= 1e-9 * max(1.0, abs(separate))
-
 
 # -- deviation_bound ----------------------------------------------------------
 

@@ -245,6 +245,17 @@ def test_stability_range(vectors):
     assert -1.0 <= semantic_stability(vectors).value <= 1.0
 
 
+@given(st.integers(min_value=2, max_value=8).flatmap(
+    lambda dim: st.lists(_nonzero_vectors(dim), min_size=2, max_size=50)))
+def test_instability_is_the_total_variance_of_the_unit_vectors(vectors):
+    # sum_{i<j} |u_i - u_j|^2 = N sum_i |u_i - mean|^2, so the mean pair
+    # distance |u_i - u_j|^2 / 2 is the unbiased (ddof=1) total variance
+    m = np.array(vectors)
+    unit = m / np.linalg.norm(m, axis=1)[:, None]
+    variance = np.var(unit, axis=0, ddof=1).sum()
+    assert abs((1.0 - semantic_stability(vectors).value) - variance) <= 1e-12
+
+
 def test_empty_samples_are_maximally_distant():
     # N=3 with sample 1 blank: pairs (0,1) and (1,2) at the ceiling, (0,2) at 0
     score = semantic_stability([(1.0, 0.0)], rows=[0, -1, 0])

@@ -19,13 +19,12 @@ from promptor.errors import (
 )
 from promptor.metrics import EmbeddingVector, semantic_stability
 from promptor.orchestrator import (
-    ContextStore,
     ExecutionResult,
     Orchestrator,
     OrchestratorSettings,
     PlanUpdate,
     RefinementConfig,
-    Summary,
+    _history,
 )
 from promptor.plan import Plan, Subtask, SubtaskStatus
 from promptor.prompt import (
@@ -839,7 +838,7 @@ class TestSummarize:
         assert len(warnings_with_reason(orch, "summary-fallback")) == 1
 
 
-class TestContextStore:
+class TestSubtaskPrompt:
     def test_history_lists_dependency_summaries_in_plan_order(self):
         plan = Plan(
             task_description=TASK,
@@ -850,12 +849,9 @@ class TestContextStore:
                         dependencies=frozenset({"a", "b"})),
             ),
         )
-        store = ContextStore()
-        store.add(Summary("b", "B result"))
-        store.add(Summary("a", "A result"))
-        history = store.history_for(plan.subtask("c"), plan)
-        assert history == "- a: A result\n- b: B result"
-        assert store.history_for(plan.subtask("a"), plan) == ""
+        summaries = {"b": "B result", "a": "A result"}
+        assert _history(plan, "c", summaries) == "- a: A result\n- b: B result"
+        assert _history(plan, "a", summaries) == ""
 
     def test_history_follows_plan_position_not_id_order(self):
         plan = Plan(
@@ -868,11 +864,8 @@ class TestContextStore:
                         dependencies=frozenset({"m", "k", "z"})),
             ),
         )
-        store = ContextStore()
-        store.add(Summary("m", "M result"))
-        store.add(Summary("z", "Z result"))
-        history = store.history_for(plan.subtask("c"), plan)
-        assert history == "- z: Z result\n- m: M result"
+        summaries = {"m": "M result", "z": "Z result"}
+        assert _history(plan, "c", summaries) == "- z: Z result\n- m: M result"
 
     def test_build_subtask_prompt_assembles_components(self):
         plan = Plan(
@@ -893,9 +886,7 @@ class TestContextStore:
             ]
         )
         orch = make_orchestrator(gen)
-        store = ContextStore()
-        store.add(Summary("dep", "dep: total=41"))
-        prompt = orch.build_subtask_prompt(plan, sub, store)
+        prompt = orch.build_subtask_prompt(sub, _history(plan, "k1", {"dep": "dep: total=41"}))
         assert prompt.role == "You are the executor agent for subtask 'k1'."
         assert prompt.requirements == ("Complete this subtask: Derive the total.",)
         assert prompt.knowledge == "Ledgers balance debits against credits.\nnote alpha"
@@ -914,8 +905,8 @@ class TestContextStore:
                               injected_notes=("note beta",)),),
         )
         orch = make_orchestrator(ScriptedGenerator())  # no behaviors at all
-        prompt = orch.build_subtask_prompt(plan, plan.subtask("k2"), ContextStore())
-        assert prompt.knowledge == "note beta"
+        prompt = orch.build_subtask_prompt(plan.subtask("k2"))
+        assert (prompt.knowledge, prompt.history) == ("note beta", "")
         assert len(warnings_with_reason(orch, "knowledge-failed")) == 1
 
 
@@ -1064,17 +1055,22 @@ class TestUpdatePlan:
     def test_non_text_updater_response_degrades_to_no_op(self, ok, reply):
         self.assert_degrades_to_no_op(ok, json.dumps(reply))
 
-    def test_apply_plan_update_validates_source_status(self):
+    @pytest.mark.parametrize("update", [
+        PlanUpdate("a", "strategy-shift", ("a",), "retry differently"),
+        PlanUpdate("a", "propagate-success", ("b",), "note"),
+    ], ids=["strategy-shift", "propagate-success"])
+    def test_an_update_from_a_pending_source_is_rejected_and_recorded(self, update):
         orch = make_orchestrator(ScriptedGenerator())
         plan = self.fan_plan(a_status=SubtaskStatus.PENDING)
-        with pytest.raises(StateError):
-            orch.apply_plan_update(
-                plan, PlanUpdate("a", "strategy-shift", ("a",), "retry differently")
-            )
-        with pytest.raises(StateError):
-            orch.apply_plan_update(
-                plan, PlanUpdate("a", "propagate-success", ("b",), "note")
-            )
+        after, applied = orch._apply_update(plan, update)
+        assert after is plan and applied == PlanUpdate("a", "no-op", (), "")
+        [warning] = warnings_with_reason(orch, "invariant-violation")
+        assert warning.payload["update"] == update.to_json_dict()
+        assert "requires an executed" in warning.payload["error"]
+        [event] = orch.trace.trace().events_of_type("plan-update")
+        assert (event.payload["note"], event.payload["update"]["kind"]) == (
+            "update-rejected", "no-op")
+        assert not orch.trace.trace().events_of_type("status-change")
 
     def test_unknown_update_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -1378,9 +1374,9 @@ class TestRunPipeline:
                 self.final_plan = super()._apply_status(plan, subtask_id, status)
                 return self.final_plan
 
-            def apply_plan_update(self, plan, update):
-                self.final_plan = super().apply_plan_update(plan, update)
-                return self.final_plan
+            def _apply_update(self, plan, update):
+                self.final_plan, update = super()._apply_update(plan, update)
+                return self.final_plan, update
 
         orch = PlanRecorder(strategy_shift_generator(), HashEmbedder(),
                             TraceWriter({"run": "test"}),

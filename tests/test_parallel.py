@@ -244,6 +244,32 @@ def test_only_backend_calls_overlap(monkeypatch, frequent_switches):
     assert gen.clashes == []
 
 
+def test_a_run_ahead_step_shares_only_the_backends_and_the_turns(monkeypatch):
+    # a worker is a copy of the commit loop's orchestrator: its trace buffer
+    # and its prompt table are its own, the settings are frozen, and its
+    # History comes in as a string built when it starts
+    commit_loop, shared = [], []
+    run_plan, step = Orchestrator._run_plan, Orchestrator._step
+
+    def plan_and_run(self, task, template):
+        commit_loop.append(self)
+        return run_plan(self, task, template)
+
+    def worker_step(self, plan, subtask_id, history):
+        assert type(history) is str
+        if self is not commit_loop[0]:
+            own = vars(commit_loop[0])
+            shared.append({name for name, value in vars(self).items() if value is own[name]})
+        return step(self, plan, subtask_id, history)
+
+    monkeypatch.setattr(Orchestrator, "_run_plan", plan_and_run)
+    monkeypatch.setattr(Orchestrator, "_step", worker_step)
+    trace, error = run(fan_out_generator(), 4, monkeypatch)
+    assert error is None and replay_trace(trace).run_status == "succeeded"
+    assert shared and all(
+        names == {"generator", "embedder", "settings", "_turns"} for names in shared)
+
+
 def test_a_chain_starts_no_thread(monkeypatch, pools):
     settings = OrchestratorSettings(knowledge_enabled=False)
     trace, error = run(pipeline_generator(), 4, monkeypatch, settings, "linear-chain")

@@ -544,6 +544,11 @@ class TestReplay:
         ([0, 2, 1], "onto the outputs"),
         ([0, 0, 0], "onto the outputs"),
         (None, "2 entries for 3 samples"),
+        # failure injection: True == 1 and 0.0 == 0, so these map the samples
+        # onto the outputs as sets do, but are no list of integer positions
+        ([0, True, 0.0], "not a list of integers"),
+        ([0, 1.0, 1], "not a list of integers"),
+        ({"0": 0, "1": 1, "2": 0}, "not a list of integers"),
     ])
     def test_bad_sample_index_is_malformed(self, sample_index, match):
         # None: no sample_index, so the two outputs would have to be the three samples
