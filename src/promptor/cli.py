@@ -173,8 +173,7 @@ def cmd_simulate_bound(args) -> int:
     seed = sim.seed if args.seed is None else args.seed
     try:
         spec = AggregationSpec(u=sim.u, v=sim.v)
-        models = [entry.model for entry in sim.models]
-        reports = simulate_deviation_tails(models, spec, sim.epsilons, sim.trials, seed)
+        reports = simulate_deviation_tails(sim.models, spec, sim.epsilons, sim.trials, seed)
     except ValueError as exc:
         raise ConfigError(f"invalid simulation parameters: {exc}") from exc
     buffer = io.StringIO()

@@ -233,41 +233,16 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class _OutputModel:
-    """One agent's output model as a simulation config writes it:
-    {"kind": "gaussian", "mean", "variance"} or {"kind": "uniform", "low",
-    "high"}; the model built from it is in model."""
-
-    kind: str
-    mean: float | None = None
-    variance: float | None = None
-    low: float | None = None
-    high: float | None = None
-    model: AgentOutputModel = field(init=False)
-
-    def __post_init__(self):
-        gaussian, uniform = (self.mean, self.variance), (self.low, self.high)
-        if self.kind == "gaussian" and None not in gaussian and uniform == (None, None):
-            model = AgentOutputModel.gaussian(*gaussian)
-        elif self.kind == "uniform" and None not in uniform and gaussian == (None, None):
-            model = AgentOutputModel.uniform(*uniform)
-        else:
-            raise ValueError(
-                "an output model is a gaussian with mean and variance"
-                f" or a uniform with low and high, got kind {self.kind!r}"
-            )
-        object.__setattr__(self, "model", model)
-
-
-@dataclass(frozen=True)
 class SimulationConfig:
     """A simulate-bound run: the aggregation weights u and v, one output
-    model per agent, the epsilon grid, and the trial count and seed of the
-    Monte-Carlo draw. Their lengths and ranges are checked by the draw."""
+    model per agent, read straight into AgentOutputModel with its own keys,
+    the epsilon grid, and the trial count and seed of the Monte-Carlo draw.
+    Each model checks itself as it is read; the lengths and the other ranges
+    are checked by the draw."""
 
     u: tuple[float, ...]
     v: tuple[float, ...]
-    models: tuple[_OutputModel, ...]
+    models: tuple[AgentOutputModel, ...]
     epsilons: tuple[float, ...]
     trials: int = 100_000
     seed: int = 0

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 GAUSSIAN = "gaussian"
-UNIFORM_BOUNDED = "uniform-bounded"
+UNIFORM = "uniform"
 
 _BLOCK_SIZE = 8192
 
@@ -40,6 +40,8 @@ class AggregationSpec:
             raise DimensionMismatchError(f"u has length {len(self.u)}, v has {len(self.v)}")
         if len(self.u) < 1:
             raise ValueError("aggregation vectors must have length >= 1")
+        if not all(map(math.isfinite, self.u + self.v)):
+            raise ValueError("aggregation weights must be finite")
 
     @property
     def n(self) -> int:
@@ -51,46 +53,49 @@ class AggregationSpec:
 
 @dataclass(frozen=True)
 class AgentOutputModel:
-    """Distribution of one agent's scalar output around its intended value."""
+    """Distribution of one agent's scalar output around its intended value,
+    as a simulation config writes it: {"kind": "gaussian", "mean",
+    "variance"} or {"kind": "uniform", "low", "high"}. A uniform's mean and
+    variance follow from its bounds: the tail bound applies to centered
+    deviations, so the intended output is the distribution mean. The mean
+    and the variance are finite, and the variance is non-negative."""
 
-    mean: float
-    variance: float
-    family: str
-    bounds: tuple[float, float] | None = None
+    kind: str
+    mean: float | None = None
+    variance: float | None = None
+    low: float | None = None
+    high: float | None = None
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be non-negative")
-        if self.family == GAUSSIAN:
-            if self.bounds is not None:
-                raise ValueError("gaussian models take no bounds")
-        elif self.family == UNIFORM_BOUNDED:
-            if self.bounds is None:
-                raise ValueError("uniform-bounded models require bounds")
-            lo, hi = self.bounds
-            if not lo < hi:
-                raise ValueError(f"bounds must satisfy lo < hi, got {self.bounds}")
-            if abs(self.variance - (hi - lo) ** 2 / 12.0) > 1e-9:
-                raise ValueError("uniform-bounded variance must equal (hi-lo)^2/12")
-            # The tail bound applies to centered deviations, so the intended
-            # output must be the distribution mean.
-            if abs(self.mean - (lo + hi) / 2.0) > 1e-9:
-                raise ValueError("uniform-bounded mean must be the interval midpoint")
+        moments, bounds = (self.mean, self.variance), (self.low, self.high)
+        if self.kind == GAUSSIAN and None not in moments and bounds == (None, None):
+            pass
+        elif (self.kind == UNIFORM and moments == (None, None) and None not in bounds
+              and self.low < self.high):
+            try:
+                variance = (self.high - self.low) ** 2 / 12.0
+            except OverflowError:  # a finite width whose square is past the float range
+                variance = math.inf
+            object.__setattr__(self, "mean", (self.low + self.high) / 2.0)
+            object.__setattr__(self, "variance", variance)
         else:
-            raise ValueError(f"unsupported distribution family: {self.family!r}")
+            raise ValueError(
+                "an output model is a gaussian with mean and variance"
+                f" or a uniform with low < high, got kind {self.kind!r}"
+            )
+        if not (math.isfinite(self.mean) and 0 <= self.variance < math.inf):
+            raise ValueError(
+                "an output model has a finite mean and a finite, non-negative variance,"
+                f" got mean {self.mean!r} and variance {self.variance!r}"
+            )
 
     @classmethod
     def gaussian(cls, mean: float, variance: float) -> "AgentOutputModel":
-        return cls(mean=mean, variance=variance, family=GAUSSIAN)
+        return cls(GAUSSIAN, mean=mean, variance=variance)
 
     @classmethod
-    def uniform(cls, lo: float, hi: float) -> "AgentOutputModel":
-        return cls(
-            mean=(lo + hi) / 2.0,
-            variance=(hi - lo) ** 2 / 12.0,
-            family=UNIFORM_BOUNDED,
-            bounds=(lo, hi),
-        )
+    def uniform(cls, low: float, high: float) -> "AgentOutputModel":
+        return cls(UNIFORM, low=low, high=high)
 
 
 @dataclass(frozen=True)
@@ -110,12 +115,12 @@ def deviation_bound(spec: AggregationSpec, variances: Sequence[float], epsilon: 
     """Tail bound P(|s - s_hat| >= eps) <= min(1, 2 exp(-eps^2 / (2 D))) with
     D = sum_i (u_i v_i)^2 Var(x_i). D = 0 means the deviation is almost surely
     zero, so the bound is 0."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if len(variances) != spec.n:
         raise DimensionMismatchError(f"got {len(variances)} variances for n={spec.n}")
-    if any(v < 0 for v in variances):
-        raise ValueError("variances must be non-negative")
+    if not all(0 <= v < math.inf for v in variances):
+        raise ValueError("variances must be finite and non-negative")
     d = 0.0
     for i in range(spec.n):
         d += (spec.u[i] * spec.v[i]) ** 2 * float(variances[i])
@@ -142,32 +147,12 @@ def _block_deviations(
     weights = spec.weights()
     dev = np.zeros(block_trials)
     for i, model in enumerate(models):
-        if model.family == GAUSSIAN:
+        if model.kind == GAUSSIAN:
             centered = math.sqrt(model.variance) * rng.standard_normal(block_trials)
         else:
-            lo, hi = model.bounds
-            centered = rng.uniform(lo, hi, block_trials) - model.mean
+            centered = rng.uniform(model.low, model.high, block_trials) - model.mean
         dev += weights[i] * centered
     return np.abs(dev)
-
-
-def _check_simulation_args(models, spec, trials):
-    if len(models) != spec.n:
-        raise DimensionMismatchError(f"got {len(models)} models for n={spec.n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-
-def _block_layout(trials: int) -> list[tuple[int, int]]:
-    blocks = []
-    start = 0
-    index = 0
-    while start < trials:
-        size = min(_BLOCK_SIZE, trials - start)
-        blocks.append((index, size))
-        start += size
-        index += 1
-    return blocks
 
 
 def simulate_deviation_tails(
@@ -179,21 +164,24 @@ def simulate_deviation_tails(
 ) -> list[DeviationReport]:
     """Monte-Carlo tail frequencies for several epsilon thresholds over one
     shared set of draws (identical seed => identical draws across thresholds)."""
-    _check_simulation_args(models, spec, trials)
-    for eps in epsilons:
-        if eps <= 0:
-            raise ValueError("epsilon must be positive")
+    if len(models) != spec.n:
+        raise DimensionMismatchError(f"got {len(models)} models for n={spec.n}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    # each bound checks its epsilon, before the draw
+    variances = [m.variance for m in models]
+    bounds = [deviation_bound(spec, variances, eps) for eps in epsilons]
     counts = [0] * len(epsilons)
-    for block_index, block_trials in _block_layout(trials):
-        dev = _block_deviations(models, spec, seed, block_index, block_trials)
+    for start in range(0, trials, _BLOCK_SIZE):
+        dev = _block_deviations(models, spec, seed, start // _BLOCK_SIZE,
+                                min(_BLOCK_SIZE, trials - start))
         for k, eps in enumerate(epsilons):
             counts[k] += int(np.count_nonzero(dev >= eps))
-    variances = [m.variance for m in models]
     return [
         DeviationReport(
             n=spec.n,
             epsilon=float(eps),
-            analytic_bound=deviation_bound(spec, variances, eps),
+            analytic_bound=bounds[k],
             empirical_tail=counts[k] / trials,
             trials=trials,
             seed=seed,

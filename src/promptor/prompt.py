@@ -15,6 +15,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import re
 import types
 import typing
@@ -105,10 +106,10 @@ def _kind(hint) -> tuple:
     types. A dataclass is an object, tuple[T, ...] and frozenset[T] are
     arrays, tuple[A, B] of plain A and B is an array of that length,
     dict[str, T] is an object, an Enum one of its values, X | None also takes
-    null, and a plain class itself (a float an int too). A container of plain
-    values is built by build(value) once its items have the types in items;
-    any other non-plain value is checked again, as an array item must be, and
-    built by build(value, path)."""
+    null, a float a finite number (an int too), and a plain class itself. A
+    container of plain values is built by build(value) once its items have
+    the types in items; any other non-plain value is checked again, as an
+    array item must be, and built by build(value, path)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         # every union read here is X | None
@@ -126,14 +127,16 @@ def _kind(hint) -> tuple:
             raise _invalid(path, value)
         return allowed, None, member
     if origin is tuple and args[-1] is not Ellipsis:
-        fixed = [_kind(arg)[0] for arg in args]
+        fixed = [_kind(arg) for arg in args]
 
         def pair(value, path):
             if type(value) is not list or len(value) != len(fixed):
                 raise _invalid(path, value)
-            for i, (item_types, item) in enumerate(zip(fixed, value)):
+            for i, ((item_types, _, build), item) in enumerate(zip(fixed, value)):
                 if type(item) not in item_types:
                     raise _invalid((path, i), item)
+                if build is not None:
+                    build(item, (path, i))
             return tuple(value)
         return frozenset({list}), None, pair
     if origin in (tuple, frozenset, dict):
@@ -141,10 +144,16 @@ def _kind(hint) -> tuple:
         if build is None:
             return frozenset({dict if origin is dict else list}), allowed, origin
 
-        def array(value, path):  # of records or of fixed-size tuples
+        def array(value, path):  # of records, fixed-size tuples or numbers
             return tuple([build(item, (path, i)) for i, item in enumerate(value)])
         return frozenset({list}), None, array
-    return frozenset({float, int} if hint is float else {hint}), None, None
+    if hint is float:
+        def number(value, path):  # json reads NaN and Infinity as floats too
+            if type(value) is int or type(value) is float and math.isfinite(value):
+                return value
+            raise _invalid(path, value)
+        return frozenset({float, int}), None, number
+    return frozenset({hint}), None, None
 
 
 def _where(path) -> str:

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from promptor import AgentOutputModel
 from promptor.cli import main
+from promptor.config import SimulationConfig
 from promptor.errors import ZeroVectorError
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
@@ -50,6 +52,19 @@ MALFORMED_INPUTS = [
     ("simulate-bound",
      {"models": [SIM_CONFIG["models"][0], {"kind": "gaussian", "mean": "0", "variance": 1.0}]},
      "models[1].mean"),
+    # json reads NaN and Infinity, which no number field takes
+    ("run", {"kl_alpha": math.nan}, "kl_alpha"),
+    ("run", scripted(behaviors=[behavior(outcomes=[["a", math.nan], ["b", 1.0]])]),
+     "behaviors[0].outcomes[0][1]"),
+    ("simulate-bound", {"epsilons": [0.5, math.inf]}, "epsilons[1]"),
+    ("simulate-bound",
+     {"models": [{"kind": "gaussian", "mean": 0.0, "variance": math.nan},
+                 SIM_CONFIG["models"][1]]},
+     "models[0].variance"),
+    # finite bounds whose variance is not
+    ("simulate-bound",
+     {"models": [{"kind": "uniform", "low": -1e308, "high": 1e308}, SIM_CONFIG["models"][1]]},
+     "models[0]"),
     ("eval-stability", {"role": 5}, "role"),
     ("eval-stability", {"requirements": "abc"}, "requirements"),
     ("eval-stability", {"revision": 2.9}, "revision"),
@@ -348,6 +363,21 @@ class TestEvalStability:
         assert err.startswith("config error:")
 
 
+README_SIMULATION_CSV = """\
+n,epsilon,analytic_bound,empirical_tail,trials,seed
+2,0.5,1,0.39046,100000,42
+2,1,0.446260320297,0.08191,100000,42
+2,2,0.00495750435333,0.00037,100000,42
+"""
+
+
+def readme_simulation_config() -> dict:
+    """The JSON block under README's "### Simulation config"."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Simulation config", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
 class TestSimulateBound:
     def sim_config(self, tmp_path, **overrides):
         data = {
@@ -392,6 +422,18 @@ class TestSimulateBound:
         assert float(bound) == pytest.approx(2 * math.exp(-1.5), abs=1e-12)
         # |x| >= 1 has probability 0 under U(-1, 1)
         assert float(tail) == 0.0
+
+    def test_readme_config_prints_the_pinned_csv(self, tmp_path, capsys):
+        # seeded draws are the same across versions: the Philox key of each
+        # block, and numpy's normal and uniform streams, stay fixed
+        cfg = write_json(tmp_path / "sim.json", readme_simulation_config())
+        assert invoke(["simulate-bound", "--config", cfg], capsys) == (
+            0, README_SIMULATION_CSV.replace("\n", "\r\n"), "")
+
+    def test_models_are_read_into_agent_output_models(self, tmp_path):
+        cfg = write_json(tmp_path / "sim.json", readme_simulation_config())
+        assert SimulationConfig.from_file(cfg).models == (
+            AgentOutputModel.gaussian(0.0, 1.0), AgentOutputModel.uniform(-1.0, 1.0))
 
     def test_bad_model_kind_is_config_error(self, tmp_path, capsys):
         cfg = self.sim_config(tmp_path, models=[{"kind": "poisson", "lam": 2}])
@@ -581,6 +623,20 @@ class TestExitCodes:
         code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
         assert (code, out) == (4, "")
         assert err.startswith(f"malformed trace: event {event['seq']}: {message}")
+
+    def test_a_nan_granularity_in_a_plan_snapshot_is_a_malformed_trace(self, tmp_path,
+                                                                       capsys):
+        # failure injection: json reads NaN, which a plan's granularity does not take
+        header, *events = (DATA / "trace_v6_strategy_shift.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        events = [json.loads(line) for line in events]
+        event = next(e for e in events if "plan_after" in e["payload"])
+        event["payload"]["plan_after"]["subtasks"][0]["granularity"] = math.nan
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join([header, *map(json.dumps, events)]) + "\n", encoding="utf-8")
+        code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("malformed trace:") and "subtasks[0].granularity" in err
 
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = invoke(

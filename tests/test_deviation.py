@@ -16,7 +16,7 @@ from promptor import (
     deviation_bound,
     simulate_deviation_tails,
 )
-from promptor.deviation import _BLOCK_SIZE, _block_deviations, _block_layout
+from promptor.deviation import _BLOCK_SIZE, _block_deviations
 
 # n=1, weight 1, Var 1, eps 2: 2 exp(-4/2) = 2 e^-2
 BOUND_N1_EPS2 = 2.0 * math.exp(-2.0)
@@ -49,6 +49,22 @@ def test_bound_clamped_to_one():
 def test_bound_requires_positive_epsilon():
     with pytest.raises(ValueError):
         deviation_bound(UNIT, (1.0,), 0.0)
+
+
+@pytest.mark.parametrize("variance, epsilon", [
+    (math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_bound_rejects_a_nan_or_an_infinite_argument(variance, epsilon):
+    with pytest.raises(ValueError):
+        deviation_bound(UNIT, (variance,), epsilon)
+
+
+@pytest.mark.parametrize("u, v", [
+    ((math.nan,), (1.0,)), ((1.0,), (math.inf,)), ((1.0, -math.inf), (1.0, 1.0)),
+])
+def test_aggregation_weights_must_be_finite(u, v):
+    with pytest.raises(ValueError):
+        AggregationSpec(u, v)
 
 
 def test_bound_variance_length_checked():
@@ -99,26 +115,26 @@ def test_uniform_constructor_derives_moments():
     assert abs(model.variance - 1.0 / 3.0) <= 1e-12
 
 
-def test_uniform_variance_must_match_bounds():
+@pytest.mark.parametrize("fields", [
+    {"kind": "uniform", "low": -1.0, "high": 1.0, "mean": 0.0},
+    {"kind": "uniform", "low": -1.0, "high": 1.0, "variance": 1.0 / 3.0},
+    {"kind": "uniform", "low": 1.0, "high": 1.0},
+    {"kind": "uniform", "low": 1.0, "high": -1.0},
+    {"kind": "uniform", "low": math.nan, "high": 1.0},
+    {"kind": "uniform", "low": -1e154, "high": 1e154},
+    {"kind": "gaussian", "mean": 0.0, "variance": 1.0, "low": 0.0, "high": 1.0},
+    {"kind": "gaussian", "mean": 0.0, "variance": -1.0},
+    {"kind": "gaussian", "mean": 0.0, "variance": math.nan},
+    {"kind": "gaussian", "mean": 0.0, "variance": math.inf},
+    {"kind": "gaussian", "mean": math.nan, "variance": 1.0},
+    {"kind": "gaussian", "mean": 0.0},
+    {"kind": "cauchy", "mean": 0.0, "variance": 1.0},
+])
+def test_output_model_rejects(fields):
+    # a uniform's moments follow from its bounds, so it takes neither; a
+    # gaussian takes no bounds; both need a finite, non-negative variance
     with pytest.raises(ValueError):
-        AgentOutputModel(mean=0.0, variance=1.0, family="uniform-bounded", bounds=(-1.0, 1.0))
-
-
-def test_uniform_mean_must_be_midpoint():
-    with pytest.raises(ValueError):
-        AgentOutputModel(
-            mean=0.5, variance=1.0 / 3.0, family="uniform-bounded", bounds=(-1.0, 1.0)
-        )
-
-
-def test_gaussian_rejects_bounds():
-    with pytest.raises(ValueError):
-        AgentOutputModel(mean=0.0, variance=1.0, family="gaussian", bounds=(0.0, 1.0))
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        AgentOutputModel(mean=0.0, variance=1.0, family="cauchy")
+        AgentOutputModel(**fields)
 
 
 # -- simulate_deviation_tails ---------------------------------------------------
@@ -153,18 +169,15 @@ def test_block_merge_equals_single_threaded():
     spec = AggregationSpec(u=(1.0, 0.5), v=(1.0, 1.0))
     eps = 1.2
     report = simulate_deviation_tails(models, spec, [eps], trials=trials, seed=99)[0]
-    # blocks computed in reverse order must merge to the single-threaded count
+    # the blocks partition the trials, and computed in reverse order they
+    # must merge to the single-threaded count
+    sizes = [_BLOCK_SIZE] * 3 + [17]
+    assert sum(sizes) == trials
     merged = sum(
         int(np.count_nonzero(_block_deviations(models, spec, 99, index, size) >= eps))
-        for index, size in reversed(_block_layout(trials))
+        for index, size in reversed(list(enumerate(sizes)))
     )
     assert merged == round(report.empirical_tail * trials)
-
-
-def test_block_layout_partitions_trials():
-    layout = _block_layout(2 * _BLOCK_SIZE + 5)
-    assert [size for _, size in layout] == [_BLOCK_SIZE, _BLOCK_SIZE, 5]
-    assert [index for index, _ in layout] == [0, 1, 2]
 
 
 def test_multi_epsilon_shares_draws():
@@ -193,5 +206,6 @@ def test_simulation_validates_arguments():
         simulate_deviation_tails([STD_GAUSSIAN], AggregationSpec((1.0, 1.0), (1.0, 1.0)), [1.0], 10, 0)
     with pytest.raises(ValueError):
         simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0], trials=0, seed=0)
-    with pytest.raises(ValueError):
-        simulate_deviation_tails([STD_GAUSSIAN], UNIT, [-1.0], trials=10, seed=0)
+    for eps in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            simulate_deviation_tails([STD_GAUSSIAN], UNIT, [1.0, eps], trials=10, seed=0)
