@@ -60,8 +60,8 @@ class GenerationRequest:
     def __post_init__(self):
         if not self.prompt_text:
             raise ValueError("prompt_text must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
         if self.max_tokens < 1:
@@ -115,8 +115,9 @@ class BackendDescriptor:
             raise ValueError("max_inflight must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        # a socket takes no timeout past the platform's longest wait
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must lie in (0, {threading.TIMEOUT_MAX:g}] seconds")
 
 
 # -- scripted generation -------------------------------------------------------
@@ -133,8 +134,8 @@ class ScriptedBehavior:
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("a behavior needs at least one outcome")
-        if any(p < 0 for _, p in self.outcomes):
-            raise ValueError("outcome probabilities must be non-negative")
+        if not all(0 <= p <= 1 for _, p in self.outcomes):
+            raise ValueError("outcome probabilities must lie in [0, 1]")
         total = math.fsum(p for _, p in self.outcomes)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"outcome probabilities sum to {total}, not 1")

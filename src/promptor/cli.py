@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = commands.add_parser("eval-stability", help="score one prompt file")
     ev.add_argument("prompt", help="ModularPrompt JSON file")
-    ev.add_argument("--config", default=None, help="pipeline config JSON for backends")
+    ev.add_argument("--config", required=True, help="pipeline config JSON for backends")
     ev.add_argument("--trace", default=None, help="write the evaluation trace here")
     ev.add_argument("--out", default=None, help="write the result here instead of stdout")
     _add_override_flags(ev)
@@ -147,11 +147,7 @@ def cmd_run(args) -> int:
 
 def cmd_eval_stability(args) -> int:
     prompt = _load(ModularPrompt, _read_json(args.prompt, "prompt"), f"prompt {args.prompt}")
-    if args.config is not None:
-        cfg = PipelineConfig.from_file(args.config)
-    else:
-        cfg = PipelineConfig(task="standalone stability evaluation")
-    cfg = _apply_overrides(cfg, args)
+    cfg = _apply_overrides(PipelineConfig.from_file(args.config), args)
     orch = _make_orchestrator(cfg, args.trace)
     try:
         score = orch.evaluate_prompt_stability(prompt, subtask_id="eval")

@@ -42,6 +42,8 @@ class AggregationSpec:
             raise ValueError("aggregation vectors must have length >= 1")
         if not all(map(math.isfinite, self.u + self.v)):
             raise ValueError("aggregation weights must be finite")
+        if not all(math.isfinite(a * b) for a, b in zip(self.u, self.v)):
+            raise ValueError("aggregation weight products u_i * v_i must be finite")
 
     @property
     def n(self) -> int:
@@ -114,7 +116,9 @@ class DeviationReport:
 def deviation_bound(spec: AggregationSpec, variances: Sequence[float], epsilon: float) -> float:
     """Tail bound P(|s - s_hat| >= eps) <= min(1, 2 exp(-eps^2 / (2 D))) with
     D = sum_i (u_i v_i)^2 Var(x_i). D = 0 means the deviation is almost surely
-    zero, so the bound is 0."""
+    zero, so the bound is 0. D and eps^2 are products, so past the float
+    range they are infinite, not an OverflowError, and the bound takes its
+    limits: 1 as D grows, 0 as eps grows."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if len(variances) != spec.n:
@@ -123,10 +127,12 @@ def deviation_bound(spec: AggregationSpec, variances: Sequence[float], epsilon: 
         raise ValueError("variances must be finite and non-negative")
     d = 0.0
     for i in range(spec.n):
-        d += (spec.u[i] * spec.v[i]) ** 2 * float(variances[i])
+        w = spec.u[i] * spec.v[i]
+        if variances[i]:  # an infinite w * w times 0 would be NaN
+            d += w * w * float(variances[i])
     if d == 0.0:
         return 0.0
-    return min(1.0, 2.0 * math.exp(-(epsilon**2) / (2.0 * d)))
+    return min(1.0, 2.0 * math.exp(-(epsilon * epsilon) / (2.0 * d)))
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

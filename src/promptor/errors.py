@@ -27,19 +27,6 @@ class PlanningFailure(PromptorError):
     """Planner output could not be parsed into a valid plan within the re-ask budget."""
 
 
-class ReviewFailure(PromptorError):
-    """Reviewer never named a valid prompt component within the re-ask budget.
-
-    Carries the best prompt seen and the refinement history so far, so callers
-    can still make progress.
-    """
-
-    def __init__(self, message: str, best_prompt=None, history=None):
-        super().__init__(message)
-        self.best_prompt = best_prompt
-        self.history = history
-
-
 class StateError(PromptorError):
     """An operation was invoked on an object in the wrong lifecycle state."""
 

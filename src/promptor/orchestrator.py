@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import heapq
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ from .backends import (
 from .errors import (
     BackendError,
     PlanningFailure,
-    ReviewFailure,
     StateError,
     TransportError,
 )
@@ -70,8 +70,10 @@ T = TypeVar("T")
 SEMANTIC = "semantic"
 KL = "kl"
 
+# the endings of refine_until_stable
 STABILIZED = "stabilized"
 EXHAUSTED = "exhausted"
+REVIEW_FAILED = "review-failed"
 
 # reviewer tie-break when a response names several components: requirements
 # first, then knowledge, role, history
@@ -108,12 +110,13 @@ class RefinementConfig:
             raise ValueError(f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.reviewer_temperature < 0 or self.stability_temperature < 0:
-            raise ValueError("temperatures must be >= 0")
+        if not (0 <= self.reviewer_temperature < math.inf
+                and 0 <= self.stability_temperature < math.inf):
+            raise ValueError("temperatures must be finite and >= 0")
         if self.metric not in (SEMANTIC, KL):
             raise ValueError(f"metric must be '{SEMANTIC}' or '{KL}'")
-        if self.kl_alpha <= 0:
-            raise ValueError("kl_alpha must be positive")
+        if not 0 < self.kl_alpha < math.inf:
+            raise ValueError("kl_alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -126,22 +129,19 @@ class RefinementStep:
 
 @dataclass(frozen=True)
 class RefinementHistory:
+    """How a gate ended: its reviewer steps, its outcome (stabilized,
+    exhausted or review-failed) and the score of the last prompt measured."""
+
     steps: tuple[RefinementStep, ...]
     outcome: str
     final_score: StabilityScore
     tau: float
 
     def __post_init__(self):
-        if self.outcome not in (STABILIZED, EXHAUSTED):
+        if self.outcome not in (STABILIZED, EXHAUSTED, REVIEW_FAILED):
             raise ValueError(f"unknown outcome: {self.outcome!r}")
         if self.outcome == STABILIZED and self.final_score.value < self.tau:
             raise ValueError("a stabilized history must end at or above tau")
-
-    @property
-    def best_score(self) -> float:
-        values = [s.score_before.value for s in self.steps]
-        values.append(self.final_score.value)
-        return max(values)
 
 
 @dataclass(frozen=True)
@@ -185,10 +185,10 @@ class OrchestratorSettings:
     def __post_init__(self):
         if self.reask_budget < 0 or self.augmentation_retries < 0:
             raise ValueError("budgets must be >= 0")
-        if self.target_granularity <= 0:
-            raise ValueError("target_granularity must be positive")
-        if self.execution_temperature < 0:
-            raise ValueError("execution_temperature must be >= 0")
+        if not 0 < self.target_granularity < math.inf:
+            raise ValueError("target_granularity must be positive and finite")
+        if not 0 <= self.execution_temperature < math.inf:
+            raise ValueError("execution_temperature must be finite and >= 0")
 
 
 def _rewire(plan: Plan, replaced_ids: tuple[str, ...], pieces: list[Subtask]) -> Plan:
@@ -695,28 +695,34 @@ class Orchestrator:
     def refine_until_stable(
         self, p: ModularPrompt, subtask_id: str = "adhoc"
     ) -> tuple[ModularPrompt, RefinementHistory]:
-        """Evaluate-and-revise until the stability gate passes or the
-        iteration budget runs out; returns the best-scoring revision seen.
-        Raises ReviewFailure (carrying best prompt and history) when the
-        reviewer never names a usable component."""
+        """Evaluate-and-revise until the stability gate passes (stabilized,
+        with the passing revision), the iteration budget runs out
+        (exhausted) or the reviewer gives no usable revision
+        (review-failed). Below tau it returns the best-scoring revision seen
+        and records why in the trace: a review-failure warning, or a
+        gate-exhausted warning with the best score, after a
+        reviewer-disabled warning when the reviewer is off."""
         cfg = self.settings.refinement
+        reviewer = self.settings.reviewer_enabled
         current, (score, outputs) = p, self._measure(p, subtask_id)
         best_prompt, best_value = current, score.value
         steps: list[RefinementStep] = []
-        if score.value >= cfg.tau:
-            return current, RefinementHistory((), STABILIZED, score, cfg.tau)
-        if not self.settings.reviewer_enabled:
-            self.trace.warning("reviewer-disabled", subtask_id=subtask_id,
-                               value=score.value)
-            return current, RefinementHistory((), EXHAUSTED, score, cfg.tau)
-        for _ in range(cfg.max_iterations):
+        while score.value < cfg.tau:
+            if len(steps) == (cfg.max_iterations if reviewer else 0):
+                if not reviewer:
+                    self.trace.warning("reviewer-disabled", subtask_id=subtask_id,
+                                       value=score.value)
+                # executing below tau is always visible in the trace
+                self.trace.warning("gate-exhausted", subtask_id=subtask_id,
+                                   best_score=best_value)
+                return best_prompt, RefinementHistory(tuple(steps), EXHAUSTED, score, cfg.tau)
             revised = self._reviewer_revision(current, score, outputs, subtask_id)
             if revised is None:
-                history = RefinementHistory(tuple(steps), EXHAUSTED, score, cfg.tau)
-                raise ReviewFailure(
-                    f"reviewer produced no usable revision for {subtask_id!r}",
-                    best_prompt=best_prompt, history=history,
-                )
+                self.trace.warning(
+                    "review-failure", subtask_id=subtask_id,
+                    error=f"reviewer produced no usable revision for {subtask_id!r}")
+                return best_prompt, RefinementHistory(
+                    tuple(steps), REVIEW_FAILED, score, cfg.tau)
             revised_prompt, kind = revised
             value = getattr(revised_prompt, kind.value)
             if kind is PromptComponentKind.REQUIREMENTS:
@@ -730,9 +736,7 @@ class Orchestrator:
             current, score = revised_prompt, new_score
             if score.value > best_value:
                 best_prompt, best_value = current, score.value
-            if score.value >= cfg.tau:
-                return current, RefinementHistory(tuple(steps), STABILIZED, score, cfg.tau)
-        return best_prompt, RefinementHistory(tuple(steps), EXHAUSTED, score, cfg.tau)
+        return current, RefinementHistory(tuple(steps), STABILIZED, score, cfg.tau)
 
     # -- execution --------------------------------------------------------------
 
@@ -948,23 +952,11 @@ class Orchestrator:
         self.trace.emit(event_type, payload)
         self._traced_prompts[subtask_id] = after
 
-    def _refine_for_subtask(self, sub: Subtask, history: str) -> ModularPrompt:
-        prompt = self.build_subtask_prompt(sub, history)
-        try:
-            prompt, refinement = self.refine_until_stable(prompt, subtask_id=sub.id)
-        except ReviewFailure as exc:
-            self.trace.warning("review-failure", subtask_id=sub.id, error=str(exc))
-            return exc.best_prompt
-        if refinement.outcome == EXHAUSTED:
-            # gate soundness: executing below tau is always visible in the trace
-            self.trace.warning("gate-exhausted", subtask_id=sub.id,
-                               best_score=refinement.best_score)
-        return prompt
-
     def _execute_with_augmentation(
         self, plan: Plan, subtask_id: str, history: str
     ) -> tuple[Plan, ExecutionResult]:
-        prompt = self._refine_for_subtask(plan.subtask(subtask_id), history)
+        prompt, _ = self.refine_until_stable(
+            self.build_subtask_prompt(plan.subtask(subtask_id), history), subtask_id)
         plan = self._apply_status(plan, subtask_id, SubtaskStatus.STABLE_PROMPT_READY)
         result = self.execute_subtask(plan.subtask(subtask_id), prompt)
         retries = 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import enum
 import heapq
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -80,8 +81,8 @@ class Subtask(_JsonRecord):
         object.__setattr__(self, "injected_notes", tuple(self.injected_notes))
         if self.granularity is None:
             object.__setattr__(self, "granularity", estimate_granularity(self.description))
-        elif self.granularity <= 0:
-            raise ValueError("granularity must be positive")
+        elif not 0 < self.granularity < math.inf:
+            raise ValueError("granularity must be positive and finite")
 
     def with_status(self, status: SubtaskStatus) -> "Subtask":
         status = SubtaskStatus(status)

@@ -309,6 +309,22 @@ class TestReplayAndReport:
         assert err == "metric error: cosine distance undefined for a zero vector\n"
 
 
+def test_readme_pipeline_config_runs_replays_and_scores_the_prompt_file(tmp_path, capsys):
+    # the same check as the CI step that runs both README blocks through
+    # the console script
+    cfg = write_json(tmp_path / "cfg.json", readme_json_block("### Pipeline config"))
+    prompt = write_json(tmp_path / "prompt.json", readme_json_block("### Prompt file"))
+    trace_path = str(tmp_path / "run.jsonl")
+    code, report, err = invoke(["run", "--config", cfg, "--trace", trace_path], capsys)
+    assert (code, err) == (0, "")
+    assert "run 1: succeeded" in report and "reference check: pass" in report
+    assert read_trace(trace_path).events_of_type("warning") == ()
+    assert invoke(["replay", "--trace", trace_path], capsys) == (0, report, "")
+    code, out, err = invoke(["eval-stability", prompt, "--config", cfg], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict: stable\n")
+
+
 class TestEvalStability:
     def make_prompt_file(self, tmp_path):
         prompt = executor_prompt("eval", "Say the word.")
@@ -355,9 +371,9 @@ class TestEvalStability:
         assert "samples: 7" in out
         assert "tau: 0.99" in out
 
-    def test_unreadable_prompt_is_config_error(self, tmp_path, capsys):
+    def test_unreadable_prompt_is_config_error(self, tmp_path, config_path, capsys):
         code, _, err = invoke(
-            ["eval-stability", str(tmp_path / "absent.json")], capsys
+            ["eval-stability", str(tmp_path / "absent.json"), "--config", config_path], capsys
         )
         assert code == 2
         assert err.startswith("config error:")
@@ -371,11 +387,15 @@ n,epsilon,analytic_bound,empirical_tail,trials,seed
 """
 
 
-def readme_simulation_config() -> dict:
-    """The JSON block under README's "### Simulation config"."""
+def readme_json_block(heading: str) -> dict:
+    """The first JSON block under one of README's headings."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Simulation config", 1)[1]
+    section = readme.split(f"\n{heading}\n", 1)[1]
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def readme_simulation_config() -> dict:
+    return readme_json_block("### Simulation config")
 
 
 class TestSimulateBound:
@@ -434,6 +454,23 @@ class TestSimulateBound:
         cfg = write_json(tmp_path / "sim.json", readme_simulation_config())
         assert SimulationConfig.from_file(cfg).models == (
             AgentOutputModel.gaussian(0.0, 1.0), AgentOutputModel.uniform(-1.0, 1.0))
+
+    @pytest.mark.parametrize("overrides, row", [
+        ({"u": [1e200], "epsilons": [0.5]}, "1,0.5,1,1,1000,1"),
+        ({"epsilons": [1e200]}, "1,1e+200,0,0,1000,1"),
+    ], ids=["weight", "epsilon"])
+    def test_a_square_past_the_float_range_gives_the_bound_its_limit(self, tmp_path, capsys,
+                                                                      overrides, row):
+        cfg = self.sim_config(tmp_path, trials=1000, seed=1, **overrides)
+        code, out, err = invoke(["simulate-bound", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == row
+
+    def test_a_weight_product_past_the_float_range_is_config_error(self, tmp_path, capsys):
+        cfg = self.sim_config(tmp_path, u=[1e200], v=[1e200])
+        code, out, err = invoke(["simulate-bound", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and "u_i * v_i" in err
 
     def test_bad_model_kind_is_config_error(self, tmp_path, capsys):
         cfg = self.sim_config(tmp_path, models=[{"kind": "poisson", "lam": 2}])
@@ -508,7 +545,7 @@ class TestExitCodes:
         assert not trace_path.exists()
 
     @pytest.mark.parametrize("command,changes,path", MALFORMED_INPUTS)
-    def test_malformed_input_file_writes_nothing(self, tmp_path, capsys, command,
+    def test_malformed_input_file_writes_nothing(self, tmp_path, config_path, capsys, command,
                                                  changes, path):
         # failure injection: a mistake at any depth of any input file is a
         # config error naming its field, found before a trace or a CSV is opened
@@ -517,7 +554,8 @@ class TestExitCodes:
         source = write_json(tmp_path / "input.json", {**valid[command], **changes})
         out = tmp_path / "out"
         out.mkdir()
-        argv = [command, source] if command == "eval-stability" else [command, "--config", source]
+        argv = ([command, source, "--config", config_path] if command == "eval-stability"
+                else [command, "--config", source])
         if command != "simulate-bound":
             argv += ["--trace", str(out / "trace.jsonl")]
         code, stdout, err = invoke(argv + ["--out", str(out / "result")], capsys)
@@ -534,13 +572,14 @@ class TestExitCodes:
         assert err.startswith("config error:") and "sample_count" in err
         assert not trace_path.exists()
 
-    def test_backend_failure(self, tmp_path, capsys):
-        # default config has a scripted generator with no behaviors at all
+    def test_eval_stability_without_config_is_usage_error(self, tmp_path, capsys):
+        # no default config: its scripted generator would know no prompt
         prompt = executor_prompt("eval", "Say the word.")
         prompt_path = write_json(tmp_path / "prompt.json", prompt.to_json_dict())
-        code, _, err = invoke(["eval-stability", prompt_path], capsys)
-        assert code == 3
-        assert err.startswith("backend error:")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-stability", prompt_path])
+        assert exc.value.code == 1
+        assert "--config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("backend, body", [
         ("generator", b'{"choices":[{"message":{"content":null}},'

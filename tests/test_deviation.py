@@ -61,10 +61,21 @@ def test_bound_rejects_a_nan_or_an_infinite_argument(variance, epsilon):
 
 @pytest.mark.parametrize("u, v", [
     ((math.nan,), (1.0,)), ((1.0,), (math.inf,)), ((1.0, -math.inf), (1.0, 1.0)),
+    # finite weights whose product is not
+    ((1e200,), (1e200,)),
 ])
 def test_aggregation_weights_must_be_finite(u, v):
     with pytest.raises(ValueError):
         AggregationSpec(u, v)
+
+
+def test_a_square_past_the_float_range_gives_the_bound_its_limit():
+    # D and eps^2 are infinite: the bound tends to 1 as D grows, to 0 as eps grows
+    assert deviation_bound(AggregationSpec((1e200,), (1.0,)), (1.0,), 0.5) == 1.0
+    assert deviation_bound(UNIT, (1.0,), 1e200) == 0.0
+    # a zero variance adds nothing to D, however large its weight
+    spec = AggregationSpec((1e200, 1.0), (1.0, 1.0))
+    assert abs(deviation_bound(spec, (0.0, 1.0), 2.0) - BOUND_N1_EPS2) <= 1e-12
 
 
 def test_bound_variance_length_checked():

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from promptor import agent_prompts as ap
 from promptor.backends import (
+    BackendDescriptor,
     GenerationRequest,
     HashEmbedder,
     ScriptedBehavior,
@@ -12,7 +14,6 @@ from promptor.backends import (
 )
 from promptor.errors import (
     PlanningFailure,
-    ReviewFailure,
     StateError,
     TransportError,
     ZeroVectorError,
@@ -233,6 +234,10 @@ class TestRefineUntilStable:
         best = max(seen)
         assert seen[refined.revision] == best
         assert all(v < best for v in seen[: refined.revision])
+        # the gate's last event records the best score it reached
+        last = orch.trace.trace().events[-1]
+        assert last.payload == {"reason": "gate-exhausted", "subtask_id": "sC",
+                                "best_score": best}
 
     def test_reviewer_disabled_exhausts_without_steps(self):
         base = ModularPrompt(role="You pick colors.", requirements=("Pick one.",))
@@ -246,9 +251,15 @@ class TestRefineUntilStable:
         assert refined == base
         assert history.outcome == "exhausted"
         assert history.steps == ()
-        assert len(warnings_with_reason(orch, "reviewer-disabled")) == 1
+        # reviewer-disabled first, then the gate's own gate-exhausted
+        warnings = [e.payload for e in orch.trace.trace().events_of_type("warning")]
+        value = history.final_score.value
+        assert warnings == [
+            {"reason": "reviewer-disabled", "subtask_id": "sD", "value": value},
+            {"reason": "gate-exhausted", "subtask_id": "sD", "best_score": value},
+        ]
 
-    def test_unparseable_reviewer_raises_review_failure(self):
+    def test_unparseable_reviewer_returns_review_failed(self):
         base = ModularPrompt(role="You pick colors.", requirements=("Pick one.",))
         behaviors = [ScriptedBehavior.for_prompt(render_prompt(base), UNSTABLE_OUTCOMES)]
         assert_gate_stays_shut(render_prompt(base), behaviors, blocks=1)
@@ -256,14 +267,19 @@ class TestRefineUntilStable:
             prompt_fingerprint="default", outcomes=(("no structure here", 1.0),)
         )
         orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, default=default))
-        with pytest.raises(ReviewFailure) as info:
-            orch.refine_until_stable(base, subtask_id="sE")
-        assert info.value.best_prompt == base
-        assert info.value.history.outcome == "exhausted"
+        refined, history = orch.refine_until_stable(base, subtask_id="sE")
+        assert refined == base
+        assert history.outcome == "review-failed"
+        assert history.steps == ()
         # one initial ask plus reask_budget identical retries
         assert len(warnings_with_reason(orch, "unparseable-agent-response")) == 3
+        # the gate's last event records why it ended below tau
+        last = orch.trace.trace().events[-1]
+        assert last.payload == {"reason": "review-failure", "subtask_id": "sE",
+                                "error": "reviewer produced no usable revision for 'sE'"}
+        assert warnings_with_reason(orch, "gate-exhausted") == []
 
-    def test_invalid_component_name_raises_review_failure(self):
+    def test_invalid_component_name_returns_review_failed(self):
         base = ModularPrompt(role="You pick colors.", requirements=("Pick one.",))
         behaviors = [ScriptedBehavior.for_prompt(render_prompt(base), UNSTABLE_OUTCOMES)]
         rules = [
@@ -274,9 +290,10 @@ class TestRefineUntilStable:
             )
         ]
         orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, prefix_rules=rules))
-        with pytest.raises(ReviewFailure):
-            orch.refine_until_stable(base, subtask_id="sF")
+        refined, history = orch.refine_until_stable(base, subtask_id="sF")
+        assert (refined, history.outcome) == (base, "review-failed")
         assert len(warnings_with_reason(orch, "invalid-review")) == 3
+        assert len(warnings_with_reason(orch, "review-failure")) == 1
 
     @pytest.mark.parametrize("budget", [0, 2, 3])
     def test_mixed_reviewer_failures_share_one_budget(self, budget):
@@ -288,8 +305,8 @@ class TestRefineUntilStable:
                                      ["no structure here", unknown],
                                      ScriptedGenerator(behaviors=behaviors))
         orch = make_orchestrator(reviewer, OrchestratorSettings(reask_budget=budget))
-        with pytest.raises(ReviewFailure):
-            orch.refine_until_stable(base, subtask_id="sF")
+        refined, history = orch.refine_until_stable(base, subtask_id="sF")
+        assert (refined, history.outcome) == (base, "review-failed")
         assert reviewer.calls == budget + 1
         unparseable = warnings_with_reason(orch, "unparseable-agent-response")
         invalid = warnings_with_reason(orch, "invalid-review")
@@ -1483,3 +1500,34 @@ class TestRunPipeline:
         planning = mark == ap.PLANNER_MARK
         assert state.run_status == ("failed" if planning else "succeeded")
         assert len(warnings_with_reason(orch, "planning-failure")) == planning
+
+
+# -- range checks -------------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+HTTP = dict(kind="http", endpoint_url="http://localhost:1", model_name="m")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RefinementConfig(kl_alpha=NAN),
+    lambda: RefinementConfig(kl_alpha=INF),
+    lambda: RefinementConfig(reviewer_temperature=NAN),
+    lambda: RefinementConfig(stability_temperature=NAN),
+    lambda: RefinementConfig(stability_temperature=INF),
+    lambda: OrchestratorSettings(target_granularity=NAN),
+    lambda: OrchestratorSettings(target_granularity=INF),
+    lambda: OrchestratorSettings(execution_temperature=NAN),
+    lambda: OrchestratorSettings(execution_temperature=INF),
+    lambda: GenerationRequest("x", temperature=NAN),
+    lambda: GenerationRequest("x", temperature=INF),
+    lambda: BackendDescriptor(**HTTP, timeout=NAN),
+    lambda: BackendDescriptor(**HTTP, timeout=INF),
+    # finite, but longer than a socket can wait
+    lambda: BackendDescriptor(**HTTP, timeout=1e10),
+    lambda: ScriptedBehavior("fp", (("a", NAN), ("b", 1.0))),
+    lambda: Subtask("a", "d", granularity=NAN),
+    lambda: Subtask("a", "d", granularity=INF),
+])
+def test_a_range_check_rejects_nan_and_infinity(build):
+    with pytest.raises(ValueError):
+        build()

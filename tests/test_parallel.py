@@ -290,6 +290,71 @@ def test_pipeline_fixture_trace_digest_is_pinned(monkeypatch, width):
     assert hashlib.sha256(canonical_trace_bytes(trace)).hexdigest() == PIPELINE_TRACE_SHA256
 
 
+# -- review failure ---------------------------------------------------------------
+
+REVIEW_SUBTASKS = [
+    {"id": "root", "description": "Collect the inputs.", "dependencies": []},
+    {"id": "left", "description": "Look up the left figure.", "dependencies": ["root"]},
+    {"id": "right", "description": "Look up the right figure.", "dependencies": ["root"]},
+    {"id": "sink", "description": "Join the figures.", "dependencies": ["left", "right"]},
+]
+REVIEW_WARNINGS = ("invalid-review", "unparseable-agent-response")
+
+
+def unusable_reviewer_generator():
+    """Every executor prompt fails the gate and the reviewer never gives a
+    usable revision: its replies do not parse, except right's, which name an
+    unknown component."""
+    rules = [
+        rule(EXECUTOR, [("alpha", 0.25), ("beta", 0.25), ("gamma", 0.25),
+                        ("delta", 0.25)], seed=4),
+        rule(f"{ap.REVIEWER_STABILITY_MARK}\n", [("no structure here", 1.0)]),
+        json_rule(f"{ap.REVIEWER_STABILITY_MARK}\nSubtask: right\n",
+                  {"component": "tone", "replacement": "cheerful"}),
+        json_rule(f"{ap.PLAN_UPDATE_SUCCESS_MARK}\n", {"payload": "Keep the units."}),
+    ]
+    return ScriptedGenerator(
+        behaviors=[planner_behavior(REVIEW_SUBTASKS, template="fan-out-fan-in")],
+        prefix_rules=rules, run_seed=2,
+    )
+
+
+def test_review_failure_is_recorded_after_the_last_rejected_review(monkeypatch):
+    settings = OrchestratorSettings(
+        refinement=RefinementConfig(sample_count=4, max_iterations=2),
+        subtask_optimizer_enabled=False, knowledge_enabled=False,
+    )
+    traces = {}
+    for width in (1, 4):
+        trace, error = run(unusable_reviewer_generator(), width, monkeypatch, settings)
+        assert error is None
+        traces[width] = canonical_trace_bytes(trace)
+    assert traces[4] == traces[1]
+    assert replay_trace(trace).run_status == "succeeded"
+    events = trace.events
+    for sub in ("root", "left", "right", "sink"):
+        mine = [k for k, e in enumerate(events) if e.payload.get("subtask_id") == sub]
+        reasons = [events[k].payload["reason"] for k in mine if events[k].type == "warning"]
+        assert "gate-exhausted" not in reasons
+        failures = [k for k in mine if events[k].type == "warning"
+                    and events[k].payload["reason"] == "review-failure"]
+        assert len(failures) == 1
+        assert events[failures[0]].payload == {
+            "reason": "review-failure", "subtask_id": sub,
+            "error": f"reviewer produced no usable revision for '{sub}'"}
+        rejected = [k for k in mine if events[k].type == "warning"
+                    and events[k].payload["reason"] in REVIEW_WARNINGS]
+        assert rejected and failures[0] == rejected[-1] + 1
+        # the executed prompt is the initial one, the only prompt sampled
+        generations = [events[k].payload for k in mine if events[k].type == "generation"
+                       and events[k].payload["purpose"] in ("stability", "execution")]
+        assert [g["purpose"] for g in generations] == ["stability", "execution"]
+        assert generations[0]["fingerprint"] == generations[1]["fingerprint"]
+        assert [events[k].payload["component"] for k in mine
+                if events[k].type == "revision"] == ["initial"]
+    assert len(warnings_of(trace, "invalid-review")) == 3
+
+
 # -- shared prompts ---------------------------------------------------------------
 
 
