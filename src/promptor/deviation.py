@@ -157,7 +157,9 @@ def _block_deviations(
             centered = math.sqrt(model.variance) * rng.standard_normal(block_trials)
         else:
             centered = rng.uniform(model.low, model.high, block_trials) - model.mean
-        dev += weights[i] * centered
+        # past the float range a sum is inf, or NaN where +inf meets -inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev += weights[i] * centered
     return np.abs(dev)
 
 
@@ -182,7 +184,8 @@ def simulate_deviation_tails(
         dev = _block_deviations(models, spec, seed, start // _BLOCK_SIZE,
                                 min(_BLOCK_SIZE, trials - start))
         for k, eps in enumerate(epsilons):
-            counts[k] += int(np.count_nonzero(dev >= eps))
+            # a NaN deviation is past every epsilon too
+            counts[k] += int(np.count_nonzero(~(dev < eps)))
     return [
         DeviationReport(
             n=spec.n,

@@ -59,6 +59,7 @@ from .prompt import (
     ModularPrompt,
     PromptComponentKind,
     ValidationResult,
+    _write_field,
     render_prompt,
     replace_component,
     validate_output,
@@ -724,11 +725,9 @@ class Orchestrator:
                 return best_prompt, RefinementHistory(
                     tuple(steps), REVIEW_FAILED, score, cfg.tau)
             revised_prompt, kind = revised
-            value = getattr(revised_prompt, kind.value)
-            if kind is PromptComponentKind.REQUIREMENTS:
-                value = list(value)
             self._emit_prompt("revision", subtask_id, current, revised_prompt,
-                              {"component": kind.value, "value": value})
+                              {"component": kind.value,
+                               "value": _write_field(revised_prompt, kind.value)})
             new_score, outputs = self._measure(revised_prompt, subtask_id)
             steps.append(
                 RefinementStep(revised_prompt.revision, kind.value, score, new_score)
@@ -829,7 +828,7 @@ class Orchestrator:
         plan_after snapshot: 'created', and 'optimized' only when a split or
         merge changed the plan. A feedback step records only its update,
         which replay applies to the current plan. Plan records leave out the
-        fields that hold their defaults (see prompt._without_defaults)."""
+        fields that hold their defaults (see prompt._write_record)."""
         payload = {"note": note, "update": update.to_json_dict() if update else None}
         if plan is not None:
             payload["plan_after"] = plan.to_json_dict()

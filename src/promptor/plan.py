@@ -9,7 +9,8 @@ the re-sort.
 
 Subtasks, plans and plan updates are read from JSON (planner replies, trace
 records) by prompt._read_record, as strictly as prompt files: a string where
-a list belongs is a ValueError, never read as its characters.
+a list belongs is a ValueError, never read as its characters. They are
+written by prompt._write_record, by the same field table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .errors import PlanningFailure, StateError
-from .prompt import IoSpec, _JsonRecord, _without_defaults
+from .prompt import IoSpec, _JsonRecord
 
 
 PROPAGATE_SUCCESS = "propagate-success"
@@ -92,17 +93,6 @@ class Subtask(_JsonRecord):
                 f"{self.status.value} -> {status.value}"
             )
         return replace(self, status=status)
-
-    def to_json_dict(self) -> dict:
-        return _without_defaults(self, {
-            "id": self.id,
-            "description": self.description,
-            "dependencies": sorted(self.dependencies),
-            "granularity": self.granularity,
-            "io_spec": self.io_spec.to_json_dict(),
-            "status": self.status.value,
-            "injected_notes": list(self.injected_notes),
-        })
 
 
 def _topological(subtasks: tuple[Subtask, ...]) -> tuple[Subtask, ...]:
@@ -175,14 +165,6 @@ class Plan(_JsonRecord):
     def dependents(self, subtask_id: str) -> tuple[Subtask, ...]:
         return tuple(self.subtask(sid) for sid in self._dependents[subtask_id])
 
-    def to_json_dict(self) -> dict:
-        return _without_defaults(self, {
-            "task_description": self.task_description,
-            "interaction_template": self.interaction_template,
-            "created_from": self.created_from,
-            "subtasks": [s.to_json_dict() for s in self.subtasks],
-        })
-
 
 def with_subtask(plan: Plan, new_subtask: Subtask) -> Plan:
     """Replace the subtask with the same id. The plan is re-sorted and
@@ -219,14 +201,6 @@ class PlanUpdate(_JsonRecord):
         if self.kind not in (PROPAGATE_SUCCESS, STRATEGY_SHIFT, NO_OP):
             raise ValueError(f"unknown update kind: {self.kind!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source_subtask": self.source_subtask,
-            "kind": self.kind,
-            "targets": list(self.targets),
-            "payload": self.payload,
-        }
 
 
 def with_update(plan: Plan, update: PlanUpdate) -> Plan:

@@ -6,7 +6,7 @@ which returns a new prompt with the revision counter bumped.
 
 Every JSON record the package reads (prompt files, planner replies, trace
 records, config files) goes through one reader, _read_record, which checks it
-against a dataclass's annotations.
+against a dataclass's annotations; _write_record writes one by the same table.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import enum
 import functools
 import json
 import math
+import operator
 import re
 import types
 import typing
@@ -78,26 +79,58 @@ def _read_record(cls, data, path=()):
         raise ValueError(f"{_where(path)}: {exc}") from exc
 
 
-def _without_defaults(record, data: dict) -> dict:
-    """data, the JSON object of record, less every field that holds its
-    default, which _read_record fills back in."""
-    for key, default in _reader(type(record))[2].items():
-        if getattr(record, key) == default:
-            del data[key]
+def _write_record(record) -> dict:
+    """record as the JSON object _read_record reads it back from, less the
+    fields that hold their defaults, which _read_record fills back in."""
+    data = {}
+    for name, (default, write) in _reader(type(record))[2].items():
+        value = getattr(record, name)
+        if default is dataclasses.MISSING or value != default:
+            data[name] = value if write is None else write(value)
     return data
+
+
+def _write_field(record, name: str):
+    """record's field name as _write_record writes it."""
+    value = getattr(record, name)
+    write = _reader(type(record))[2][name][1]
+    return value if write is None else write(value)
 
 
 @functools.cache
 def _reader(cls) -> tuple[dict, frozenset, dict]:
     """cls's init field name -> kind, the names of those without a default,
-    and the others' name -> default."""
+    and, in field order, name -> (default, writer), the default being
+    dataclasses.MISSING for a field without one (see _kind and _writer)."""
     hints = typing.get_type_hints(cls)
     init = [f for f in dataclasses.fields(cls) if f.init]
     required = frozenset(f.name for f in init
                          if f.default is f.default_factory is dataclasses.MISSING)
-    return ({f.name: _kind(f.metadata.get("json", hints[f.name])) for f in init}, required,
-            {f.name: f.default_factory() if f.default is dataclasses.MISSING else f.default
-             for f in init if f.name not in required})
+    json_hints = {f.name: f.metadata.get("json", hints[f.name]) for f in init}
+    return ({name: _kind(hint) for name, hint in json_hints.items()}, required,
+            {f.name: (f.default if f.default_factory is dataclasses.MISSING
+                      else f.default_factory(), _writer(json_hints[f.name])) for f in init})
+
+
+def _writer(hint):
+    """How a value read as _kind(hint) is written: by a function of it, or
+    as itself (None). A dataclass is its object, an Enum its value, a tuple
+    an array, a frozenset a sorted one, a dict[str, T] of plain T an object."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        write = _writer(args[0])
+        return write and (lambda value: None if value is None else write(value))
+    if dataclasses.is_dataclass(hint):
+        return _write_record
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return operator.attrgetter("value")
+    if origin is dict:
+        return dict
+    if origin in (tuple, frozenset):
+        write = _writer(args[0])
+        order = sorted if origin is frozenset else list
+        return order if write is None else lambda value: order(map(write, value))
+    return None
 
 
 def _kind(hint) -> tuple:
@@ -177,6 +210,8 @@ class _JsonRecord:
     """A dataclass that to_json_dict writes as JSON, without the fields that
     hold their defaults, and from_json_dict reads back."""
 
+    to_json_dict = _write_record
+
     @classmethod
     def from_json_dict(cls, data: dict):
         return _read_record(cls, data)
@@ -205,14 +240,6 @@ class IoSpec(_JsonRecord):
             )
         if self.output_format == JSON_OBJECT and not self.required_keys:
             raise ValueError("a json-object spec must declare its required keys")
-
-    def to_json_dict(self) -> dict:
-        return _without_defaults(self, {
-            "input_schema": {name: kind for name, kind in self.input_schema},
-            "output_constraint": self.output_constraint,
-            "output_format": self.output_format,
-            "required_keys": list(self.required_keys),
-        })
 
 
 @dataclass(frozen=True)
@@ -244,16 +271,6 @@ class ModularPrompt(_JsonRecord):
             raise InvalidComponentError("requirement clauses must be non-empty")
         if self.revision < 0:
             raise ValueError("revision must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return _without_defaults(self, {
-            "role": self.role,
-            "requirements": list(self.requirements),
-            "knowledge": self.knowledge,
-            "history": self.history,
-            "io_spec": self.io_spec.to_json_dict(),
-            "revision": self.revision,
-        })
 
 
 def _coerce_clauses(value) -> tuple[str, ...]:

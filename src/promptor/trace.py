@@ -182,6 +182,9 @@ def parse_trace_lines(lines: Iterable[str]) -> ExecutionTrace:
                 raise MalformedTraceError("header lacks a version field")
             if type(record["version"]) is not int:
                 raise MalformedTraceError(f"trace version {record['version']!r} is not an integer")
+            if not 1 <= record["version"] <= TRACE_VERSION:
+                raise MalformedTraceError(f"trace version {record['version']} is not supported:"
+                                          f" this code reads versions 1 to {TRACE_VERSION}")
             header = {k: v for k, v in record.items() if k != "kind"}
             continue
         if kind != "event":

@@ -10,7 +10,7 @@ from promptor.config import SimulationConfig
 from promptor.errors import ZeroVectorError
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
-from promptor.trace import canonical_trace_bytes, read_trace
+from promptor.trace import TRACE_VERSION, canonical_trace_bytes, read_trace
 
 from .pipeline_fixture import executor_prompt, pipeline_config_dict
 from .stub_server import StubApiServer, StubConfig
@@ -466,6 +466,19 @@ class TestSimulateBound:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == row
 
+    @pytest.mark.parametrize("models, row", [
+        (1, "1,1,1,1,1000,1"), (2, "2,1,1,1,1000,1"),
+    ], ids=["infinite", "nan"])
+    def test_a_deviation_past_the_float_range_is_past_every_epsilon(self, tmp_path, capsys,
+                                                                     models, row):
+        # each weighted draw overflows to +-inf; two of opposite sign sum to NaN
+        cfg = self.sim_config(tmp_path, u=[1e200] * models, v=[1.0] * models,
+                              models=[{"kind": "gaussian", "mean": 0.0, "variance": 1e300}] * models,
+                              epsilons=[1.0], trials=1000, seed=1)
+        code, out, err = invoke(["simulate-bound", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == row
+
     def test_a_weight_product_past_the_float_range_is_config_error(self, tmp_path, capsys):
         cfg = self.sim_config(tmp_path, u=[1e200], v=[1e200])
         code, out, err = invoke(["simulate-bound", "--config", cfg], capsys)
@@ -643,11 +656,14 @@ class TestExitCodes:
         *[(6, "stability", {"outputs": ["x", "y"], "sample_count": 3, "sample_index": index},
            "sample_index is not a list of integers")
           for index in ([0, True, 0.0], [0, 1.0, 1], {"0": 0, "1": 1, "2": 0})],
+        (6, "header", {"version": TRACE_VERSION + 1},
+         f"trace version {TRACE_VERSION + 1} is not supported"),
     ])
     def test_a_field_of_the_wrong_type_is_a_malformed_trace(self, tmp_path, capsys, version,
                                                             kind, change, message):
-        # failure injection: one field of a committed fixture's first event of
-        # a kind takes a value that replay cannot read, and replay names it
+        # failure injection: one field of a committed fixture's header, or of
+        # its first event of a kind, takes a value that replay cannot read,
+        # and replay names it
         header, *events = (DATA / f"trace_v{version}_strategy_shift.jsonl").read_text(
             encoding="utf-8").splitlines()
         events = [json.loads(line) for line in events]
@@ -655,13 +671,17 @@ class TestExitCodes:
                  "final": lambda p: p.get("to") == "succeeded",
                  "execution": lambda p: p.get("purpose") == "execution",
                  "stability": lambda p: p.get("purpose") == "stability"}
-        event = next(e for e in events if picks[kind](e["payload"]))
-        event["payload"].update(change)
+        if kind == "header":
+            header, where = json.dumps({**json.loads(header), **change}), ""
+        else:
+            event = next(e for e in events if picks[kind](e["payload"]))
+            event["payload"].update(change)
+            where = f"event {event['seq']}: "
         broken = tmp_path / "broken.jsonl"
         broken.write_text("\n".join([header, *map(json.dumps, events)]) + "\n", encoding="utf-8")
         code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
         assert (code, out) == (4, "")
-        assert err.startswith(f"malformed trace: event {event['seq']}: {message}")
+        assert err.startswith(f"malformed trace: {where}{message}")
 
     def test_a_nan_granularity_in_a_plan_snapshot_is_a_malformed_trace(self, tmp_path,
                                                                        capsys):

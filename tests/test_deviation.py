@@ -201,6 +201,15 @@ def test_multi_epsilon_shares_draws():
     assert single == reports[1]
 
 
+def test_a_nan_deviation_counts_past_every_epsilon():
+    # 1e200 * N(0, 1e300) draws overflow to +-inf, and inf + -inf is NaN
+    models = [AgentOutputModel.gaussian(0.0, 1e300)] * 2
+    spec = AggregationSpec(u=(1e200, 1e200), v=(1.0, 1.0))
+    assert np.isnan(_block_deviations(models, spec, 1, 0, 1000)).any()
+    reports = simulate_deviation_tails(models, spec, [1.0, 1e300], trials=1000, seed=1)
+    assert [r.empirical_tail for r in reports] == [1.0, 1.0]
+
+
 def test_simulation_respects_bound_on_mixed_instance():
     models = [STD_GAUSSIAN, AgentOutputModel.uniform(0.0, 2.0), AgentOutputModel.gaussian(1.0, 0.25)]
     spec = AggregationSpec(u=(1.0, -1.0, 0.5), v=(1.0, 1.0, 1.0))

@@ -1,5 +1,9 @@
 import dataclasses
+import enum
 import json
+import re
+from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from promptor import (
     with_status,
     with_subtask,
 )
+from promptor.prompt import _JsonRecord, _reader
 
 
 def chain_plan() -> Plan:
@@ -214,7 +219,7 @@ RECORDS = [
 # every field of each record holds a value other than its default
 @pytest.mark.parametrize("record", RECORDS, ids=[type(r).__name__ for r in RECORDS])
 def test_every_record_reads_back_what_it_writes(record):
-    # the writer is each record's only second declaration of its fields
+    # the writer and the reader go by the same field table
     data = json.loads(json.dumps(record.to_json_dict()))
     assert set(data) == {f.name for f in dataclasses.fields(record) if f.init}
     assert type(record).from_json_dict(data) == record
@@ -248,3 +253,75 @@ def test_a_record_at_its_defaults_writes_only_its_required_keys(record, written,
     assert json.loads(json.dumps(record.to_json_dict())) == written
     assert type(record).from_json_dict(written) == record
     assert type(record).from_json_dict(full) == record
+
+
+class Shade(enum.Enum):
+    LIGHT = "light"
+    DARK = "dark"
+
+
+@dataclasses.dataclass(frozen=True)
+class Part(_JsonRecord):
+    name: str
+    weight: float = 1.0
+
+
+@dataclasses.dataclass(frozen=True)
+class EveryKind(_JsonRecord):
+    """One field of each kind the reader reads."""
+
+    text: str
+    count: int = 0
+    ratio: float = 0.5
+    label: str | None = None
+    words: tuple[str, ...] = ()
+    tags: frozenset[str] = frozenset()
+    shade: Shade = Shade.LIGHT
+    part: Part = dataclasses.field(default_factory=lambda: Part("core"))
+    parts: tuple[Part, ...] = ()
+    # a JSON object of name -> kind, held as sorted pairs
+    schema: tuple[tuple[str, str], ...] = dataclasses.field(
+        default=(), metadata={"json": dict[str, str]})
+
+    def __post_init__(self):
+        if isinstance(self.schema, Mapping):
+            object.__setattr__(self, "schema", tuple(sorted(self.schema.items())))
+
+
+def test_the_writer_writes_every_kind_the_reader_reads():
+    record = EveryKind(text="t", count=3, ratio=2.5, label="l", words=("b", "a"),
+                       tags=frozenset({"y", "x"}), shade=Shade.DARK, part=Part("p", 2.0),
+                       parts=(Part("q"), Part("r", 0.5)), schema={"rows": "list", "a": "text"})
+    written = {"text": "t", "count": 3, "ratio": 2.5, "label": "l", "words": ["b", "a"],
+               "tags": ["x", "y"], "shade": "dark", "part": {"name": "p", "weight": 2.0},
+               "parts": [{"name": "q"}, {"name": "r", "weight": 0.5}],
+               "schema": {"a": "text", "rows": "list"}}
+    assert json.loads(json.dumps(record.to_json_dict())) == written
+    assert EveryKind.from_json_dict(written) == record
+    assert EveryKind(text="t").to_json_dict() == {"text": "t"}
+    assert EveryKind.from_json_dict({"text": "t"}) == EveryKind(text="t")
+
+
+README_RECORDS = {"plan": Plan, "subtask": Subtask, "`io_spec`": IoSpec, "prompt": ModularPrompt}
+
+
+def test_readme_lists_each_default_a_record_leaves_out():
+    # README's "Trace format" table gives each field a record leaves out at
+    # its default, as the writer writes that default. A subtask's
+    # granularity is never left out: once built it holds an estimate, not
+    # its default None
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| record | field: default |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        label, defaults = line.strip("|").split(" | ")
+        rows[label.strip().split(" (")[0]] = {
+            name: json.loads(value) for name, value in re.findall(r"`(\w+)`: `([^`]*)`", defaults)}
+    assert rows.keys() == README_RECORDS.keys()
+    for label, cls in README_RECORDS.items():
+        defaults = {name: default if write is None else write(default)
+                    for name, (default, write) in _reader(cls)[2].items()
+                    if default is not dataclasses.MISSING}
+        if cls is Subtask:
+            del defaults["granularity"]
+        assert rows[label] == defaults, label

@@ -290,6 +290,12 @@ class TestParsingErrors:
         with pytest.raises(MalformedTraceError, match="not an integer"):
             parse_trace_lines([json.dumps({"kind": "header", "version": version})])
 
+    @pytest.mark.parametrize("version", [0, -3, TRACE_VERSION + 1, 99])
+    def test_header_version_must_be_one_this_code_reads(self, version):
+        with pytest.raises(MalformedTraceError, match=f"trace version {version} is not supported:"
+                           f" this code reads versions 1 to {TRACE_VERSION}"):
+            parse_trace_lines([json.dumps({"kind": "header", "version": version})])
+
     def test_second_header_rejected(self):
         with pytest.raises(MalformedTraceError, match="expected an event"):
             parse_trace_lines([self.HEADER, self.HEADER])
