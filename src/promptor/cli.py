@@ -1,17 +1,14 @@
-"""Command-line surface: run pipelines, score prompts, verify the deviation
-bound, and rebuild reports from traces."""
+"""Command-line surface: run pipelines, score prompts, and rebuild reports
+from traces."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import sys
 from pathlib import Path
 
-from .config import MODULE_KEYS, PipelineConfig, SimulationConfig, _load, _read_json
-from .deviation import AggregationSpec, simulate_deviation_tails
+from .config import MODULE_KEYS, PipelineConfig, _load, _read_json
 from .errors import BackendError, ConfigError, MalformedTraceError, MetricError
 from .orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, Orchestrator
 from .prompt import ModularPrompt
@@ -81,13 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", default=None, help="write the result here instead of stdout")
     _add_override_flags(ev)
     ev.set_defaults(func=cmd_eval_stability)
-
-    sim = commands.add_parser("simulate-bound",
-                              help="Monte-Carlo check of the deviation tail bound")
-    sim.add_argument("--config", required=True, help="simulation config JSON")
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sim.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-    sim.set_defaults(func=cmd_simulate_bound)
 
     rep = commands.add_parser("replay", help="rebuild the report from a trace")
     rep.add_argument("--trace", required=True, help="trace JSONL file")
@@ -161,30 +151,6 @@ def cmd_eval_stability(args) -> int:
         f"verdict: {verdict}\n",
         args.out,
     )
-    return EXIT_OK
-
-
-def cmd_simulate_bound(args) -> int:
-    sim = SimulationConfig.from_file(args.config)
-    seed = sim.seed if args.seed is None else args.seed
-    try:
-        spec = AggregationSpec(u=sim.u, v=sim.v)
-        reports = simulate_deviation_tails(sim.models, spec, sim.epsilons, sim.trials, seed)
-    except ValueError as exc:
-        raise ConfigError(f"invalid simulation parameters: {exc}") from exc
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["n", "epsilon", "analytic_bound", "empirical_tail", "trials", "seed"])
-    for report in reports:
-        writer.writerow([
-            report.n,
-            f"{report.epsilon:.12g}",
-            f"{report.analytic_bound:.12g}",
-            f"{report.empirical_tail:.12g}",
-            report.trials,
-            report.seed,
-        ])
-    _emit(buffer.getvalue(), args.out)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .agent_prompts import TEMPLATES
 from .backends import (
     HASH_EMBEDDER,
     HTTP,
@@ -22,7 +23,6 @@ from .backends import (
     ScriptedGenerator,
     prompt_fingerprint,
 )
-from .deviation import AgentOutputModel
 from .errors import ConfigError
 from .orchestrator import OrchestratorSettings, RefinementConfig
 from .prompt import _read_record
@@ -162,6 +162,9 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.task.strip():
             raise ConfigError("config needs a non-empty task")
+        if self.template is not None and self.template not in TEMPLATES:
+            raise ConfigError(f"unknown template {self.template!r}:"
+                              f" expected one of {sorted(TEMPLATES)}")
         if self.reference_match not in (EXACT, NUMERIC_MATCH):
             raise ConfigError(
                 f"reference_match must be '{EXACT}' or '{NUMERIC_MATCH}'"
@@ -230,23 +233,3 @@ class PipelineConfig:
             header["reference_match"] = self.reference_match
             header["reference_tolerance"] = self.reference_tolerance
         return header
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """A simulate-bound run: the aggregation weights u and v, one output
-    model per agent, read straight into AgentOutputModel with its own keys,
-    the epsilon grid, and the trial count and seed of the Monte-Carlo draw.
-    Each model checks itself as it is read; the lengths and the other ranges
-    are checked by the draw."""
-
-    u: tuple[float, ...]
-    v: tuple[float, ...]
-    models: tuple[AgentOutputModel, ...]
-    epsilons: tuple[float, ...]
-    trials: int = 100_000
-    seed: int = 0
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SimulationConfig":
-        return _load(cls, _read_json(path, "simulation config"), "simulation config")

@@ -186,6 +186,8 @@ class OrchestratorSettings:
     def __post_init__(self):
         if self.reask_budget < 0 or self.augmentation_retries < 0:
             raise ValueError("budgets must be >= 0")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
         if not 0 < self.target_granularity < math.inf:
             raise ValueError("target_granularity must be positive and finite")
         if not 0 <= self.execution_temperature < math.inf:

@@ -1,20 +1,23 @@
 """Reports computed from execution traces alone: success rates, reference
-checks, per-subtask trajectories, and the Pearson r between each scored
-subtask's last stability score and its success. Each trace is replayed once
+checks, per-subtask trajectories, the Pearson r between each scored
+subtask's last stability score and its success, and each run's deviation
+bound from the variances its gates measured. Each trace is replayed once
 into a digest, and every figure of the report is read from the digests.
 Reports never read anything but the trace, so identical trace bytes always
 produce identical report bytes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from .config import EXACT, NUMERIC_MATCH
+from .deviation import AggregationSpec, aggregate_variance
 from .errors import InsufficientSamplesError, MalformedTraceError, UndefinedCorrelationError
 from .metrics import pearson_correlation
 from .plan import SubtaskStatus
-from .trace import ExecutionTrace, replay_trace
+from .trace import ExecutionTrace, ReplayState, replay_trace
 
 TERMINAL_RUN_STATUSES = ("succeeded", "failed")
 
@@ -63,10 +66,39 @@ class TraceDigest:
     final_output: str
     subtasks: tuple[SubtaskDigest, ...]
     reference_passed: bool | None  # None when the run had no reference answer
+    # the deviation bound's D over the final subtask's dependency paths; None
+    # when some subtask on them has no variance, and the reason is in
+    # no_variance_reason
+    aggregate_variance: float | None
+    no_variance_reason: str | None
 
     @property
     def succeeded(self) -> bool:
         return self.run_status == "succeeded"
+
+
+def _final_path_variance(state: ReplayState) -> tuple[float | None, str | None]:
+    """D = sum_i (u_i v_i)^2 Var_i over the m subtasks on the final
+    subtask's dependency paths: the last subtask in plan order, whose output
+    is the run's, and every subtask it depends on, transitively. Each has
+    u_i = 1/m and v_i = 1. The first of them, in plan order, that has no
+    variance makes D undefined; that is (None, the reason)."""
+    if state.plan is None or not state.plan.subtasks:
+        return None, "the run has no plan"
+    subtasks = state.plan.subtasks
+    path = {subtasks[-1].id}
+    for sub in reversed(subtasks):  # plan order puts dependencies first
+        if sub.id in path:
+            path.update(sub.dependencies)
+    variances = []
+    for sub in subtasks:
+        if sub.id in path:
+            variance = state.variances.get(sub.id, "was never scored")
+            if isinstance(variance, str):
+                return None, f"subtask {sub.id!r} {variance}"
+            variances.append(variance)
+    m = len(variances)
+    return aggregate_variance(AggregationSpec((1.0 / m,) * m, (1.0,) * m), variances), None
 
 
 def digest_trace(trace: ExecutionTrace) -> TraceDigest:
@@ -99,11 +131,14 @@ def digest_trace(trace: ExecutionTrace) -> TraceDigest:
             f"got {reference!r}, {match!r}, {tolerance!r}")
     passed = None if reference is None else reference_check(
         state.final_output, reference, match, tolerance)
+    d, reason = _final_path_variance(state)
     return TraceDigest(
         run_status=state.run_status,
         final_output=state.final_output,
         subtasks=tuple(subtasks),
         reference_passed=passed,
+        aggregate_variance=d,
+        no_variance_reason=reason,
     )
 
 
@@ -195,6 +230,13 @@ def render_run_report(report: RunReport) -> str:
             lines.append(
                 f"  reference check: {'pass' if digest.reference_passed else 'fail'}"
             )
+        d = digest.aggregate_variance
+        if d is None:
+            lines.append(f"  deviation: n/a ({digest.no_variance_reason})")
+        else:
+            # the epsilon at which the bound 2 exp(-eps^2 / 2D) reaches 0.05
+            epsilon = math.sqrt(2.0 * d * math.log(40.0))
+            lines.append(f"  deviation: D={d:.6f} epsilon@0.05={epsilon:.6f}")
         for sub in digest.subtasks:
             trajectory = ", ".join(f"{v:.6f}" for v in sub.stability_trajectory)
             lines.append(

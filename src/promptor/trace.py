@@ -40,7 +40,8 @@ prompt with replace_component. The initial revision, and a change to a
 prompt other than the one the trace last holds for the subtask, also write
 the full prompt_after, which replay then takes as it is. Replay checks that
 every output is a text (from version 6 on, or the ordinal of an earlier
-one), that a score's value is a number and a run's final_output a text.
+one), that a score's value is a number, a semantic score's within [-1, 1],
+and that a run's final_output is a text.
 """
 
 from __future__ import annotations
@@ -251,6 +252,10 @@ class ReplayState:
     final_output: str = ""
     refinements: dict[str, int] = field(default_factory=dict)
     augmentations: dict[str, int] = field(default_factory=dict)
+    # each scored subtask's last score as an output variance: 1 - value of a
+    # semantic score whose stability generation held no blank sample, or
+    # else why the score gives none
+    variances: dict[str, float | str] = field(default_factory=dict)
 
 
 def _check_sample_index(event: TraceEvent) -> None:
@@ -320,8 +325,8 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
     MalformedTraceError if the events do not fold into consistent state."""
     state = ReplayState()
     version = trace.header["version"]
-    # the output count of each subtask's last stability generation
-    measured: dict[str, int] = {}
+    # the outputs of each subtask's last stability generation
+    measured: dict[str, list[str]] = {}
     # from version 6 on, every output text written in full so far
     texts: list[str] | None = [] if version >= 6 else None
     for event in trace.events:
@@ -372,16 +377,29 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                     state.refinements[sid] = state.refinements.get(sid, 0) + 1
             elif event.type == "score":
                 sid = payload["subtask_id"]
-                if version >= 5 and len(payload["output_distances"]) != measured.get(sid):
+                outputs = measured.get(sid)
+                if version >= 5 and (outputs is None
+                                     or len(payload["output_distances"]) != len(outputs)):
                     raise MalformedTraceError(
                         f"event {event.seq}: {len(payload['output_distances'])} output"
-                        f" distances for {measured.get(sid, 'no')} stability outputs"
+                        f" distances for {'no' if outputs is None else len(outputs)}"
+                        " stability outputs"
                     )
                 value = payload["value"]
                 if type(value) not in (int, float):
                     raise MalformedTraceError(f"event {event.seq}: score value {value!r}"
                                               " is not a number")
                 state.scores.setdefault(sid, []).append(value)
+                metric = payload.get("metric")
+                if metric != "semantic":
+                    state.variances[sid] = f"was scored by {metric}"
+                elif not -1 <= value <= 1:
+                    raise MalformedTraceError(f"event {event.seq}: semantic score value"
+                                              f" {value!r} is outside [-1, 1]")
+                elif any(not text.strip() for text in outputs or ()):
+                    state.variances[sid] = "had a blank stability sample"
+                else:
+                    state.variances[sid] = 1.0 - value
             elif event.type == "generation":
                 outputs = _read_outputs(event, texts)
                 if version >= 4:
@@ -389,7 +407,7 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                 if payload.get("purpose") == "execution":
                     state.outputs[payload["subtask_id"]] = outputs[0]
                 elif payload.get("purpose") == "stability":
-                    measured[payload["subtask_id"]] = len(outputs)
+                    measured[payload["subtask_id"]] = outputs
         except MalformedTraceError:
             raise
         except Exception as exc:

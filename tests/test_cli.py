@@ -1,12 +1,12 @@
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from promptor import AgentOutputModel
-from promptor.cli import main
-from promptor.config import SimulationConfig
+from promptor.cli import build_parser, main
 from promptor.errors import ZeroVectorError
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
@@ -20,14 +20,6 @@ from .test_reports import synthetic_trace
 DATA = Path(__file__).parent / "data"
 
 HTTP_SPEC = {"kind": "http", "endpoint_url": "http://localhost:1", "model_name": "m"}
-
-SIM_CONFIG = {
-    "u": [1.0, 1.0], "v": [0.5, 0.5],
-    "models": [{"kind": "gaussian", "mean": 0.0, "variance": 1.0},
-               {"kind": "uniform", "low": -1.0, "high": 1.0}],
-    "epsilons": [0.5, 1.0], "trials": 200, "seed": 3,
-}
-
 
 def scripted(**spec):
     return {"generator": {"kind": "scripted", **spec}}
@@ -45,28 +37,20 @@ MALFORMED_INPUTS = [
      "behaviors[0].outcomes[0][0]"),
     ("run", scripted(behaviors=[behavior(prompt_fingerprint="f")]), "behaviors[0]"),
     ("run", scripted(prefix_rules=[behavior(prefix="### Planner")]), "prefix_rules[0]"),
-    ("simulate-bound", {"trials": 20.9}, "trials"),
-    ("simulate-bound", {"seed": "3"}, "seed"),
-    ("simulate-bound", {"trails": 50}, "trails"),
-    ("simulate-bound", {"epsilons": ["1"]}, "epsilons[0]"),
-    ("simulate-bound",
-     {"models": [SIM_CONFIG["models"][0], {"kind": "gaussian", "mean": "0", "variance": 1.0}]},
-     "models[1].mean"),
+    ("run", {"max_iterations": 2.5}, "max_iterations"),
+    ("run", {"seed": "3"}, "seed"),
+    ("run", {"smaples": 5}, "smaples"),
+    ("run", {"template": "no-such-template"}, "template"),
+    ("run", {"max_tokens": 0}, "max_tokens"),
     # json reads NaN and Infinity, which no number field takes
     ("run", {"kl_alpha": math.nan}, "kl_alpha"),
     ("run", scripted(behaviors=[behavior(outcomes=[["a", math.nan], ["b", 1.0]])]),
      "behaviors[0].outcomes[0][1]"),
-    ("simulate-bound", {"epsilons": [0.5, math.inf]}, "epsilons[1]"),
-    ("simulate-bound",
-     {"models": [{"kind": "gaussian", "mean": 0.0, "variance": math.nan},
-                 SIM_CONFIG["models"][1]]},
-     "models[0].variance"),
-    # finite bounds whose variance is not
-    ("simulate-bound",
-     {"models": [{"kind": "uniform", "low": -1e308, "high": 1e308}, SIM_CONFIG["models"][1]]},
-     "models[0]"),
+    ("run", scripted(behaviors=[behavior(outcomes=[["a", 1.0], ["b", math.inf]])]),
+     "behaviors[0].outcomes[1][1]"),
     ("eval-stability", {"role": 5}, "role"),
     ("eval-stability", {"requirements": "abc"}, "requirements"),
+    ("eval-stability", {"requirements": ["Say it.", 5]}, "requirements[1]"),
     ("eval-stability", {"revision": 2.9}, "revision"),
     ("eval-stability", {"io_spec": {"input_schema": 5}}, "io_spec.input_schema"),
     ("eval-stability", {"io_spec": {"required_keys": 5}}, "io_spec.required_keys"),
@@ -244,6 +228,23 @@ class TestReplayAndReport:
         assert code == 0
         assert report == run_report
 
+    def test_run_and_replay_print_the_same_deviation_line(self, tmp_path, capsys):
+        # parse's stability samples mix two answers, so its variance and D
+        # are not 0; execution at temperature 0 takes "100"
+        config = pipeline_config_dict(
+            execution_temperature=0.0,
+            modules={"knowledge_generator": False, "reviewer": False})
+        config["generator"]["behaviors"][1]["outcomes"] = [["100", 0.75], ["100.0", 0.25]]
+        config_path = write_json(tmp_path / "mixed.json", config)
+        trace_path = str(tmp_path / "run.jsonl")
+        code, run_report, err = invoke(["run", "--config", config_path,
+                                        "--trace", trace_path], capsys)
+        assert (code, err) == (0, "")
+        (line,) = [line for line in run_report.splitlines() if line.startswith("  deviation:")]
+        assert line.startswith("  deviation: D=0.") and "D=0.000000" not in line
+        code, replay_report, _ = invoke(["replay", "--trace", trace_path], capsys)
+        assert (code, replay_report) == (0, run_report)
+
     def test_report_aggregates_a_directory(self, tmp_path, config_path, capsys):
         runs = tmp_path / "runs"
         runs.mkdir()
@@ -325,6 +326,24 @@ def test_readme_pipeline_config_runs_replays_and_scores_the_prompt_file(tmp_path
     assert out.endswith("verdict: stable\n")
 
 
+def test_readme_cli_synopsis_names_every_subcommand_and_option():
+    # the block under "## CLI": one "promptor <command>" line per subcommand,
+    # continued on indented lines
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    named: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("promptor "):
+            options = named.setdefault(line.split()[1], set())
+        options |= set(re.findall(r"--[a-z-]+", line))
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    defined = {name: {option for action in parser._actions for option in action.option_strings
+                      if option.startswith("--") and option != "--help"}
+               for name, parser in commands.choices.items()}
+    assert named == defined
+
+
 class TestEvalStability:
     def make_prompt_file(self, tmp_path):
         prompt = executor_prompt("eval", "Say the word.")
@@ -379,14 +398,6 @@ class TestEvalStability:
         assert err.startswith("config error:")
 
 
-README_SIMULATION_CSV = """\
-n,epsilon,analytic_bound,empirical_tail,trials,seed
-2,0.5,1,0.39046,100000,42
-2,1,0.446260320297,0.08191,100000,42
-2,2,0.00495750435333,0.00037,100000,42
-"""
-
-
 def readme_json_block(heading: str) -> dict:
     """The first JSON block under one of README's headings."""
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -394,107 +405,11 @@ def readme_json_block(heading: str) -> dict:
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
-def readme_simulation_config() -> dict:
-    return readme_json_block("### Simulation config")
-
-
-class TestSimulateBound:
-    def sim_config(self, tmp_path, **overrides):
-        data = {
-            "u": [1.0], "v": [1.0],
-            "models": [{"kind": "gaussian", "mean": 0.0, "variance": 1.0}],
-            "epsilons": [2.0], "trials": 20000, "seed": 11,
-        }
-        data.update(overrides)
-        return write_json(tmp_path / "sim.json", data)
-
-    def test_csv_columns_and_values(self, tmp_path, capsys):
-        code, out, _ = invoke(
-            ["simulate-bound", "--config", self.sim_config(tmp_path)], capsys
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "n,epsilon,analytic_bound,empirical_tail,trials,seed"
-        n, eps, bound, tail, trials, seed = lines[1].split(",")
-        assert (n, trials, seed) == ("1", "20000", "11")
-        assert float(bound) == pytest.approx(0.2706705664732254, abs=1e-12)
-        # one-dim standard gaussian: true two-sided tail at 2 sigma is 4.55%
-        assert float(tail) == pytest.approx(0.0455, abs=0.01)
-
-    def test_out_flag_and_seed_override(self, tmp_path, capsys):
-        csv_path = tmp_path / "sim.csv"
-        code, out, _ = invoke(
-            ["simulate-bound", "--config", self.sim_config(tmp_path),
-             "--seed", "3", "--out", str(csv_path)],
-            capsys,
-        )
-        assert code == 0
-        assert out == ""
-        assert csv_path.read_text().strip().splitlines()[1].endswith(",3")
-
-    def test_uniform_model_reads_low_and_high(self, tmp_path, capsys):
-        cfg = self.sim_config(tmp_path, models=[{"kind": "uniform", "low": -1.0, "high": 1.0}],
-                              epsilons=[1.0], trials=1000)
-        code, out, _ = invoke(["simulate-bound", "--config", cfg], capsys)
-        assert code == 0
-        _, _, bound, tail, _, _ = out.strip().splitlines()[1].split(",")
-        # Var = (high - low)^2 / 12 = 1/3, so the bound is 2 exp(-1 / (2/3))
-        assert float(bound) == pytest.approx(2 * math.exp(-1.5), abs=1e-12)
-        # |x| >= 1 has probability 0 under U(-1, 1)
-        assert float(tail) == 0.0
-
-    def test_readme_config_prints_the_pinned_csv(self, tmp_path, capsys):
-        # seeded draws are the same across versions: the Philox key of each
-        # block, and numpy's normal and uniform streams, stay fixed
-        cfg = write_json(tmp_path / "sim.json", readme_simulation_config())
-        assert invoke(["simulate-bound", "--config", cfg], capsys) == (
-            0, README_SIMULATION_CSV.replace("\n", "\r\n"), "")
-
-    def test_models_are_read_into_agent_output_models(self, tmp_path):
-        cfg = write_json(tmp_path / "sim.json", readme_simulation_config())
-        assert SimulationConfig.from_file(cfg).models == (
-            AgentOutputModel.gaussian(0.0, 1.0), AgentOutputModel.uniform(-1.0, 1.0))
-
-    @pytest.mark.parametrize("overrides, row", [
-        ({"u": [1e200], "epsilons": [0.5]}, "1,0.5,1,1,1000,1"),
-        ({"epsilons": [1e200]}, "1,1e+200,0,0,1000,1"),
-    ], ids=["weight", "epsilon"])
-    def test_a_square_past_the_float_range_gives_the_bound_its_limit(self, tmp_path, capsys,
-                                                                      overrides, row):
-        cfg = self.sim_config(tmp_path, trials=1000, seed=1, **overrides)
-        code, out, err = invoke(["simulate-bound", "--config", cfg], capsys)
-        assert (code, err) == (0, "")
-        assert out.splitlines()[1] == row
-
-    @pytest.mark.parametrize("models, row", [
-        (1, "1,1,1,1,1000,1"), (2, "2,1,1,1,1000,1"),
-    ], ids=["infinite", "nan"])
-    def test_a_deviation_past_the_float_range_is_past_every_epsilon(self, tmp_path, capsys,
-                                                                     models, row):
-        # each weighted draw overflows to +-inf; two of opposite sign sum to NaN
-        cfg = self.sim_config(tmp_path, u=[1e200] * models, v=[1.0] * models,
-                              models=[{"kind": "gaussian", "mean": 0.0, "variance": 1e300}] * models,
-                              epsilons=[1.0], trials=1000, seed=1)
-        code, out, err = invoke(["simulate-bound", "--config", cfg], capsys)
-        assert (code, err) == (0, "")
-        assert out.splitlines()[1] == row
-
-    def test_a_weight_product_past_the_float_range_is_config_error(self, tmp_path, capsys):
-        cfg = self.sim_config(tmp_path, u=[1e200], v=[1e200])
-        code, out, err = invoke(["simulate-bound", "--config", cfg], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("config error:") and "u_i * v_i" in err
-
-    def test_bad_model_kind_is_config_error(self, tmp_path, capsys):
-        cfg = self.sim_config(tmp_path, models=[{"kind": "poisson", "lam": 2}])
-        code, _, err = invoke(["simulate-bound", "--config", cfg], capsys)
-        assert code == 2
-        assert "config error:" in err
-
-
 class TestExitCodes:
-    # correlate is no subcommand: every report prints the correlation itself
-    @pytest.mark.parametrize("argv", [["transmogrify"], ["correlate", "--trace", str(DATA)]],
+    # correlate and simulate-bound are no subcommands: every report prints
+    # the correlation and each run's deviation bound itself
+    @pytest.mark.parametrize("argv", [["transmogrify"], ["correlate", "--trace", str(DATA)],
+                                      ["simulate-bound", "--config", "sim.json"]],
                              ids=lambda argv: argv[0])
     def test_unknown_subcommand_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -561,17 +476,16 @@ class TestExitCodes:
     def test_malformed_input_file_writes_nothing(self, tmp_path, config_path, capsys, command,
                                                  changes, path):
         # failure injection: a mistake at any depth of any input file is a
-        # config error naming its field, found before a trace or a CSV is opened
-        valid = {"run": pipeline_config_dict(), "simulate-bound": SIM_CONFIG,
+        # config error naming its field, found before a trace or a report is opened
+        valid = {"run": pipeline_config_dict(),
                  "eval-stability": executor_prompt("eval", "Say it.").to_json_dict()}
         source = write_json(tmp_path / "input.json", {**valid[command], **changes})
         out = tmp_path / "out"
         out.mkdir()
         argv = ([command, source, "--config", config_path] if command == "eval-stability"
                 else [command, "--config", source])
-        if command != "simulate-bound":
-            argv += ["--trace", str(out / "trace.jsonl")]
-        code, stdout, err = invoke(argv + ["--out", str(out / "result")], capsys)
+        argv += ["--trace", str(out / "trace.jsonl"), "--out", str(out / "result")]
+        code, stdout, err = invoke(argv, capsys)
         assert code == 2
         assert err.startswith("config error:") and path in err
         assert stdout == "" and list(out.iterdir()) == []
@@ -647,6 +561,9 @@ class TestExitCodes:
         (5, "score", {"value": None}, "score value None is not a number"),
         (5, "score", {"value": True}, "score value True is not a number"),
         (5, "score", {"value": [0.5]}, "score value [0.5] is not a number"),
+        # 1 - value is the variance the deviation line reads
+        (5, "score", {"value": 1.5}, "semantic score value 1.5 is outside [-1, 1]"),
+        (5, "score", {"value": math.nan}, "semantic score value nan is outside [-1, 1]"),
         (5, "final", {"final_output": 0}, "final_output 0 is not a text"),
         (5, "final", {"final_output": None}, "final_output None is not a text"),
         (5, "execution", {"outputs": [7]}, "output 7 is not a text"),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from promptor.agent_prompts import TEMPLATES
 from promptor.backends import (
     BackendDescriptor,
     GenerationRequest,
@@ -106,12 +107,19 @@ class TestPipelineConfig:
         ("execution_temperature", -0.5, "execution_temperature"),
         ("reask_budget", -1, "budgets"),
         ("target_granularity", 0, "target_granularity"),
+        ("max_tokens", 0, "max_tokens"),
+        ("template", "no-such-template", "template"),
     ])
     def test_out_of_range_gate_rejected_at_load(self, field, value, message):
         # range checks live in RefinementConfig and OrchestratorSettings; the
         # config builds both when it is loaded and surfaces their errors
         with pytest.raises(ConfigError, match=message):
             PipelineConfig.from_json_dict({"task": "t", field: value})
+
+    @pytest.mark.parametrize("template", sorted(TEMPLATES))
+    def test_every_interaction_template_is_accepted(self, template):
+        cfg = PipelineConfig.from_json_dict({"task": "t", "template": template})
+        assert cfg.template == template
 
     def test_samples_have_an_upper_bound(self):
         # validation only: nothing is ever sampled at this size

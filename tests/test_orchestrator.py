@@ -542,6 +542,11 @@ class TestDecomposeTask:
         with pytest.raises(ValueError):
             orch.decompose_task(TASK, template="moebius")
 
+    def test_max_tokens_below_one_rejected(self):
+        # checked when the settings are built, not on the first request
+        with pytest.raises(ValueError, match="max_tokens"):
+            OrchestratorSettings(max_tokens=0)
+
 
 COARSE_DESCRIPTION = (
     "Load the ledger. Parse each row. Validate the schema. Net the transfers. "

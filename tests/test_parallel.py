@@ -126,8 +126,12 @@ def run(generator, width, monkeypatch, settings=SETTINGS, template="fan-out-fan-
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive(), "the run did not finish"
-    # no thread the run started outlives it
-    assert set(threading.enumerate()) == before
+    # no thread the run started outlives it; a test server's request threads
+    # (socketserver names them after process_request_thread) may still be
+    # closing a connection the run is done with
+    leftover = [t for t in set(threading.enumerate()) - before
+                if not t.name.endswith("(process_request_thread)")]
+    assert leftover == []
     return writer.trace(), (errors or [None])[0]
 
 

@@ -1,10 +1,12 @@
+import math
 import statistics
 
 import pytest
 
 from promptor.backends import HashEmbedder, ScriptedGenerator
 from promptor.errors import InsufficientSamplesError, MalformedTraceError
-from promptor.orchestrator import Orchestrator, OrchestratorSettings
+from promptor.metrics import EmbeddingVector
+from promptor.orchestrator import Orchestrator, OrchestratorSettings, RefinementConfig
 from promptor.plan import Plan, Subtask
 from promptor.prompt import render_prompt
 from promptor.reports import (
@@ -56,9 +58,11 @@ def run_trace(succeed=True, run_seed=0, header=REFERENCE_HEADER, path=None):
     return writer.trace()
 
 
-def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=None):
+def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=None,
+                    earlier_scores=()):
     """Minimal single-subtask trace with a chosen stability score and
-    outcome, for exercising report arithmetic directly, written to path."""
+    outcome, for exercising report arithmetic directly, written to path.
+    Each of earlier_scores is measured and scored before stability."""
     writer = TraceWriter({"task": "synthetic"}, path=path)
     plan = Plan(task_description="synthetic",
                 subtasks=(Subtask(id="s", description="Do the step."),))
@@ -71,11 +75,13 @@ def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=N
     for k in range(refinements):
         writer.emit("revision", {"subtask_id": "s", "component": "requirements",
                                  "revision": k + 1, "prompt_after": prompt.to_json_dict()})
-    # five distinct samples, each at the mean distance 1 - stability
-    writer.emit("generation", {"subtask_id": "s", "purpose": "stability", "fingerprint": "f",
-                               "temperature": 1.0, "sample_count": 5, "outputs": list("abcde")})
-    writer.emit("score", {"subtask_id": "s", "metric": "semantic", "value": stability,
-                          "sample_count": 5, "output_distances": [1.0 - stability] * 5})
+    for value in (*earlier_scores, stability):
+        # five distinct samples, each at the mean distance 1 - value
+        writer.emit("generation", {"subtask_id": "s", "purpose": "stability",
+                                   "fingerprint": "f", "temperature": 1.0, "sample_count": 5,
+                                   "outputs": list("abcde")})
+        writer.emit("score", {"subtask_id": "s", "metric": "semantic", "value": value,
+                              "sample_count": 5, "output_distances": [1.0 - value] * 5})
     writer.emit("status-change", {"subtask_id": "s", "from": "pending",
                                   "to": "stable-prompt-ready"})
     for k in range(augmentations):
@@ -235,3 +241,134 @@ class TestRendering:
         assert (correlation.coefficient, correlation.undefined_reason) == (None, reason)
         assert f"\nstability-success pairs: {len(traces)}\npearson_r: n/a ({reason})\n\n" \
             in render_run_report(report)
+
+
+# first -> second; neither has an output format, so any answer executes
+CHAIN = [
+    {"id": "first", "description": "Pick a letter.", "dependencies": []},
+    {"id": "second", "description": "Pick another letter.", "dependencies": ["first"]},
+]
+
+
+CHAIN_TASK = "Pick two letters."
+
+
+class ChainSamples:
+    """Plans the subtasks and answers each prompt of a subtask with that
+    subtask's fixed samples, the first of them when one is asked for."""
+
+    def __init__(self, samples, subtasks=CHAIN):
+        self.samples = samples
+        self.planner = ScriptedGenerator(
+            behaviors=[planner_behavior(subtasks, task=CHAIN_TASK)])
+
+    def generate(self, request):
+        if request.subtask_id in self.samples:
+            return self.samples[request.subtask_id][:request.sample_count]
+        return self.planner.generate(request)
+
+
+class LetterVectors:
+    """a and c at (1, 0), b at (0, 1), d at (0.6, 0.8): unit vectors whose
+    cosine distances are 1 (a, b) and 0.4 (c, d)."""
+
+    VECTORS = {"a": (1.0, 0.0), "b": (0.0, 1.0), "c": (1.0, 0.0), "d": (0.6, 0.8)}
+
+    def embed(self, texts):
+        return [EmbeddingVector(self.VECTORS[text]) for text in texts]
+
+
+def chain_report(samples, metric="semantic", subtasks=CHAIN):
+    settings = OrchestratorSettings(
+        refinement=RefinementConfig(tau=0.1, metric=metric),
+        knowledge_enabled=False, reviewer_enabled=False,
+        plan_updater_enabled=False, subtask_optimizer_enabled=False,
+    )
+    writer = TraceWriter({"task": "letters"})
+    Orchestrator(ChainSamples(samples, subtasks), LetterVectors(), writer,
+                 settings).run_pipeline(CHAIN_TASK, template="linear-chain")
+    return render_run_report(compute_run_metrics([writer.trace()]))
+
+
+def deviation_line(report):
+    (line,) = [line for line in report.splitlines() if line.startswith("  deviation: ")]
+    return line
+
+
+class TestDeviationLine:
+    def test_chain_variances_give_the_hand_computed_bound(self):
+        report = chain_report({"first": list("aaabb"), "second": list("ccccd")})
+        # first: 6 of its 10 sample pairs are (a, b) at distance 1, so its
+        # variance is 1 - score = 0.6; second: 4 pairs (c, d) at 0.4, so 0.16.
+        # Both are on the final subtask's path: m = 2, u_i = 1/2, v_i = 1
+        d = (0.6 + 0.16) / 4
+        epsilon = math.sqrt(2 * d * math.log(40))
+        assert 2 * math.exp(-epsilon ** 2 / (2 * d)) == pytest.approx(0.05)
+        assert deviation_line(report) == f"  deviation: D=0.190000 epsilon@0.05={epsilon:.6f}"
+        assert "  reference check" not in report
+        assert report.index("  final output: 'c'\n  deviation: ") > 0
+
+    def test_a_kl_score_gives_no_variance(self):
+        report = chain_report({"first": list("aaabb"), "second": list("ccccd")}, metric="kl")
+        assert deviation_line(report) == "  deviation: n/a (subtask 'first' was scored by kl)"
+
+    def test_a_blank_stability_sample_gives_no_variance(self):
+        report = chain_report({"first": list("aaab") + ["  "], "second": list("ccccd")})
+        assert deviation_line(report) == (
+            "  deviation: n/a (subtask 'first' had a blank stability sample)")
+
+    def test_an_unscored_subtask_gives_no_variance(self):
+        # parse fails, so net and balance are blocked and never scored
+        report = render_run_report(compute_run_metrics([run_trace(succeed=False)]))
+        assert deviation_line(report) == "  deviation: n/a (subtask 'net' was never scored)"
+        # the reference check comes first
+        assert "  reference check: fail\n  deviation: n/a" in report
+
+    def test_a_run_without_a_plan_gives_no_variance(self):
+        writer = TraceWriter({"task": "t"})
+        writer.emit("status-change", {"subtask_id": "__run__", "from": None, "to": "running"})
+        writer.emit("status-change", {"subtask_id": "__run__", "from": "running",
+                                      "to": "failed", "final_output": ""})
+        report = render_run_report(compute_run_metrics([writer.trace()]))
+        assert deviation_line(report) == "  deviation: n/a (the run has no plan)"
+
+    def test_a_subtask_off_the_final_subtasks_paths_does_not_count(self):
+        # side depends on first, but second, the final subtask, does not
+        # depend on side: side's blank sample leaves D as in the chain
+        side = {"id": "side", "description": "Pick a side letter.", "dependencies": ["first"]}
+        report = chain_report({"first": list("aaabb"), "side": list("aaab") + [" "],
+                               "second": list("ccccd")}, subtasks=[CHAIN[0], side, CHAIN[1]])
+        assert "  side: executed-ok" in report
+        assert deviation_line(report).startswith("  deviation: D=0.190000 ")
+    def test_the_first_path_subtask_without_variance_is_named(self):
+        report = chain_report({"first": list("aaab") + [""], "second": list("cccc") + [" "]})
+        assert deviation_line(report) == (
+            "  deviation: n/a (subtask 'first' had a blank stability sample)")
+
+    def test_a_subtasks_last_score_gives_its_variance(self):
+        digest = digest_trace(synthetic_trace(0.9, True, earlier_scores=(0.3,)))
+        # the single subtask is the whole path: m = 1, D = 1 - 0.9
+        assert digest.aggregate_variance == pytest.approx(0.1)
+        assert digest.subtasks[0].stability_trajectory == (0.3, 0.9)
+
+    @pytest.mark.parametrize("subtasks, samples, d", [
+        # one subtask: m = 1, D = 0.6
+        ([("only", [])], {"only": "aaabb"}, 0.6),
+        # third depends on first only through second: m = 3
+        ([("first", []), ("second", ["first"]), ("third", ["second"])],
+         {"first": "aaabb", "second": "ccccd", "third": "aaabb"}, (0.6 + 0.16 + 0.6) / 9),
+        # a diamond: both branches and their root count, m = 4
+        ([("top", []), ("left", ["top"]), ("right", ["top"]), ("bottom", ["left", "right"])],
+         {"top": "aaabb", "left": "ccccd", "right": "aaaaa", "bottom": "ccccd"},
+         (0.6 + 0.16 + 0.0 + 0.16) / 16),
+        # a root the final subtask does not depend on: m = 2, its 0.6 is left out
+        ([("loose", []), ("root", []), ("last", ["root"])],
+         {"loose": "aaabb", "root": "ccccd", "last": "ccccd"}, (0.16 + 0.16) / 4),
+    ], ids=["single", "transitive-chain", "diamond", "independent-root"])
+    def test_the_final_subtasks_dependency_paths_give_d(self, subtasks, samples, d):
+        plan = [{"id": sid, "description": f"Pick letter {sid}.", "dependencies": deps}
+                for sid, deps in subtasks]
+        report = chain_report({sid: list(letters) for sid, letters in samples.items()},
+                              subtasks=plan)
+        epsilon = math.sqrt(2 * d * math.log(40))
+        assert deviation_line(report) == f"  deviation: D={d:.6f} epsilon@0.05={epsilon:.6f}"

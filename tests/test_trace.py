@@ -55,6 +55,7 @@ pearson_r: n/a (correlation undefined for a constant series)
 run 1: succeeded
   final output: '87'
   reference check: pass
+  deviation: D=0.000000 epsilon@0.05=0.000000
   parse: executed-ok stability=[1.000000, 1.000000] refinements=0 augmentations=0
   net: executed-ok stability=[1.000000] refinements=0 augmentations=0
   balance: executed-ok stability=[1.000000] refinements=0 augmentations=0
@@ -417,6 +418,33 @@ class TestReplay:
             TraceEvent(0, "generation", {"subtask_id": "a", "purpose": "stability", "outputs": ["x"]}, 0.0),
         ]
         assert replay_trace(make_trace(events)).outputs == {}
+
+    @pytest.mark.parametrize("events, variance", [
+        ([("generation", {"outputs": ["x", "y"]}), ("score", {"metric": "semantic"})], 0.25),
+        ([("score", {"metric": "kl"})], "was scored by kl"),
+        ([("generation", {"outputs": ["x", " "]}), ("score", {"metric": "semantic"})],
+         "had a blank stability sample"),
+        # the last score decides
+        ([("score", {"metric": "kl"}), ("generation", {"outputs": ["x", "y"]}),
+          ("score", {"metric": "semantic"})], 0.25),
+    ], ids=["semantic", "kl", "blank-sample", "last-score"])
+    def test_each_score_records_its_subtasks_variance(self, events, variance):
+        fields = {"generation": {"subtask_id": "a", "purpose": "stability"},
+                  "score": {"subtask_id": "a", "value": 0.75, "sample_count": 2}}
+        state = replay_trace(make_trace(
+            TraceEvent(seq, kind, {**fields[kind], **payload}, 0.0)
+            for seq, (kind, payload) in enumerate(events)))
+        assert state.variances == {"a": variance}
+
+    @pytest.mark.parametrize("path", [V1_TRACE, V2_TRACE, V3_TRACE, V4_TRACE, V5_TRACE,
+                                      V6_TRACE], ids=[f"v{k}" for k in range(1, 7)])
+    def test_every_fixture_version_gives_each_subtask_the_variance_of_its_last_score(
+            self, path):
+        state = replay_trace(read_trace(path))
+        assert state.variances == {sid: 1.0 - values[-1] for sid, values in state.scores.items()}
+        # version 1 predates exactly-zero distances: its variances are off by an ulp
+        assert state.variances == pytest.approx(dict.fromkeys(("parse", "net", "balance"), 0.0),
+                                                abs=1e-15)
 
     def test_status_change_before_plan_is_malformed(self):
         events = [
