@@ -499,12 +499,20 @@ class Orchestrator:
 
     # -- granularity optimization -------------------------------------------
 
-    def _semantics_preserved(self, sub_id: str, before: str, after: str) -> bool:
+    def _rewrite(self, plan: Plan, replaced: tuple[Subtask, ...], pieces: list[Subtask],
+                 reason: str) -> Plan | None:
+        """The plan with replaced swapped for pieces (see _rewire) if the check
+        agent finds their descriptions mean the same; else None, after a warning."""
+        sub_id = replaced[0].id
         response = self._ask_json(
-            ap.optimizer_check_prompt(sub_id, before, after),
+            ap.optimizer_check_prompt(sub_id, "\n".join(s.description for s in replaced),
+                                      "\n".join(p.description for p in pieces)),
             temperature=0.0, purpose="optimizer-check", subtask_id=sub_id,
         )
-        return bool(response and response.get("preserved") is True)
+        if not (response and response.get("preserved") is True):
+            self.trace.warning(reason, subtask_id=sub_id)
+            return None
+        return _rewire(plan, tuple(s.id for s in replaced), pieces)
 
     def _try_split(self, plan: Plan, sub: Subtask) -> Plan | None:
         target = self.settings.target_granularity
@@ -530,11 +538,6 @@ class Orchestrator:
             self.trace.warning("invalid-split", subtask_id=sub.id,
                                error="pieces missing or still too coarse")
             return None
-        if not self._semantics_preserved(
-            sub.id, sub.description, "\n".join(p.description for p in pieces)
-        ):
-            self.trace.warning("split-not-preserving", subtask_id=sub.id)
-            return None
         # the pieces form a chain standing where the original stood
         chained = [
             dataclasses.replace(
@@ -543,7 +546,7 @@ class Orchestrator:
             )
             for k, piece in enumerate(pieces)
         ]
-        return _rewire(plan, (sub.id,), chained)
+        return self._rewrite(plan, (sub,), chained, "split-not-preserving")
 
     def _try_merge(self, plan: Plan, a: Subtask, b: Subtask) -> Plan | None:
         response = self._ask_json(
@@ -556,11 +559,6 @@ class Orchestrator:
         if not description:
             self.trace.warning("invalid-merge", subtask_id=a.id, error="no description text")
             return None
-        if not self._semantics_preserved(
-            a.id, f"{a.description}\n{b.description}", description
-        ):
-            self.trace.warning("merge-not-preserving", subtask_id=a.id)
-            return None
         merged = Subtask(
             id=f"{a.id}+{b.id}",
             description=description,
@@ -568,7 +566,7 @@ class Orchestrator:
             io_spec=b.io_spec,
             injected_notes=a.injected_notes + b.injected_notes,
         )
-        return _rewire(plan, (a.id, b.id), [merged])
+        return self._rewrite(plan, (a, b), [merged], "merge-not-preserving")
 
     def optimize_subtasks(self, plan: Plan) -> Plan:
         """Bring every subtask's granularity into [target/2, 2*target] by
@@ -580,9 +578,9 @@ class Orchestrator:
             raise StateError("optimize_subtasks requires an unexecuted plan")
         for sub in list(plan.subtasks):
             if sub.granularity > 2 * target:
-                split = self._try_split(plan, plan.subtask(sub.id))
-                if split is not None:
-                    plan = split
+                plan = self._try_split(plan, plan.subtask(sub.id)) or plan
+        # a merge can pair an earlier subtask anew, so the scan restarts
+        offered: set[tuple[str, str]] = set()
         while True:
             for a in plan.subtasks:
                 if a.granularity >= target / 2:
@@ -591,10 +589,11 @@ class Orchestrator:
                 if len(dependents) != 1:
                     continue
                 b = dependents[0]
-                if b.granularity >= target / 2 or b.dependencies != frozenset({a.id}):
+                if (b.granularity >= target / 2 or b.dependencies != frozenset({a.id})
+                        or (a.id, b.id) in offered):
                     continue
-                merged = self._try_merge(plan, a, b)
-                if merged is not None:
+                offered.add((a.id, b.id))
+                if (merged := self._try_merge(plan, a, b)) is not None:
                     plan = merged
                     break
             else:

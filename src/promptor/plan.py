@@ -230,14 +230,5 @@ def with_update(plan: Plan, update: PlanUpdate) -> Plan:
         raise StateError("strategy-shift requires an executed-failed source")
     if update.targets != (source.id,):
         raise StateError("strategy-shift must target exactly the failed subtask")
-    return with_subtask(
-        plan,
-        Subtask(
-            id=source.id,
-            description=update.payload,
-            dependencies=source.dependencies,
-            io_spec=source.io_spec,
-            status=source.status,
-            injected_notes=source.injected_notes,
-        ),
-    )
+    # granularity None: the new description's is estimated afresh
+    return with_subtask(plan, replace(source, description=update.payload, granularity=None))

@@ -1,6 +1,6 @@
 """Reports computed from execution traces alone: success rates, reference
 checks, per-subtask trajectories, the Pearson r between each scored
-subtask's last stability score and its success, and each run's deviation
+subtask's executed score and its success, and each run's deviation
 bound from the variances its gates measured. Each trace is replayed once
 into a digest, and every figure of the report is read from the digests.
 Reports never read anything but the trace, so identical trace bytes always
@@ -48,14 +48,12 @@ class SubtaskDigest:
     stability_trajectory: tuple[float, ...]
     refinement_count: int
     augmentation_count: int
+    # the score of the revision its gate executed; None when never scored
+    executed_stability: float | None
 
     @property
     def succeeded(self) -> bool:
         return self.final_status == SubtaskStatus.EXECUTED_OK.value
-
-    @property
-    def last_stability(self) -> float | None:
-        return self.stability_trajectory[-1] if self.stability_trajectory else None
 
 
 @dataclass(frozen=True)
@@ -117,6 +115,7 @@ def digest_trace(trace: ExecutionTrace) -> TraceDigest:
                     stability_trajectory=tuple(state.scores.get(sub.id, ())),
                     refinement_count=state.refinements.get(sub.id, 0),
                     augmentation_count=state.augmentations.get(sub.id, 0),
+                    executed_stability=state.executed_scores.get(sub.id),
                 )
             )
     reference = trace.header.get("reference_answer")
@@ -180,11 +179,11 @@ class RunReport:
 
     @property
     def correlation(self) -> CorrelationReport:
-        """Pearson r over one (last stability score, succeeded) pair per
+        """Pearson r over one (executed stability score, succeeded) pair per
         scored subtask, in trace order. Unscored subtasks contribute nothing."""
         scored = [sub for d in self.digests for sub in d.subtasks
-                  if sub.last_stability is not None]
-        stabilities = [sub.last_stability for sub in scored]
+                  if sub.executed_stability is not None]
+        stabilities = [sub.executed_stability for sub in scored]
         successes = [1.0 if sub.succeeded else 0.0 for sub in scored]
         try:
             coefficient = pearson_correlation(stabilities, successes)

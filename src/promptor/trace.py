@@ -252,9 +252,11 @@ class ReplayState:
     final_output: str = ""
     refinements: dict[str, int] = field(default_factory=dict)
     augmentations: dict[str, int] = field(default_factory=dict)
-    # each scored subtask's last score as an output variance: 1 - value of a
-    # semantic score whose stability generation held no blank sample, or
-    # else why the score gives none
+    # each scored subtask's executed score: the first highest score of its
+    # last gate to score, as refine_until_stable picks the revision it executes
+    executed_scores: dict[str, float] = field(default_factory=dict)
+    # each executed score as an output variance: 1 - value of a semantic score
+    # whose stability generation held no blank sample, or else why it gives none
     variances: dict[str, float | str] = field(default_factory=dict)
 
 
@@ -327,6 +329,8 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
     version = trace.header["version"]
     # the outputs of each subtask's last stability generation
     measured: dict[str, list[str]] = {}
+    # the subtasks whose gate restarted at an initial revision and has not scored
+    restarted: set[str] = set()
     # from version 6 on, every output text written in full so far
     texts: list[str] | None = [] if version >= 6 else None
     for event in trace.events:
@@ -373,7 +377,9 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                     state.prompts[sid] = _changed_prompt(event, state.prompts.get(sid))
                 if event.type == "augmentation":
                     state.augmentations[sid] = state.augmentations.get(sid, 0) + 1
-                elif payload.get("component") != "initial":
+                elif payload.get("component") == "initial":
+                    restarted.add(sid)
+                else:
                     state.refinements[sid] = state.refinements.get(sid, 0) + 1
             elif event.type == "score":
                 sid = payload["subtask_id"]
@@ -392,14 +398,18 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                 state.scores.setdefault(sid, []).append(value)
                 metric = payload.get("metric")
                 if metric != "semantic":
-                    state.variances[sid] = f"was scored by {metric}"
+                    variance = f"was scored by {metric}"
                 elif not -1 <= value <= 1:
                     raise MalformedTraceError(f"event {event.seq}: semantic score value"
                                               f" {value!r} is outside [-1, 1]")
                 elif any(not text.strip() for text in outputs or ()):
-                    state.variances[sid] = "had a blank stability sample"
+                    variance = "had a blank stability sample"
                 else:
-                    state.variances[sid] = 1.0 - value
+                    variance = 1.0 - value
+                if (sid in restarted or sid not in state.executed_scores
+                        or value > state.executed_scores[sid]):
+                    restarted.discard(sid)
+                    state.executed_scores[sid], state.variances[sid] = value, variance
             elif event.type == "generation":
                 outputs = _read_outputs(event, texts)
                 if version >= 4:

@@ -29,37 +29,52 @@ def behavior(**entry):
     return {"prompt": "p", "outcomes": [["a", 1.0]], **entry}
 
 
-# (subcommand, keys changed in a valid input file, field path the error names)
+def malformed(command, changes, path, spec=""):
+    """One malformed input: its subcommand, the keys changed in a valid input
+    file and the field path the error names. Its id is the subcommand and the
+    field path, and spec, the backend spec, where two rows share those."""
+    return pytest.param(command, changes, path, id="-".join(filter(None, (command, path, spec))))
+
+
 MALFORMED_INPUTS = [
-    ("run", scripted(behaviours=[behavior()]), "behaviours"),
-    ("run", scripted(behaviors=[behavior(seed="5")]), "behaviors[0].seed"),
-    ("run", scripted(behaviors=[behavior(outcomes=[[7, True]])]),
-     "behaviors[0].outcomes[0][0]"),
-    ("run", scripted(behaviors=[behavior(prompt_fingerprint="f")]), "behaviors[0]"),
-    ("run", scripted(prefix_rules=[behavior(prefix="### Planner")]), "prefix_rules[0]"),
-    ("run", {"max_iterations": 2.5}, "max_iterations"),
-    ("run", {"seed": "3"}, "seed"),
-    ("run", {"smaples": 5}, "smaples"),
-    ("run", {"template": "no-such-template"}, "template"),
-    ("run", {"max_tokens": 0}, "max_tokens"),
+    malformed("run", scripted(behaviours=[behavior()]), "behaviours"),
+    malformed("run", scripted(behaviors=[behavior(seed="5")]), "behaviors[0].seed"),
+    malformed("run", scripted(behaviors=[behavior(outcomes=[[7, True]])]),
+              "behaviors[0].outcomes[0][0]"),
+    malformed("run", scripted(behaviors=[behavior(prompt_fingerprint="f")]), "behaviors[0]"),
+    malformed("run", scripted(prefix_rules=[behavior(prefix="### Planner")]), "prefix_rules[0]"),
+    malformed("run", {"max_iterations": 2.5}, "max_iterations"),
+    malformed("run", {"seed": "3"}, "seed"),
+    malformed("run", {"smaples": 5}, "smaples"),
+    malformed("run", {"template": "no-such-template"}, "template"),
+    malformed("run", {"max_tokens": 0}, "max_tokens"),
     # json reads NaN and Infinity, which no number field takes
-    ("run", {"kl_alpha": math.nan}, "kl_alpha"),
-    ("run", scripted(behaviors=[behavior(outcomes=[["a", math.nan], ["b", 1.0]])]),
-     "behaviors[0].outcomes[0][1]"),
-    ("run", scripted(behaviors=[behavior(outcomes=[["a", 1.0], ["b", math.inf]])]),
-     "behaviors[0].outcomes[1][1]"),
-    ("eval-stability", {"role": 5}, "role"),
-    ("eval-stability", {"requirements": "abc"}, "requirements"),
-    ("eval-stability", {"requirements": ["Say it.", 5]}, "requirements[1]"),
-    ("eval-stability", {"revision": 2.9}, "revision"),
-    ("eval-stability", {"io_spec": {"input_schema": 5}}, "io_spec.input_schema"),
-    ("eval-stability", {"io_spec": {"required_keys": 5}}, "io_spec.required_keys"),
-    ("eval-stability", {"io_spec": {"output_fromat": "numeric"}}, "io_spec.output_fromat"),
-    ("run", {"embedder": {"kind": "hash-embedder", "dim": 32, "endpoint_url": 5}},
-     "unknown field dim"),
-    ("run", {"generator": {**HTTP_SPEC, "endpoint_url": "localhost:8000/v1"}}, "endpoint_url"),
-    ("run", {"embedder": {**HTTP_SPEC, "endpoint_url": "ftp://h/v1"}}, "endpoint_url"),
+    malformed("run", {"kl_alpha": math.nan}, "kl_alpha"),
+    malformed("run", scripted(behaviors=[behavior(outcomes=[["a", math.nan], ["b", 1.0]])]),
+              "behaviors[0].outcomes[0][1]"),
+    malformed("run", scripted(behaviors=[behavior(outcomes=[["a", 1.0], ["b", math.inf]])]),
+              "behaviors[0].outcomes[1][1]"),
+    malformed("eval-stability", {"role": 5}, "role"),
+    malformed("eval-stability", {"requirements": "abc"}, "requirements"),
+    malformed("eval-stability", {"requirements": ["Say it.", 5]}, "requirements[1]"),
+    malformed("eval-stability", {"revision": 2.9}, "revision"),
+    malformed("eval-stability", {"io_spec": {"input_schema": 5}}, "io_spec.input_schema"),
+    malformed("eval-stability", {"io_spec": {"required_keys": 5}}, "io_spec.required_keys"),
+    malformed("eval-stability", {"io_spec": {"output_fromat": "numeric"}},
+              "io_spec.output_fromat"),
+    malformed("run", {"embedder": {"kind": "hash-embedder", "dim": 32, "endpoint_url": 5}},
+              "unknown field dim"),
+    malformed("run", {"generator": {**HTTP_SPEC, "endpoint_url": "localhost:8000/v1"}},
+              "endpoint_url", "generator"),
+    malformed("run", {"embedder": {**HTTP_SPEC, "endpoint_url": "ftp://h/v1"}},
+              "endpoint_url", "embedder"),
 ]
+
+
+def test_malformed_input_ids_are_unique():
+    # adding or deleting a row renames no other case
+    ids = [row.id for row in MALFORMED_INPUTS]
+    assert len(set(ids)) == len(ids)
 
 
 def invoke(argv, capsys):

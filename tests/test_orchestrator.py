@@ -660,6 +660,67 @@ class TestOptimizeSubtasks:
         assert orch.optimize_subtasks(plan).subtasks == plan.subtasks
         assert len(warnings_with_reason(orch, "invalid-merge")) == 1
 
+    def test_merge_pass_offers_each_pair_once(self):
+        # a -> b -> c -> d, one clause each, all below target / 2 = 4: the
+        # agent keeps a, b and b, c, merges c and d, then keeps b, c+d
+        steps = [("a", ()), ("b", ("a",)), ("c", ("b",)), ("d", ("c",))]
+        plan = Plan(task_description=TASK, subtasks=tuple(
+            Subtask(id=sid, description=f"Do {sid}.", dependencies=frozenset(deps))
+            for sid, deps in steps))
+        rules = [prefix_json(ap.OPTIMIZER_MERGE_MARK, f"Subtasks: {pair}", {"action": "keep"})
+                 for pair in ("a, b", "b, c", "b, c+d")]
+        rules += [
+            prefix_json(ap.OPTIMIZER_MERGE_MARK, "Subtasks: c, d",
+                        {"action": "merge", "description": "Do c and d."}),
+            prefix_json(ap.OPTIMIZER_CHECK_MARK, "Subtask: c", {"preserved": True}),
+        ]
+        orch = make_orchestrator(ScriptedGenerator(prefix_rules=rules),
+                                 OrchestratorSettings(target_granularity=8.0))
+        out = orch.optimize_subtasks(plan)
+        merges = [e.payload["subtask_id"] for e in orch.trace.trace().events_of_type("generation")
+                  if e.payload["purpose"] == "optimizer-merge"]
+        # a, b is not offered again after the merge
+        assert merges == ["a", "b", "c", "b"]
+        assert [s.id for s in out.subtasks] == ["a", "b", "c+d"]
+        assert out.subtask("c+d").dependencies == frozenset({"b"})
+        [snapshot] = optimized_snapshots(orch)
+        assert Plan.from_json_dict(snapshot) == out
+
+    @pytest.mark.parametrize("kind", ["split", "merge"])
+    def test_a_rejected_rewrite_writes_the_check_prompt_and_its_warnings(self, kind):
+        if kind == "split":
+            plan, target, sub_id = self.coarse_plan(), 2.0, "coarse"
+            rule = prefix_json(ap.OPTIMIZER_SPLIT_MARK, "Subtask: coarse",
+                               {"action": "split", "subtasks": SPLIT_PIECES})
+            before = COARSE_DESCRIPTION
+            after = "\n".join(piece["description"] for piece in SPLIT_PIECES)
+            flagged = [("coarse", 8)]
+        else:
+            plan, target, sub_id = self.fine_plan(), 8.0, "fetch"
+            rule = prefix_json(ap.OPTIMIZER_MERGE_MARK, "Subtasks: fetch, clean",
+                               {"action": "merge", "description": "Fetch and clean it."})
+            before = "Fetch the page. Extract the table.\nClean the cells. Save the csv."
+            after = "Fetch and clean it."
+            flagged = [("fetch", 2), ("clean", 2)]
+        rules = [rule, prefix_json(ap.OPTIMIZER_CHECK_MARK, f"Subtask: {sub_id}",
+                                   {"preserved": False})]
+        orch = make_orchestrator(ScriptedGenerator(prefix_rules=rules),
+                                 OrchestratorSettings(target_granularity=target))
+        assert orch.optimize_subtasks(plan) == plan
+        trace = orch.trace.trace()
+        [check] = [e.payload for e in trace.events_of_type("generation")
+                   if e.payload["purpose"] == "optimizer-check"]
+        assert check["subtask_id"] == sub_id
+        assert check["fingerprint"] == prompt_fingerprint(
+            ap.optimizer_check_prompt(sub_id, before, after))
+        assert [e.payload for e in trace.events_of_type("warning")] == [
+            {"reason": f"{kind}-not-preserving", "subtask_id": sub_id},
+            *({"reason": "unoptimizable-granularity", "subtask_id": flagged_id,
+               "granularity": granularity, "target": target}
+              for flagged_id, granularity in flagged),
+        ]
+        assert optimized_snapshots(orch) == []
+
     def test_in_band_plan_makes_no_backend_calls(self):
         plan = Plan(
             task_description=TASK,

@@ -3,6 +3,7 @@ import statistics
 
 import pytest
 
+from promptor import agent_prompts as ap
 from promptor.backends import HashEmbedder, ScriptedGenerator
 from promptor.errors import InsufficientSamplesError, MalformedTraceError
 from promptor.metrics import EmbeddingVector
@@ -129,7 +130,7 @@ class TestDigestTrace:
             assert sub.final_status == "executed-ok"
             assert sub.succeeded
             assert len(sub.stability_trajectory) == 1
-            assert sub.last_stability == pytest.approx(1.0)
+            assert sub.executed_stability == pytest.approx(1.0)
             assert sub.refinement_count == 0
             assert sub.augmentation_count == 0
 
@@ -268,6 +269,21 @@ class ChainSamples:
         return self.planner.generate(request)
 
 
+class ReviewedDraws(ChainSamples):
+    """Plans the subtasks and answers each stability measurement of a
+    subtask with the next of its draws, each reviewer prompt with a new role
+    and each execution with 'c'."""
+
+    def generate(self, request):
+        if request.subtask_id not in self.samples:
+            return self.planner.generate(request)
+        if request.prompt_text.startswith(ap.REVIEWER_STABILITY_MARK):
+            return ['{"component": "role", "replacement": "You pick letters."}']
+        if request.sample_count > 1:
+            return list(next(self.samples[request.subtask_id]))
+        return ["c"]
+
+
 class LetterVectors:
     """a and c at (1, 0), b at (0, 1), d at (0.6, 0.8): unit vectors whose
     cosine distances are 1 (a, b) and 0.4 (c, d)."""
@@ -350,6 +366,27 @@ class TestDeviationLine:
         # the single subtask is the whole path: m = 1, D = 1 - 0.9
         assert digest.aggregate_variance == pytest.approx(0.1)
         assert digest.subtasks[0].stability_trajectory == (0.3, 0.9)
+
+    def test_an_exhausted_gate_is_judged_by_the_revision_it_executed(self):
+        # tau 0.9 is never reached: 0.4, then 0.84 and 0.6 after two reviewer
+        # steps, so the gate executes the 0.84 revision, of variance 0.16
+        samples = ReviewedDraws({"only": iter(["aaabb", "ccccd", "aaaab"])},
+                                subtasks=[{"id": "only", "description": "Pick a letter."}])
+        writer = TraceWriter({"task": "letters"})
+        settings = OrchestratorSettings(
+            refinement=RefinementConfig(tau=0.9, max_iterations=2), knowledge_enabled=False,
+            plan_updater_enabled=False, subtask_optimizer_enabled=False)
+        Orchestrator(samples, LetterVectors(), writer, settings).run_pipeline(
+            CHAIN_TASK, template="linear-chain")
+        trace = writer.trace()
+        [exhausted] = [e.payload for e in trace.events_of_type("warning")
+                       if e.payload["reason"] == "gate-exhausted"]
+        [sub] = digest_trace(trace).subtasks
+        assert sub.stability_trajectory == pytest.approx((0.4, 0.84, 0.6))
+        assert sub.executed_stability == exhausted["best_score"] == pytest.approx(0.84)
+        epsilon = math.sqrt(2 * 0.16 * math.log(40))
+        assert deviation_line(render_run_report(compute_run_metrics([trace]))) == (
+            f"  deviation: D=0.160000 epsilon@0.05={epsilon:.6f}")
 
     @pytest.mark.parametrize("subtasks, samples, d", [
         # one subtask: m = 1, D = 0.6

@@ -424,10 +424,10 @@ class TestReplay:
         ([("score", {"metric": "kl"})], "was scored by kl"),
         ([("generation", {"outputs": ["x", " "]}), ("score", {"metric": "semantic"})],
          "had a blank stability sample"),
-        # the last score decides
+        # the first of two equal scores is the executed one
         ([("score", {"metric": "kl"}), ("generation", {"outputs": ["x", "y"]}),
-          ("score", {"metric": "semantic"})], 0.25),
-    ], ids=["semantic", "kl", "blank-sample", "last-score"])
+          ("score", {"metric": "semantic"})], "was scored by kl"),
+    ], ids=["semantic", "kl", "blank-sample", "first-highest-score"])
     def test_each_score_records_its_subtasks_variance(self, events, variance):
         fields = {"generation": {"subtask_id": "a", "purpose": "stability"},
                   "score": {"subtask_id": "a", "value": 0.75, "sample_count": 2}}
@@ -435,6 +435,26 @@ class TestReplay:
             TraceEvent(seq, kind, {**fields[kind], **payload}, 0.0)
             for seq, (kind, payload) in enumerate(events)))
         assert state.variances == {"a": variance}
+
+    @pytest.mark.parametrize("gates, executed", [
+        # an exhausted gate executes its best revision, not its last
+        ([(0.25, 0.75, 0.5)], 0.75),
+        # a strategy shift's second gate starts the count again
+        ([(0.75, 0.5), (0.25, 0.5, 0.375)], 0.5),
+    ], ids=["exhausted-gate", "second-gate"])
+    def test_the_executed_score_is_the_first_highest_of_the_last_gate(self, gates, executed):
+        events = []
+        for values in gates:
+            events.append(("revision", {"component": "initial", "revision": 0,
+                                        "prompt_after": self.prompt().to_json_dict()}))
+            for value in values:
+                events += [("generation", {"purpose": "stability", "outputs": ["x", "y"]}),
+                           ("score", {"metric": "semantic", "value": value, "sample_count": 2})]
+        state = replay_trace(make_trace(
+            TraceEvent(seq, kind, {"subtask_id": "a", **payload}, 0.0)
+            for seq, (kind, payload) in enumerate(events)))
+        assert state.executed_scores == {"a": executed}
+        assert state.variances == {"a": 1.0 - executed}
 
     @pytest.mark.parametrize("path", [V1_TRACE, V2_TRACE, V3_TRACE, V4_TRACE, V5_TRACE,
                                       V6_TRACE], ids=[f"v{k}" for k in range(1, 7)])
