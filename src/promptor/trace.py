@@ -1,8 +1,8 @@
 """Append-only JSON-lines execution traces.
 
-A trace is one header record followed by typed event records with strictly
-increasing sequence numbers. Timestamps are excluded from determinism
-comparisons via canonicalize(); everything else is replayable state.
+A trace is one header record followed by typed event records, numbered by
+their position. Timestamps are excluded from determinism comparisons via
+canonicalize(); everything else is replayable state.
 
 Version 2 records a plan-update as a full plan_after snapshot only when the
 plan's structure is new: when it is created, and when the optimizer split or
@@ -42,11 +42,23 @@ the full prompt_after, which replay then takes as it is. Replay checks that
 every output is a text (from version 6 on, or the ordinal of an earlier
 one), that a score's value is a number, a semantic score's within [-1, 1],
 and that a run's final_output is a text.
+
+Version 7 writes an event line as exactly its type, payload and ts: ts is
+the whole microseconds since the writer opened, read from a monotonic
+clock, and an event's number is its position among the events, so the
+kind and seq of earlier versions are gone. The fingerprint of a generation
+event shares the one table that numbers output texts, and is numbered
+before the event's outputs: its first occurrence is written in full and a
+later one as its ordinal. Replay resolves it through the same list of
+texts, so a fingerprint that is neither a text nor the ordinal of an
+earlier one is malformed. A score's value must be finite, and a kl score's
+within [0, 1].
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -57,7 +69,7 @@ from .errors import MalformedTraceError
 from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
 from .prompt import ModularPrompt, PromptComponentKind, replace_component
 
-TRACE_VERSION = 6
+TRACE_VERSION = 7
 
 EVENT_TYPES = (
     "generation",
@@ -70,11 +82,20 @@ EVENT_TYPES = (
     "warning",
 )
 
-_EVENT_KEYS = {"kind", "seq", "ts", "type", "payload"}
+# an event line's keys, from version 7 on and before it
+_EVENT_KEYS = {"payload", "ts", "type"}
+_EVENT_KEYS_BEFORE_7 = {"kind", "seq", "ts", "type", "payload"}
+
+# the range of each metric's score value
+_SCORE_RANGES = {"semantic": (-1, 1), "kl": (0, 1)}
 
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """seq is the event's number and ts its time. From version 7 on, seq is
+    the event's position and ts the whole microseconds since the writer
+    opened; before it, they are the line's own seq and epoch seconds."""
+
     seq: int
     type: str
     payload: dict
@@ -83,9 +104,6 @@ class TraceEvent:
     def __post_init__(self):
         if self.type not in EVENT_TYPES:
             raise ValueError(f"unknown event type: {self.type!r}")
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "event", "seq": self.seq, "ts": self.ts, "type": self.type, "payload": self.payload}
 
 
 @dataclass(frozen=True)
@@ -99,18 +117,19 @@ class ExecutionTrace:
 
 class TraceWriter:
     """Single ordered sink for one run. Concurrent emitters funnel through an
-    internal lock that assigns sequence numbers; optional live file append."""
+    internal lock that orders the events; optional live file append."""
 
     def __init__(self, header: dict, path: str | Path | None = None):
+        # the version is the format this writer writes, whatever header says
         self._header = {
-            "version": TRACE_VERSION,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             **header,
+            "version": TRACE_VERSION,
         }
+        self._opened_ns = time.monotonic_ns()
         self._events: list[TraceEvent] = []
         self._lock = threading.Lock()
-        self._next_seq = 0
-        # each generation output text written so far -> its ordinal
+        # each generation fingerprint and output text written so far -> its ordinal
         self._ordinals: dict[str, int] = {}
         self._file = open(path, "w", encoding="utf-8") if path is not None else None
         if self._file is not None:
@@ -119,29 +138,39 @@ class TraceWriter:
 
     def emit(self, event_type: str, payload: dict) -> TraceEvent:
         with self._lock:
-            if event_type == "generation" and type(payload.get("outputs")) is list:
+            if event_type == "generation":
                 payload = self._by_reference(payload)
-            event = TraceEvent(seq=self._next_seq, type=event_type, payload=payload, ts=time.time())
-            self._next_seq += 1
+            ts = (time.monotonic_ns() - self._opened_ns) // 1000
+            event = TraceEvent(seq=len(self._events), type=event_type, payload=payload, ts=ts)
             self._events.append(event)
             if self._file is not None:
-                self._file.write(json.dumps(event.to_json_dict(), sort_keys=True) + "\n")
+                self._file.write(json.dumps({"payload": payload, "ts": ts, "type": event_type},
+                                            sort_keys=True) + "\n")
                 self._file.flush()
         return event
 
+    def _ordinal(self, text: str) -> int | None:
+        """text's ordinal if the trace already holds it; else None, and text
+        takes the next ordinal."""
+        ordinal = self._ordinals.get(text)
+        if ordinal is None:
+            self._ordinals[text] = len(self._ordinals)
+        return ordinal
+
     def _by_reference(self, payload: dict) -> dict:
-        """payload with each output text the trace already holds replaced by
-        its ordinal; payload itself when every text is new."""
-        ordinals, outputs, seen = self._ordinals, [], False
-        for text in payload["outputs"]:
-            ordinal = ordinals.get(text)
-            if ordinal is None:
-                ordinals[text] = len(ordinals)
-                outputs.append(text)
-            else:
-                outputs.append(ordinal)
-                seen = True
-        return {**payload, "outputs": outputs} if seen else payload
+        """payload with its fingerprint, then each output text, replaced by
+        its ordinal where the trace already holds it; payload itself when
+        every one is new."""
+        changed = {}
+        fingerprint, outputs = payload.get("fingerprint"), payload.get("outputs")
+        if type(fingerprint) is str and (ordinal := self._ordinal(fingerprint)) is not None:
+            changed["fingerprint"] = ordinal
+        if type(outputs) is list:
+            ordinals = [self._ordinal(text) for text in outputs]
+            if ordinals.count(None) < len(ordinals):
+                changed["outputs"] = [text if ordinal is None else ordinal
+                                      for text, ordinal in zip(outputs, ordinals)]
+        return {**payload, **changed} if changed else payload
 
     def warning(self, reason: str, **payload) -> TraceEvent:
         return self.emit("warning", {"reason": reason, **payload})
@@ -162,10 +191,53 @@ class TraceWriter:
         self.close()
 
 
+# The envelope rules are checked here, not by prompt._read_record: they run
+# once per event.
+def _read_event(line_no: int, record: dict, events: list[TraceEvent]) -> TraceEvent:
+    """A version 7 event line: exactly type, payload and a ts of whole
+    microseconds; the event's number is its position."""
+    if record.keys() != _EVENT_KEYS:
+        raise MalformedTraceError(f"line {line_no}: bad event record: keys {sorted(record)},"
+                                  f" expected {sorted(_EVENT_KEYS)}")
+    ts = record["ts"]
+    if type(ts) is not int or ts < 0:
+        raise MalformedTraceError(f"line {line_no}: bad event record: ts must be a"
+                                  f" non-negative integer, got {ts!r}")
+    return _typed_event(line_no, len(events), record, ts)
+
+
+def _read_event_before_7(line_no: int, record: dict, events: list[TraceEvent]) -> TraceEvent:
+    """An event line of versions 1 to 6: kind, a seq above the last one, a
+    ts of any number, type and payload."""
+    kind = record.get("kind")
+    if kind != "event":
+        raise MalformedTraceError(f"line {line_no}: expected an event record, got kind={kind!r}")
+    if record.keys() != _EVENT_KEYS_BEFORE_7:
+        raise MalformedTraceError(f"line {line_no}: bad event record: keys {sorted(record)},"
+                                  f" expected {sorted(_EVENT_KEYS_BEFORE_7)}")
+    seq, ts = record["seq"], record["ts"]
+    if type(seq) is not int or type(ts) not in (int, float):
+        raise MalformedTraceError(f"line {line_no}: bad event record: seq must be an integer"
+                                  f" and ts a number, got {seq!r} and {ts!r}")
+    if events and seq <= events[-1].seq:
+        raise MalformedTraceError(f"line {line_no}: sequence numbers must strictly increase"
+                                  f" ({seq} after {events[-1].seq})")
+    return _typed_event(line_no, seq, record, ts)
+
+
+def _typed_event(line_no: int, seq: int, record: dict, ts: float) -> TraceEvent:
+    if type(record["payload"]) is not dict:
+        raise MalformedTraceError(f"line {line_no}: event payload must be an object")
+    if record["type"] not in EVENT_TYPES:
+        raise MalformedTraceError(
+            f"line {line_no}: bad event record: unknown type {record['type']!r}"
+        )
+    return TraceEvent(seq=seq, type=record["type"], payload=record["payload"], ts=ts)
+
+
 def parse_trace_lines(lines: Iterable[str]) -> ExecutionTrace:
     header = None
     events: list[TraceEvent] = []
-    last_seq = -1
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -175,42 +247,20 @@ def parse_trace_lines(lines: Iterable[str]) -> ExecutionTrace:
             raise MalformedTraceError(f"line {line_no}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise MalformedTraceError(f"line {line_no}: record is not an object")
-        kind = record.get("kind")
-        if header is None:
-            if kind != "header":
-                raise MalformedTraceError(f"line {line_no}: first record must be the header")
-            if "version" not in record:
-                raise MalformedTraceError("header lacks a version field")
-            if type(record["version"]) is not int:
-                raise MalformedTraceError(f"trace version {record['version']!r} is not an integer")
-            if not 1 <= record["version"] <= TRACE_VERSION:
-                raise MalformedTraceError(f"trace version {record['version']} is not supported:"
-                                          f" this code reads versions 1 to {TRACE_VERSION}")
-            header = {k: v for k, v in record.items() if k != "kind"}
+        if header is not None:
+            events.append(read_event(line_no, record, events))
             continue
-        if kind != "event":
-            raise MalformedTraceError(f"line {line_no}: expected an event record, got kind={kind!r}")
-        # checked inline, not by prompt._read_record: this runs once per event
-        if record.keys() != _EVENT_KEYS:
-            raise MalformedTraceError(f"line {line_no}: bad event record: keys {sorted(record)},"
-                                      f" expected {sorted(_EVENT_KEYS)}")
-        seq, ts, payload = record["seq"], record["ts"], record["payload"]
-        if type(seq) is not int or type(ts) not in (int, float):
-            raise MalformedTraceError(f"line {line_no}: bad event record: seq must be an integer"
-                                      f" and ts a number, got {seq!r} and {ts!r}")
-        if type(payload) is not dict:
-            raise MalformedTraceError(f"line {line_no}: event payload must be an object")
-        if record["type"] not in EVENT_TYPES:
-            raise MalformedTraceError(
-                f"line {line_no}: bad event record: unknown type {record['type']!r}"
-            )
-        event = TraceEvent(seq=seq, type=record["type"], payload=payload, ts=ts)
-        if event.seq <= last_seq:
-            raise MalformedTraceError(
-                f"line {line_no}: sequence numbers must strictly increase ({event.seq} after {last_seq})"
-            )
-        last_seq = event.seq
-        events.append(event)
+        if record.get("kind") != "header":
+            raise MalformedTraceError(f"line {line_no}: first record must be the header")
+        if "version" not in record:
+            raise MalformedTraceError("header lacks a version field")
+        if type(record["version"]) is not int:
+            raise MalformedTraceError(f"trace version {record['version']!r} is not an integer")
+        if not 1 <= record["version"] <= TRACE_VERSION:
+            raise MalformedTraceError(f"trace version {record['version']} is not supported:"
+                                      f" this code reads versions 1 to {TRACE_VERSION}")
+        header = {k: v for k, v in record.items() if k != "kind"}
+        read_event = _read_event if header["version"] >= 7 else _read_event_before_7
     if header is None:
         raise MalformedTraceError("trace is empty")
     return ExecutionTrace(header=header, events=tuple(events))
@@ -225,13 +275,12 @@ def read_trace(path: str | Path) -> ExecutionTrace:
 
 
 def canonicalize(trace: ExecutionTrace) -> dict:
-    """Timestamp-free view of a trace; equal canonical forms mean equal runs."""
+    """Timestamp-free view of a trace; equal canonical forms mean equal runs.
+    An event's number is its position, so seq is left out too."""
     header = {k: v for k, v in trace.header.items() if k != "created_at"}
     return {
         "header": header,
-        "events": [
-            {"seq": e.seq, "type": e.type, "payload": e.payload} for e in trace.events
-        ],
+        "events": [{"type": e.type, "payload": e.payload} for e in trace.events],
     }
 
 
@@ -279,26 +328,24 @@ def _check_sample_index(event: TraceEvent) -> None:
         )
 
 
-def _read_outputs(event: TraceEvent, texts: list[str] | None) -> list[str]:
-    """A generation event's outputs as texts. Before version 6 (texts is
-    None) each must be a text. From version 6 on, texts holds every text the
+def _read_texts(event: TraceEvent, name: str, entries: list, texts: list[str] | None) -> list[str]:
+    """A generation event's entries of one field (its outputs, or from
+    version 7 on its fingerprint) as texts. Before version 6 (texts is None)
+    each must be a text. From version 6 on, texts holds every string the
     trace wrote in full before this one: a text is appended to it, and an
     int must be the ordinal of one of them."""
-    outputs = event.payload["outputs"]
-    if type(outputs) is not list:
-        raise MalformedTraceError(f"event {event.seq}: outputs must be a list")
     resolved = []
-    for output in outputs:
-        if type(output) is str:
+    for entry in entries:
+        if type(entry) is str:
             if texts is not None:
-                texts.append(output)
-        elif texts is not None and type(output) is int and 0 <= output < len(texts):
-            output = texts[output]
+                texts.append(entry)
+        elif texts is not None and type(entry) is int and 0 <= entry < len(texts):
+            entry = texts[entry]
         else:
             raise MalformedTraceError(
-                f"event {event.seq}: output {output!r} is not a text"
+                f"event {event.seq}: {name} {entry!r} is not a text"
                 + ("" if texts is None else " or the ordinal of an earlier one"))
-        resolved.append(output)
+        resolved.append(entry)
     return resolved
 
 
@@ -331,7 +378,8 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
     measured: dict[str, list[str]] = {}
     # the subtasks whose gate restarted at an initial revision and has not scored
     restarted: set[str] = set()
-    # from version 6 on, every output text written in full so far
+    # from version 6 on, every output text (and from version 7 on, every
+    # fingerprint) written in full so far
     texts: list[str] | None = [] if version >= 6 else None
     for event in trace.events:
         payload = event.payload
@@ -391,17 +439,20 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                         f" distances for {'no' if outputs is None else len(outputs)}"
                         " stability outputs"
                     )
-                value = payload["value"]
+                value, metric = payload["value"], payload.get("metric")
                 if type(value) not in (int, float):
                     raise MalformedTraceError(f"event {event.seq}: score value {value!r}"
                                               " is not a number")
+                bounds = _SCORE_RANGES.get(metric)
+                if bounds is not None and not bounds[0] <= value <= bounds[1]:
+                    raise MalformedTraceError(f"event {event.seq}: {metric} score value"
+                                              f" {value!r} is outside [{bounds[0]}, {bounds[1]}]")
+                if type(value) is float and not math.isfinite(value):
+                    raise MalformedTraceError(f"event {event.seq}: score value {value!r}"
+                                              " is not finite")
                 state.scores.setdefault(sid, []).append(value)
-                metric = payload.get("metric")
                 if metric != "semantic":
                     variance = f"was scored by {metric}"
-                elif not -1 <= value <= 1:
-                    raise MalformedTraceError(f"event {event.seq}: semantic score value"
-                                              f" {value!r} is outside [-1, 1]")
                 elif any(not text.strip() for text in outputs or ()):
                     variance = "had a blank stability sample"
                 else:
@@ -411,7 +462,12 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                     restarted.discard(sid)
                     state.executed_scores[sid], state.variances[sid] = value, variance
             elif event.type == "generation":
-                outputs = _read_outputs(event, texts)
+                if version >= 7 and "fingerprint" in payload:
+                    _read_texts(event, "fingerprint", [payload["fingerprint"]], texts)
+                outputs = payload["outputs"]
+                if type(outputs) is not list:
+                    raise MalformedTraceError(f"event {event.seq}: outputs must be a list")
+                outputs = _read_texts(event, "output", outputs, texts)
                 if version >= 4:
                     _check_sample_index(event)
                 if payload.get("purpose") == "execution":

@@ -579,12 +579,21 @@ class TestExitCodes:
         # 1 - value is the variance the deviation line reads
         (5, "score", {"value": 1.5}, "semantic score value 1.5 is outside [-1, 1]"),
         (5, "score", {"value": math.nan}, "semantic score value nan is outside [-1, 1]"),
+        # kl_stability_score gives values in [0, 1] only
+        *[(6, "score", {"metric": "kl", "value": value},
+           f"kl score value {value!r} is outside [0, 1]")
+          for value in (math.nan, math.inf, -0.5, 1.5)],
+        (6, "score", {"metric": "judge", "value": -math.inf}, "score value -inf is not finite"),
         (5, "final", {"final_output": 0}, "final_output 0 is not a text"),
         (5, "final", {"final_output": None}, "final_output None is not a text"),
         (5, "execution", {"outputs": [7]}, "output 7 is not a text"),
         (6, "execution", {"outputs": [99]}, "output 99 is not a text or the ordinal"),
         (6, "execution", {"outputs": [False]}, "output False is not a text or the ordinal"),
         (6, "execution", {"outputs": [None]}, "output None is not a text or the ordinal"),
+        (7, "execution", {"outputs": [99]}, "output 99 is not a text or the ordinal"),
+        *[(7, "execution", {"fingerprint": fingerprint},
+           f"fingerprint {fingerprint!r} is not a text or the ordinal")
+          for fingerprint in (-1, 99, True, 1.5, None)],
         *[(6, "stability", {"outputs": ["x", "y"], "sample_count": 3, "sample_index": index},
            "sample_index is not a list of integers")
           for index in ([0, True, 0.0], [0, 1.0, 1], {"0": 0, "1": 1, "2": 0})],
@@ -599,6 +608,7 @@ class TestExitCodes:
         header, *events = (DATA / f"trace_v{version}_strategy_shift.jsonl").read_text(
             encoding="utf-8").splitlines()
         events = [json.loads(line) for line in events]
+        # an event's number is its position, which before version 7 is its seq
         picks = {"score": lambda p: "value" in p,
                  "final": lambda p: p.get("to") == "succeeded",
                  "execution": lambda p: p.get("purpose") == "execution",
@@ -608,12 +618,32 @@ class TestExitCodes:
         else:
             event = next(e for e in events if picks[kind](e["payload"]))
             event["payload"].update(change)
-            where = f"event {event['seq']}: "
+            where = f"event {events.index(event)}: "
         broken = tmp_path / "broken.jsonl"
         broken.write_text("\n".join([header, *map(json.dumps, events)]) + "\n", encoding="utf-8")
         code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
         assert (code, out) == (4, "")
         assert err.startswith(f"malformed trace: {where}{message}")
+
+    @pytest.mark.parametrize("version, change, message", [
+        (7, {"kind": "event"}, "keys ['kind', 'payload', 'ts', 'type']"),
+        (7, {"seq": 3}, "keys ['payload', 'seq', 'ts', 'type']"),
+        *[(7, {"ts": ts}, f"ts must be a non-negative integer, got {ts!r}")
+          for ts in (1.5, True, -1)],
+        # a version 6 event line needs its seq
+        (6, {"seq": None}, "keys ['kind', 'payload', 'ts', 'type']"),
+    ])
+    def test_a_bad_event_line_is_a_malformed_trace(self, tmp_path, capsys, version, change,
+                                                   message):
+        header, first, *events = (DATA / f"trace_v{version}_strategy_shift.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        line = {k: v for k, v in {**json.loads(events[0]), **change}.items() if v is not None}
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join([header, first, json.dumps(line), *events[1:]]) + "\n",
+                          encoding="utf-8")
+        code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"malformed trace: line 3: bad event record: {message}")
 
     def test_a_nan_granularity_in_a_plan_snapshot_is_a_malformed_trace(self, tmp_path,
                                                                        capsys):

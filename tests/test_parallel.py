@@ -26,6 +26,7 @@ from promptor.trace import TraceWriter, canonical_trace_bytes, replay_trace
 
 from .pipeline_fixture import TASK, pipeline_generator, planner_behavior
 from .stub_server import StubApiServer, StubConfig
+from .test_trace import written_strings
 
 BRANCHES = [f"b{i}" for i in range(6)]
 FREE_TEXT = {"output_format": "free-text"}
@@ -283,7 +284,7 @@ def test_a_chain_starts_no_thread(monkeypatch, pools):
 
 # the canonical trace of the pipeline_fixture pipeline, pinned so that any
 # change to a trace byte fails here and is made on purpose
-PIPELINE_TRACE_SHA256 = "c35275c81ff4af094bc460b55380d1642cae8b0793c8a19f73fcea6c2fd090bb"
+PIPELINE_TRACE_SHA256 = "a50481e708034eebbece67242546a37431128134ed47d7eaad451b69bddab5e4"
 
 
 @pytest.mark.parametrize("width", [1, 4])
@@ -336,6 +337,9 @@ def test_review_failure_is_recorded_after_the_last_rejected_review(monkeypatch):
     assert traces[4] == traces[1]
     assert replay_trace(trace).run_status == "succeeded"
     events = trace.events
+    # each generation event's fingerprint, ordinals resolved
+    fingerprints = {e.seq: strings[0] for e, strings in
+                    zip(trace.events_of_type("generation"), written_strings(trace))}
     for sub in ("root", "left", "right", "sink"):
         mine = [k for k, e in enumerate(events) if e.payload.get("subtask_id") == sub]
         reasons = [events[k].payload["reason"] for k in mine if events[k].type == "warning"]
@@ -350,10 +354,10 @@ def test_review_failure_is_recorded_after_the_last_rejected_review(monkeypatch):
                     and events[k].payload["reason"] in REVIEW_WARNINGS]
         assert rejected and failures[0] == rejected[-1] + 1
         # the executed prompt is the initial one, the only prompt sampled
-        generations = [events[k].payload for k in mine if events[k].type == "generation"
+        generations = [k for k in mine if events[k].type == "generation"
                        and events[k].payload["purpose"] in ("stability", "execution")]
-        assert [g["purpose"] for g in generations] == ["stability", "execution"]
-        assert generations[0]["fingerprint"] == generations[1]["fingerprint"]
+        assert [events[k].payload["purpose"] for k in generations] == ["stability", "execution"]
+        assert fingerprints[generations[0]] == fingerprints[generations[1]]
         assert [events[k].payload["component"] for k in mine
                 if events[k].type == "revision"] == ["initial"]
     assert len(warnings_of(trace, "invalid-review")) == 3

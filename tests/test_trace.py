@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -46,6 +48,9 @@ V5_TRACE = Path(__file__).parent / "data" / "trace_v5_strategy_shift.jsonl"
 # The same run as written by trace version 6, whose generation events write a
 # text the trace already holds as its ordinal.
 V6_TRACE = Path(__file__).parent / "data" / "trace_v6_strategy_shift.jsonl"
+# The same run as written by trace version 7, whose event lines carry no kind
+# and no seq, and whose generation events number fingerprints as texts.
+V7_TRACE = Path(__file__).parent / "data" / "trace_v7_strategy_shift.jsonl"
 V1_REPORT = """runs: 1
 execution success rate: 1.000000
 completion rate: 1.000000 (1/1 reference checks passed)
@@ -62,25 +67,37 @@ run 1: succeeded
 """
 
 
-def make_trace(events):
+def make_trace(events, version=1):
     return ExecutionTrace(
-        header={"version": 1, "created_at": "2024-01-01T00:00:00", "run": "t"},
+        header={"version": version, "created_at": "2024-01-01T00:00:00", "run": "t"},
         events=tuple(events),
     )
 
 
-def written_outputs(trace):
-    """Each generation event's outputs, with every ordinal replaced by the
-    text it numbers: the texts written in full, counted in trace order."""
+def written_strings(trace):
+    """Each generation event's fingerprint and outputs, in the order the
+    writer numbers them, with every ordinal replaced by the text it numbers:
+    the strings written in full, counted in trace order."""
     texts, resolved = [], []
     for event in trace.events_of_type("generation"):
-        outputs = []
-        for output in event.payload["outputs"]:
-            if type(output) is str:
-                texts.append(output)
-            outputs.append(texts[output] if type(output) is int else output)
-        resolved.append(outputs)
+        strings = []
+        for entry in [event.payload["fingerprint"], *event.payload["outputs"]]:
+            if type(entry) is str:
+                texts.append(entry)
+            strings.append(texts[entry] if type(entry) is int else entry)
+        resolved.append(strings)
     return resolved
+
+
+def written_outputs(trace):
+    """Each generation event's outputs, with every ordinal resolved."""
+    return [strings[1:] for strings in written_strings(trace)]
+
+
+def fingerprint(k):
+    """A fingerprint as the orchestrator writes one: 64 hex digits, so that
+    no output text of these tests equals it."""
+    return hashlib.sha256(f"prompt {k}".encode()).hexdigest()
 
 
 def write_and_read(trace, path):
@@ -100,9 +117,10 @@ class TestEventAndSerialization:
     def test_round_trip_preserves_canonical_form(self, tmp_path):
         trace = make_trace(
             [
-                TraceEvent(0, "warning", {"reason": "x"}, 1.5),
-                TraceEvent(1, "score", {"subtask_id": "a", "value": 0.25}, 2.5),
-            ]
+                TraceEvent(0, "warning", {"reason": "x"}, 1),
+                TraceEvent(1, "score", {"subtask_id": "a", "value": 0.25}, 2),
+            ],
+            TRACE_VERSION,
         )
         parsed = write_and_read(trace, tmp_path / "run.jsonl")
         assert canonicalize(parsed) == canonicalize(trace)
@@ -120,7 +138,7 @@ class TestEventAndSerialization:
         assert reasons == ["x", "y"]
 
     def test_file_round_trip(self, tmp_path):
-        trace = make_trace([TraceEvent(0, "warning", {"reason": "x"}, 0.0)])
+        trace = make_trace([TraceEvent(0, "warning", {"reason": "x"}, 0)], TRACE_VERSION)
         assert canonicalize(write_and_read(trace, tmp_path / "run.jsonl")) == canonicalize(trace)
 
     @given(
@@ -138,7 +156,7 @@ class TestEventAndSerialization:
     )
     def test_any_payload_round_trips(self, tmp_path_factory, specs):
         trace = make_trace(
-            TraceEvent(i, t, p, float(i)) for i, (t, p) in enumerate(specs)
+            (TraceEvent(i, t, p, i) for i, (t, p) in enumerate(specs)), TRACE_VERSION
         )
         # each example overwrites the one file
         path = tmp_path_factory.getbasetemp() / "payloads.jsonl"
@@ -147,7 +165,8 @@ class TestEventAndSerialization:
 
 class TestWriter:
     def test_seq_assignment_and_header(self):
-        with TraceWriter({"run": "w"}) as writer:
+        # the header's version is the format the writer writes
+        with TraceWriter({"run": "w", "version": 1}) as writer:
             writer.emit("warning", {"reason": "a"})
             writer.warning("b", detail=1)
             trace = writer.trace()
@@ -164,6 +183,19 @@ class TestWriter:
             writer.emit("score", {"subtask_id": "s", "value": 1.0})
             in_memory = writer.trace()
         assert canonical_trace_bytes(read_trace(path)) == canonical_trace_bytes(in_memory)
+
+    def test_an_event_line_is_its_type_payload_and_microsecond_offset(self, tmp_path):
+        path = tmp_path / "live.jsonl"
+        with TraceWriter({"run": "w"}, path=path) as writer:
+            for k in range(3):
+                writer.emit("warning", {"reason": f"r{k}"})
+        header, *lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert header["kind"] == "header" and header["version"] == TRACE_VERSION
+        assert [set(line) for line in lines] == [{"payload", "ts", "type"}] * 3
+        stamps = [line["ts"] for line in lines]
+        assert all(type(ts) is int for ts in stamps) and 0 <= stamps[0]
+        assert stamps == sorted(stamps)
+        assert [e.ts for e in read_trace(path).events] == stamps
 
     def test_concurrent_emitters_get_unique_contiguous_seqs(self):
         writer = TraceWriter({"run": "w"})
@@ -190,31 +222,40 @@ OUTPUT_TEXTS = st.one_of(st.sampled_from(["", " ", "\n", "0", "1", "7", "-1", "1
 
 
 class TestOutputsByReference:
-    def generation(self, k, outputs, purpose="execution"):
-        return {"subtask_id": f"s{k}", "purpose": purpose, "fingerprint": "f",
+    def generation(self, k, outputs, purpose="execution", prompt=None):
+        return {"subtask_id": f"s{k}", "purpose": purpose,
+                "fingerprint": fingerprint(k if prompt is None else prompt),
                 "temperature": 1.0, "sample_count": len(outputs), "outputs": outputs}
 
-    @given(st.lists(st.lists(OUTPUT_TEXTS, min_size=1, max_size=5, unique=True), max_size=8))
+    @given(st.lists(st.tuples(st.integers(0, 2),
+                              st.lists(OUTPUT_TEXTS, min_size=1, max_size=5, unique=True)),
+                    max_size=8))
     def test_outputs_round_trip_through_a_file(self, tmp_path_factory, draws):
         path = tmp_path_factory.getbasetemp() / "outputs.jsonl"
-        payloads = [self.generation(k, outputs) for k, outputs in enumerate(draws)]
+        payloads = [self.generation(k, outputs, prompt=prompt)
+                    for k, (prompt, outputs) in enumerate(draws)]
         given_payloads = json.loads(json.dumps(payloads))
         with TraceWriter({"run": "r"}, path=path) as writer:
             for payload in payloads:
                 writer.emit("generation", payload)
             in_memory = writer.trace()
-        # the callers' payloads keep their texts
+        # fingerprints repeat with prompts, and share the outputs' numbering;
+        # the callers' payloads keep their strings
         assert payloads == given_payloads
         parsed = read_trace(path)
         assert canonical_trace_bytes(parsed) == canonical_trace_bytes(in_memory)
-        assert written_outputs(parsed) == draws
-        # each text is written in full once, and each later copy as its ordinal
-        written = [o for e in parsed.events for o in e.payload["outputs"] if type(o) is str]
-        assert written == list(dict.fromkeys(o for outputs in draws for o in outputs))
+        strings = [[p["fingerprint"], *p["outputs"]] for p in payloads]
+        assert written_strings(parsed) == strings
+        # each string is written in full once, and each later copy as its ordinal
+        written = [entry for e in parsed.events
+                   for entry in [e.payload["fingerprint"], *e.payload["outputs"]]
+                   if type(entry) is str]
+        assert written == list(dict.fromkeys(s for row in strings for s in row))
         state = replay_trace(parsed)
-        assert state.outputs == {f"s{k}": outputs[0] for k, outputs in enumerate(draws)}
+        assert state.outputs == {f"s{k}": outputs[0] for k, (_, outputs) in enumerate(draws)}
 
     def test_never_repeating_outputs_are_written_as_in_version_5(self):
+        # each prompt is new too, so no fingerprint is an ordinal either
         payloads = [self.generation(k, [f"answer {k}.{j}" for j in range(3)], "stability")
                     for k in range(4)]
         writer = TraceWriter({"run": "r"})
@@ -226,12 +267,16 @@ class TestOutputsByReference:
 
     def test_numbering_follows_the_writer_not_the_emitters(self):
         writer = TraceWriter({"run": "r"})
-        writer.emit("generation", self.generation(0, ["a", "b"]))
-        writer.emit("warning", {"reason": "x", "outputs": ["a"]})
-        writer.emit("generation", self.generation(1, ["b", "c", "a"]))
-        writer.emit("generation", self.generation(2, ["c"]))
-        outputs = [e.payload["outputs"] for e in writer.trace().events]
-        assert outputs == [["a", "b"], ["a"], [1, "c", 0], [2]]
+        writer.emit("generation", self.generation(0, ["a", "b"], prompt="p"))
+        writer.emit("warning", {"reason": "x", "outputs": ["a"], "fingerprint": fingerprint("p")})
+        writer.emit("generation", self.generation(1, ["b", "c", "a"], prompt="q"))
+        writer.emit("generation", self.generation(2, ["c"], prompt="p"))
+        writer.emit("generation", self.generation(3, ["d"], prompt="q"))
+        payloads = [e.payload for e in writer.trace().events]
+        # the fingerprint is numbered before the event's outputs
+        assert [p["outputs"] for p in payloads] == [["a", "b"], ["a"], [2, "c", 1], [4], ["d"]]
+        assert [p["fingerprint"] for p in payloads] == [
+            fingerprint("p"), fingerprint("p"), fingerprint("q"), 0, 3]
 
     def test_version_6_fixture_replays_to_the_same_report(self):
         trace = read_trace(V6_TRACE)
@@ -258,6 +303,33 @@ class TestOutputsByReference:
                   TraceEvent(1, "generation", self.generation(1, outputs), 0.0))
         with pytest.raises(MalformedTraceError, match=f"event 1: {match}"):
             replay_trace(ExecutionTrace({"version": version}, events))
+
+    @pytest.mark.parametrize("entry", [-1, 2, True, 0.0, None, ["x"]],
+                             ids=["negative", "too-large", "bool", "float", "null", "list"])
+    def test_a_fingerprint_that_is_no_text_is_malformed(self, entry):
+        # the first event writes two strings in full, its fingerprint and "x"
+        first = TraceEvent(0, "generation", self.generation(0, ["x"], "review"), 0)
+        events = (first, TraceEvent(1, "generation", {**self.generation(1, ["y"]),
+                                                      "fingerprint": entry}, 0))
+        with pytest.raises(MalformedTraceError, match=f"event 1: fingerprint {re.escape(repr(entry))} is not"
+                                                      " a text or the ordinal of an earlier one"):
+            replay_trace(ExecutionTrace({"version": 7}, events))
+        # before version 7 replay reads no fingerprint
+        assert replay_trace(ExecutionTrace({"version": 6}, events)).outputs == {
+            "s1": "y"}
+
+    def test_a_fingerprint_is_numbered_before_the_outputs(self):
+        # ordinal 1 is the first event's output "x", 0 its fingerprint
+        events = (TraceEvent(0, "generation", self.generation(0, ["x"], "review"), 0),
+                  TraceEvent(1, "generation", {**self.generation(1, [1, 0]),
+                                               "fingerprint": 0}, 0))
+        state = replay_trace(ExecutionTrace({"version": 7}, events))
+        assert state.outputs == {"s1": "x"}
+        # ordinal 2 would be "y", which is written only after it
+        events += (TraceEvent(2, "generation", {**self.generation(2, [2, "y"]),
+                                                "fingerprint": 1}, 0),)
+        with pytest.raises(MalformedTraceError, match="event 2: output 2 is not"):
+            replay_trace(ExecutionTrace({"version": 7}, events))
 
 
 class TestParsingErrors:
@@ -329,10 +401,50 @@ class TestParsingErrors:
         with pytest.raises(MalformedTraceError, match=f"line 2: bad event record: .*{match}"):
             parse_trace_lines([self.HEADER, json.dumps({**ev, **change})])
 
-    def test_event_envelope_needs_a_timestamp(self):
-        ev = {"kind": "event", "seq": 3, "type": "warning", "payload": {}}
-        with pytest.raises(MalformedTraceError, match="bad event record: keys"):
-            parse_trace_lines([self.HEADER, json.dumps(ev)])
+    @pytest.mark.parametrize("version, missing", [(1, "ts"), (6, "ts"), (6, "seq")])
+    def test_event_envelope_before_version_7_needs_a_seq_and_a_timestamp(self, version,
+                                                                         missing):
+        ev = {"kind": "event", "seq": 3, "type": "warning", "payload": {}, "ts": 1.5}
+        del ev[missing]
+        header = json.dumps({"kind": "header", "version": version})
+        with pytest.raises(MalformedTraceError, match="line 2: bad event record: keys"):
+            parse_trace_lines([header, json.dumps(ev)])
+
+    V7_HEADER = json.dumps({"kind": "header", "version": 7})
+
+    @pytest.mark.parametrize("change, match", [
+        ({"kind": "event"}, r"keys \['kind', 'payload', 'ts', 'type'\]"),
+        ({"seq": 0}, r"keys \['payload', 'seq', 'ts', 'type'\]"),
+        ({"ts": 1.5}, "ts must be a non-negative integer, got 1.5"),
+        ({"ts": 2.0}, "ts must be a non-negative integer, got 2.0"),
+        ({"ts": True}, "ts must be a non-negative integer, got True"),
+        ({"ts": -1}, "ts must be a non-negative integer, got -1"),
+        ({"ts": "7"}, "ts must be a non-negative integer, got '7'"),
+        ({"type": ["warning"]}, "unknown type"),
+    ])
+    def test_version_7_event_envelope_is_read_strictly(self, change, match):
+        ev = {"type": "warning", "payload": {}, "ts": 7}
+        with pytest.raises(MalformedTraceError, match=f"line 3: bad event record: {match}"):
+            parse_trace_lines([self.V7_HEADER, json.dumps(ev), json.dumps({**ev, **change})])
+
+    @pytest.mark.parametrize("line", [{"type": "warning", "ts": 0},
+                                      {"type": "warning", "payload": {}},
+                                      {"kind": "header", "version": 7}])
+    def test_version_7_event_envelope_needs_its_three_keys(self, line):
+        with pytest.raises(MalformedTraceError, match="line 2: bad event record: keys"):
+            parse_trace_lines([self.V7_HEADER, json.dumps(line)])
+
+    def test_version_7_payload_must_be_object(self):
+        bad = json.dumps({"type": "warning", "payload": [1], "ts": 0})
+        with pytest.raises(MalformedTraceError, match="line 2: event payload"):
+            parse_trace_lines([self.V7_HEADER, bad])
+
+    def test_version_7_events_are_numbered_by_position(self):
+        lines = [json.dumps({"type": "warning", "payload": {"reason": r}, "ts": ts})
+                 for r, ts in (("a", 5), ("b", 0), ("c", 5))]
+        trace = parse_trace_lines([self.V7_HEADER, lines[0], "", *lines[1:]])
+        assert [(e.seq, e.ts, e.payload["reason"]) for e in trace.events] == [
+            (0, 5, "a"), (1, 0, "b"), (2, 5, "c")]
 
     def test_seq_must_strictly_increase(self):
         ev = {"kind": "event", "seq": 3, "type": "warning", "payload": {}, "ts": 0}
@@ -352,6 +464,13 @@ class TestParsingErrors:
 
 
 class TestCanonicalization:
+    def test_seq_does_not_affect_canonical_bytes(self):
+        # an event's number is its position
+        a = make_trace([TraceEvent(0, "warning", {"reason": "x"}, 0.0)])
+        b = make_trace([TraceEvent(4, "warning", {"reason": "x"}, 0.0)])
+        assert canonical_trace_bytes(a) == canonical_trace_bytes(b)
+        assert "seq" not in canonicalize(a)["events"][0]
+
     def test_timestamps_do_not_affect_canonical_bytes(self):
         a = ExecutionTrace(
             header={"version": 1, "created_at": "2024-01-01", "run": "r"},
@@ -457,7 +576,7 @@ class TestReplay:
         assert state.variances == {"a": 1.0 - executed}
 
     @pytest.mark.parametrize("path", [V1_TRACE, V2_TRACE, V3_TRACE, V4_TRACE, V5_TRACE,
-                                      V6_TRACE], ids=[f"v{k}" for k in range(1, 7)])
+                                      V6_TRACE, V7_TRACE], ids=[f"v{k}" for k in range(1, 8)])
     def test_every_fixture_version_gives_each_subtask_the_variance_of_its_last_score(
             self, path):
         state = replay_trace(read_trace(path))
@@ -572,13 +691,28 @@ class TestReplay:
             assert len(new) < len(old)
             assert ModularPrompt.from_json_dict(new) == ModularPrompt.from_json_dict(old)
 
+    def test_version_7_fixture_is_this_codes_run_and_replays_to_the_same_report(self):
+        trace, current = read_trace(V7_TRACE), self.current_run()
+        assert trace.header["version"] == 7
+        assert canonical_trace_bytes(trace) == canonical_trace_bytes(current)
+        lines = V7_TRACE.read_text(encoding="utf-8").splitlines()[1:]
+        assert all(set(json.loads(line)) == {"payload", "ts", "type"} for line in lines)
+        # each prompt run again writes its fingerprint as an ordinal
+        fingerprints = [e.payload["fingerprint"] for e in trace.events_of_type("generation")]
+        assert any(type(f) is int for f in fingerprints)
+        assert [f for f in fingerprints if type(f) is str] == list(dict.fromkeys(
+            f for strings in written_strings(trace) for f in strings[:1]))
+        assert render_run_report(compute_run_metrics([trace])) == V1_REPORT
+        assert replay_trace(trace) == replay_trace(read_trace(V6_TRACE))
+
     def test_repeated_samples_are_stored_once_and_expand_back(self):
         trace = self.current_run()
         v3 = read_trace(V3_TRACE).events_of_type("generation")
         generations = trace.events_of_type("generation")
         assert len(generations) == len(v3)
-        # each text is written in full once in the whole trace
-        written = [o for e in generations for o in e.payload["outputs"] if type(o) is str]
+        # each string is written in full once in the whole trace
+        written = [s for e in generations for s in [e.payload["fingerprint"], *e.payload["outputs"]]
+                   if type(s) is str]
         assert len(set(written)) == len(written)
         for event, outputs, old in zip(generations, written_outputs(trace), v3):
             samples = old.payload["outputs"]
