@@ -211,10 +211,9 @@ def _linear_chain_violations(plan: Plan) -> list[str]:
 def _fan_out_fan_in_violations(plan: Plan) -> list[str]:
     if len(plan.subtasks) < 3:
         return ["fan-out/fan-in needs a root, at least one branch, and a sink"]
+    # a Plan's subtasks are in topological order, so the root has no dependencies
     root, *middle, sink = plan.subtasks
     problems = []
-    if root.dependencies:
-        problems.append(f"{root.id}: the root must have no dependencies")
     for sub in middle:
         if sub.dependencies != frozenset({root.id}):
             problems.append(f"{sub.id}: branches must depend on the root only")

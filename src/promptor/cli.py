@@ -4,7 +4,6 @@ from traces."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -100,49 +99,37 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "metric", None):
-        updates["metric"] = args.metric
-    if getattr(args, "tau", None) is not None:
-        updates["tau"] = args.tau
-    if getattr(args, "samples", None) is not None:
-        updates["samples"] = args.samples
-    if getattr(args, "disable", None):
-        modules = dict(cfg.modules)
-        for name in args.disable:
-            modules[name.replace("-", "_")] = False
-        updates["modules"] = modules
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
-def _make_orchestrator(cfg: PipelineConfig, trace_path: str | None) -> Orchestrator:
-    generator, embedder = cfg.build_backends()
-    writer = TraceWriter(cfg.header(), path=trace_path)
-    return Orchestrator(generator, embedder, writer, cfg.settings)
+def _read_config(args) -> PipelineConfig:
+    """The config file with the command line's flags merged in, read in one
+    pass, so that the reader checks flags and file together."""
+    data = _read_json(args.config, "config")
+    flags = {"seed": args.seed, "metric": args.metric, "tau": args.tau, "samples": args.samples}
+    data.update({key: value for key, value in flags.items() if value is not None})
+    modules = data.get("modules", {})
+    disabled = {name.replace("-", "_"): False for name in getattr(args, "disable", ())}
+    # a modules value that is no object is left for the reader to reject
+    if disabled and type(modules) is dict:
+        data["modules"] = {**modules, **disabled}
+    return PipelineConfig.from_json_dict(data)
 
 
 def cmd_run(args) -> int:
-    cfg = _apply_overrides(PipelineConfig.from_file(args.config), args)
-    orch = _make_orchestrator(cfg, args.trace)
-    try:
+    cfg = _read_config(args)
+    generator, embedder = cfg.build_backends()
+    with TraceWriter(cfg.header(), path=args.trace) as writer:
+        orch = Orchestrator(generator, embedder, writer, cfg.settings)
         trace = orch.run_pipeline(cfg.task, cfg.template)
-    finally:
-        orch.trace.close()
     _emit(render_run_report(compute_run_metrics([trace])), args.out)
     return EXIT_OK
 
 
 def cmd_eval_stability(args) -> int:
     prompt = _load(ModularPrompt, _read_json(args.prompt, "prompt"), f"prompt {args.prompt}")
-    cfg = _apply_overrides(PipelineConfig.from_file(args.config), args)
-    orch = _make_orchestrator(cfg, args.trace)
-    try:
+    cfg = _read_config(args)
+    generator, embedder = cfg.build_backends()
+    with TraceWriter(cfg.header(), path=args.trace) as writer:
+        orch = Orchestrator(generator, embedder, writer, cfg.settings)
         score = orch.evaluate_prompt_stability(prompt, subtask_id="eval")
-    finally:
-        orch.trace.close()
     verdict = "stable" if score.value >= cfg.tau else "unstable"
     _emit(
         f"stability: {score.value:.10f}\n"

@@ -1,11 +1,11 @@
 """Run configuration: one JSON document describing the task, the gate
 parameters, the module toggles, and the backends, so a whole run is
-reproducible from the file plus a seed."""
+reproducible from the file plus a seed, or from its trace header alone."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .agent_prompts import TEMPLATES
@@ -25,7 +25,7 @@ from .backends import (
 )
 from .errors import ConfigError
 from .orchestrator import OrchestratorSettings, RefinementConfig
-from .prompt import _read_record
+from .prompt import _read_record, _write_field
 
 EXACT = "exact"
 NUMERIC_MATCH = "numeric"
@@ -205,31 +205,13 @@ class PipelineConfig:
     def from_json_dict(cls, data: dict) -> "PipelineConfig":
         return _load(cls, data, "config")
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_json_dict(_read_json(path, "config"))
-
     def build_backends(self) -> tuple[Generator, Embedder]:
         return build_generator(self.generator, run_seed=self.seed), build_embedder(
             self.embedder
         )
 
     def header(self) -> dict:
-        """Trace header fields identifying the run. The module toggles and
-        the reference answer travel with the trace so any report computed
-        later is attributable to the exact configuration."""
-        header = {
-            "task": self.task,
-            "seed": self.seed,
-            "tau": self.tau,
-            "samples": self.samples,
-            "metric": self.metric,
-            "modules": dict(self.modules),
-            "generator_kind": self.generator.get("kind"),
-            "embedder_kind": self.embedder.get("kind"),
-        }
-        if self.reference_answer is not None:
-            header["reference_answer"] = self.reference_answer
-            header["reference_match"] = self.reference_match
-            header["reference_tolerance"] = self.reference_tolerance
-        return header
+        """The trace header: every field, defaults included, so that it says
+        what the run used even after a default changes, and reads back
+        through from_json_dict to this config."""
+        return {f.name: _write_field(self, f.name) for f in fields(self) if f.init}

@@ -1080,8 +1080,6 @@ class Orchestrator:
             for head, subtask_id in enumerate(order):
                 started = ahead.pop(subtask_id, None)
                 sub = plan.subtask(subtask_id)
-                if sub.status is not SubtaskStatus.PENDING:
-                    continue
                 blocked = [
                     dep for dep in sub.dependencies
                     if plan.subtask(dep).status is not SubtaskStatus.EXECUTED_OK

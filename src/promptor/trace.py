@@ -399,9 +399,6 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                     state.plan = with_update(
                         state.plan, PlanUpdate.from_json_dict(payload["update"])
                     )
-                # only version 1 traces carry run_status here
-                if payload.get("run_status"):
-                    state.run_status = payload["run_status"]
             elif event.type == "status-change":
                 if payload.get("subtask_id") == "__run__":
                     state.run_status = payload["to"]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from promptor.cli import build_parser, main
+from promptor.config import PipelineConfig
 from promptor.errors import ZeroVectorError
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
@@ -48,6 +49,7 @@ MALFORMED_INPUTS = [
     malformed("run", {"smaples": 5}, "smaples"),
     malformed("run", {"template": "no-such-template"}, "template"),
     malformed("run", {"max_tokens": 0}, "max_tokens"),
+    malformed("run", {"reference_tolerance": -0.5}, "reference_tolerance"),
     # json reads NaN and Infinity, which no number field takes
     malformed("run", {"kl_alpha": math.nan}, "kl_alpha"),
     malformed("run", scripted(behaviors=[behavior(outcomes=[["a", math.nan], ["b", 1.0]])]),
@@ -163,6 +165,47 @@ class TestRun:
             "plan_updater": True,
             "knowledge_generator": False,
         }
+
+    @pytest.mark.parametrize("source", ["readme", "pipeline-fixture"])
+    def test_the_trace_header_is_the_config_and_reruns_the_run(self, tmp_path, capsys, source):
+        config = (readme_json_block("### Pipeline config") if source == "readme"
+                  else pipeline_config_dict())
+        trace_path = tmp_path / "run.jsonl"
+        code, report, err = invoke(
+            ["run", "--config", write_json(tmp_path / "cfg.json", config),
+             "--trace", str(trace_path), "--seed", "3", "--tau", "0.75", "--samples", "4",
+             "--disable", "reviewer"], capsys)
+        assert (code, err) == (0, "")
+        header = json.loads(trace_path.read_text(encoding="utf-8").splitlines()[0])
+        rerun = {key: value for key, value in header.items()
+                 if key not in ("kind", "version", "created_at")}
+        used = {**config, "seed": 3, "tau": 0.75, "samples": 4,
+                "modules": {**config.get("modules", {}), "reviewer": False}}
+        assert PipelineConfig.from_json_dict(rerun) == PipelineConfig.from_json_dict(used)
+        rerun_path = write_json(tmp_path / "rerun.json", rerun)
+        assert invoke(["run", "--config", rerun_path], capsys) == (0, report, "")
+
+    def test_a_config_file_reaches_the_header_whole(self, tmp_path, capsys):
+        config_path = write_json(tmp_path / "kl.json",
+                                 pipeline_config_dict(metric="kl", kl_alpha=0.5))
+        trace_path = tmp_path / "run.jsonl"
+        code, _, _ = invoke(["run", "--config", config_path, "--trace", str(trace_path)],
+                            capsys)
+        assert code == 0
+        header = read_trace(trace_path).header
+        assert (header["metric"], header["kl_alpha"]) == ("kl", 0.5)
+        assert header["generator"] == pipeline_config_dict()["generator"]
+
+    def test_flags_override_the_file_before_it_is_checked(self, tmp_path, capsys):
+        # one sample is no measurement, but the flag replaces it before the
+        # file is read
+        config_path = write_json(tmp_path / "one.json", pipeline_config_dict(samples=1))
+        trace_path = tmp_path / "run.jsonl"
+        code, out, err = invoke(["run", "--config", config_path, "--samples", "5",
+                                 "--trace", str(trace_path)], capsys)
+        assert (code, err) == (0, "")
+        assert "run 1: succeeded" in out
+        assert read_trace(trace_path).header["samples"] == 5
 
     def test_disable_unknown_module_is_usage_error(self, config_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -292,6 +335,11 @@ class TestReplayAndReport:
         assert out.startswith(f"runs: {len(files)}\n") and len(read) == len(files) > 1
         assert all(ref() is None for ref in read)
 
+    def test_report_on_a_directory_without_traces_is_a_config_error(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no trace here", encoding="utf-8")
+        code, out, err = invoke(["report", "--trace", str(tmp_path)], capsys)
+        assert (code, out, err) == (2, "", "config error: no trace files found\n")
+
     def test_report_correlation_matches_stdlib_oracle(self, tmp_path, capsys):
         import statistics
 
@@ -420,6 +468,24 @@ def readme_json_block(heading: str) -> dict:
     return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
+def eval_against_stub(tmp_path, capsys, backend, body):
+    """eval-stability's exit code and stderr with one backend, generator or
+    embedder, served by a stub that answers every request with body."""
+    prompt = executor_prompt("eval", "Say the word.")
+    prompt_path = write_json(tmp_path / "prompt.json", prompt.to_json_dict())
+    with StubApiServer(StubConfig(raw_response=body)) as server:
+        http = {"kind": "http", "endpoint_url": server.base_url, "model_name": "m",
+                "max_retries": 0}
+        cfg = {"task": "standalone stability evaluation", "samples": 2, backend: http}
+        if backend == "embedder":
+            # this seed draws both texts, so the embedder is asked for two rows
+            cfg["generator"] = {"kind": "scripted", "default": {
+                "outcomes": [["alpha", 0.5], ["beta", 0.5]], "seed": 2}}
+        config_path = write_json(tmp_path / "http.json", cfg)
+        code, _, err = invoke(["eval-stability", prompt_path, "--config", config_path], capsys)
+    return code, err
+
+
 class TestExitCodes:
     # correlate and simulate-bound are no subcommands: every report prints
     # the correlation and each run's deviation bound itself
@@ -476,10 +542,13 @@ class TestExitCodes:
         {"embedder": {**HTTP_SPEC, "timeout": True}},
         {"embedder": {**HTTP_SPEC, "endpoint_url": 5}},
         {"generator": {**HTTP_SPEC, "max_inflght": 8}},
+        # a row that is no object is the whole document
+        [pipeline_config_dict()],
     ])
     def test_malformed_config_exits_before_the_trace(self, tmp_path, capsys, overrides):
         # failure injection: a config mistake stops the run before a trace is opened
-        config = write_json(tmp_path / "bad.json", pipeline_config_dict(**overrides))
+        document = pipeline_config_dict(**overrides) if type(overrides) is dict else overrides
+        config = write_json(tmp_path / "bad.json", document)
         trace_path = tmp_path / "never.jsonl"
         code, _, err = invoke(["run", "--config", config, "--trace", str(trace_path)],
                               capsys)
@@ -514,6 +583,16 @@ class TestExitCodes:
         assert err.startswith("config error:") and "sample_count" in err
         assert not trace_path.exists()
 
+    @pytest.mark.parametrize("tau", ["nan", "2"])
+    def test_a_bad_tau_flag_is_a_config_error_before_the_trace(self, tmp_path, config_path,
+                                                               capsys, tau):
+        trace_path = tmp_path / "never.jsonl"
+        code, out, err = invoke(["run", "--config", config_path, "--tau", tau,
+                                 "--trace", str(trace_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error:") and "tau" in err
+        assert not trace_path.exists()
+
     def test_eval_stability_without_config_is_usage_error(self, tmp_path, capsys):
         # no default config: its scripted generator would know no prompt
         prompt = executor_prompt("eval", "Say the word.")
@@ -530,21 +609,22 @@ class TestExitCodes:
         ("embedder", b'{"data":[{"embedding":[0.0,0.0]},{"embedding":[1.0,0.0]}]}'),
     ])
     def test_malformed_http_reply_is_a_backend_error(self, tmp_path, capsys, backend, body):
-        prompt = executor_prompt("eval", "Say the word.")
-        prompt_path = write_json(tmp_path / "prompt.json", prompt.to_json_dict())
-        with StubApiServer(StubConfig(raw_response=body)) as server:
-            http = {"kind": "http", "endpoint_url": server.base_url, "model_name": "m",
-                    "max_retries": 0}
-            # two samples, so the embedder is asked for the two rows the stub sends
-            cfg = {"task": "standalone stability evaluation", "samples": 2, backend: http}
-            if backend == "embedder":
-                cfg["generator"] = {"kind": "scripted",
-                                    "default": {"outcomes": [["alpha", 1.0]]}}
-            config_path = write_json(tmp_path / "http.json", cfg)
-            code, _, err = invoke(["eval-stability", prompt_path, "--config", config_path],
-                                  capsys)
+        code, err = eval_against_stub(tmp_path, capsys, backend, body)
         assert code == 3
         assert err.startswith("backend error:") and "malformed" in err
+
+    @pytest.mark.parametrize("backend, body, message", [
+        ("generator", b'{"choices":[{"message":{"text":"7"}},{"message":{"content":"7"}}]}',
+         "malformed chat-completions response: 'content'"),
+        ("embedder", b'{"data":[{"vector":[1.0,0.0]},{"embedding":[1.0,0.0]}]}',
+         "malformed embeddings response: 'embedding'"),
+        ("embedder", b'{"data":[{"embedding":[1.0,0.0]},{"embedding":[1.0,0.0,0.0]}]}',
+         "embedding dimensions disagree: [2, 3]"),
+    ], ids=["no-content", "no-embedding", "two-lengths"])
+    def test_an_http_reply_without_its_fields_is_a_backend_error(self, tmp_path, capsys,
+                                                                 backend, body, message):
+        code, err = eval_against_stub(tmp_path, capsys, backend, body)
+        assert (code, err) == (3, f"backend error: {message}\n")
 
     def test_malformed_trace(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.jsonl"

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,6 @@ from promptor.backends import (
 from promptor.config import PipelineConfig, build_embedder, build_generator
 from promptor.errors import ConfigError
 from promptor.orchestrator import (
-    KL,
     MAX_SAMPLE_COUNT,
     SEMANTIC,
     OrchestratorSettings,
@@ -129,25 +131,6 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError, match="sample_count"):
             PipelineConfig.from_json_dict({"task": "t", "samples": MAX_SAMPLE_COUNT + 1})
 
-    def test_from_file_round_trip(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"task": "t", "metric": KL, "kl_alpha": 0.5}))
-        cfg = PipelineConfig.from_file(path)
-        assert cfg.metric == KL
-        assert cfg.settings.refinement.kl_alpha == 0.5
-
-    def test_from_file_missing_or_invalid(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            PipelineConfig.from_file(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            PipelineConfig.from_file(bad)
-        arr = tmp_path / "arr.json"
-        arr.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="JSON object"):
-            PipelineConfig.from_file(arr)
-
 
 class TestOrchestratorSettings:
     def test_toggles_flow_through(self):
@@ -258,6 +241,9 @@ class TestBuildBackends:
         ("endpoint_url", 5),
         ("max_inflight", True),
         ("max_inflght", 8),
+        # the bearer token comes only from the environment, so no trace
+        # header, which holds the spec, can carry it
+        ("api_key", "sk-secret"),
     ])
     def test_http_spec_keys_are_typed(self, build, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -291,8 +277,8 @@ class TestHeader:
         assert header["tau"] == 0.8
         assert header["metric"] == "kl"
         assert header["modules"]["reviewer"] is False
-        assert header["generator_kind"] == "scripted"
-        assert "reference_answer" not in header
+        assert header["generator"] == {"kind": "scripted"}
+        assert header["reference_answer"] is None
 
     def test_header_carries_reference_when_configured(self):
         cfg = PipelineConfig.from_json_dict(
@@ -303,3 +289,36 @@ class TestHeader:
         assert header["reference_answer"] == "42"
         assert header["reference_match"] == "numeric"
         assert header["reference_tolerance"] == 0.5
+
+    @pytest.mark.parametrize("data", [
+        {"task": "t"},
+        {"task": "t", "seed": 3, "tau": 0.8, "samples": 7, "max_iterations": 2, "metric": "kl",
+         "kl_alpha": 0.5, "stability_temperature": 1, "execution_temperature": 0.25,
+         "reviewer_temperature": 0.0, "max_tokens": 64, "reask_budget": 0,
+         "augmentation_retries": 3, "target_granularity": 2.5, "template": "review-loop",
+         "modules": {"plan_updater": False}, "reference_answer": "42",
+         "reference_match": "numeric", "reference_tolerance": 0.5,
+         "generator": {"kind": "scripted", "default": {"outcomes": [["42", 1.0]]}},
+         "embedder": HTTP_SPEC},
+    ], ids=["defaults", "every-field"])
+    def test_header_is_the_whole_config(self, data):
+        # every field, defaults included, and nothing else: the header reads
+        # back to the config that wrote it
+        cfg = PipelineConfig.from_json_dict(data)
+        header = json.loads(json.dumps(cfg.header()))
+        assert list(header) == [f.name for f in dataclasses.fields(PipelineConfig) if f.init]
+        assert PipelineConfig.from_json_dict(header) == cfg
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    # the table under "Pipeline config": one row per key, in field order,
+    # with the default as JSON, or "required"
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = [re.match(r"\| `(\w+)` \| (required|`[^`]*`) \|", line).groups()
+            for line in table.splitlines()]
+    defaults = [(f.name, "required" if f.default is f.default_factory is dataclasses.MISSING
+                 else f.default if f.default_factory is dataclasses.MISSING
+                 else f.default_factory()) for f in dataclasses.fields(PipelineConfig) if f.init]
+    assert [(name, default if default == "required" else json.loads(default.strip("`")))
+            for name, default in rows] == defaults

@@ -295,6 +295,25 @@ class TestRefineUntilStable:
         assert len(warnings_with_reason(orch, "invalid-review")) == 3
         assert len(warnings_with_reason(orch, "review-failure")) == 1
 
+    @pytest.mark.parametrize("reply, detail", [
+        # neither a component name nor a list of names
+        ({"component": 5, "replacement": "cheerful"}, {"component": 5}),
+        # replace_component refuses a blank role
+        ({"component": "role", "replacement": "   "},
+         {"error": "role replacement must be non-empty text"}),
+    ], ids=["component-not-a-name", "blank-role"])
+    def test_an_unusable_revision_is_an_invalid_review(self, reply, detail):
+        base = ModularPrompt(role="You pick colors.", requirements=("Pick one.",))
+        behaviors = [ScriptedBehavior.for_prompt(render_prompt(base), UNSTABLE_OUTCOMES)]
+        assert_gate_stays_shut(render_prompt(base), behaviors, blocks=1)
+        rules = [prefix_json(ap.REVIEWER_STABILITY_MARK, "Subtask: sF", reply)]
+        orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, prefix_rules=rules),
+                                 OrchestratorSettings(reask_budget=0))
+        refined, history = orch.refine_until_stable(base, subtask_id="sF")
+        assert (refined, history.outcome) == (base, "review-failed")
+        [warning] = warnings_with_reason(orch, "invalid-review")
+        assert warning.payload == {"reason": "invalid-review", "subtask_id": "sF", **detail}
+
     @pytest.mark.parametrize("budget", [0, 2, 3])
     def test_mixed_reviewer_failures_share_one_budget(self, budget):
         base = ModularPrompt(role="You pick colors.", requirements=("Pick one.",))
@@ -505,6 +524,34 @@ class TestDecomposeTask:
         assert plan.subtask("c").dependencies == frozenset({"a"})
         assert len(warnings_with_reason(orch, "template-violation")) == 1
 
+    @pytest.mark.parametrize("subtasks, violations", [
+        ([{"id": "root", "description": "Fetch the data."},
+          {"id": "left", "description": "Check totals.", "dependencies": ["root"]},
+          {"id": "right", "description": "Check dates.", "dependencies": ["left"]},
+          {"id": "sink", "description": "Join the checks.", "dependencies": ["right"]}],
+         ["right: branches must depend on the root only",
+          "sink: the sink must depend on every branch"]),
+        ([{"id": "root", "description": "Fetch the data."},
+          {"id": "sink", "description": "Join the checks.", "dependencies": ["root"]}],
+         ["fan-out/fan-in needs a root, at least one branch, and a sink"]),
+    ], ids=["branch-and-sink", "too-few-subtasks"])
+    def test_fan_out_violations_are_named(self, subtasks, violations):
+        gen = ScriptedGenerator(behaviors=[planner_behavior(subtasks, template="fan-out-fan-in")])
+        orch = make_orchestrator(gen)
+        plan = orch.decompose_task(TASK, template="fan-out-fan-in")
+        assert [s.id for s in plan.subtasks] == [entry["id"] for entry in subtasks]
+        [warning] = warnings_with_reason(orch, "template-violation")
+        assert warning.payload == {"reason": "template-violation", "template": "fan-out-fan-in",
+                                   "violations": violations}
+
+    def test_an_empty_subtask_list_is_an_invalid_plan(self):
+        planner = SequenceGenerator(ap.PLANNER_MARK, [json.dumps({"subtasks": []})])
+        orch = make_orchestrator(planner, OrchestratorSettings(reask_budget=0))
+        with pytest.raises(PlanningFailure, match="at least one subtask"):
+            orch.decompose_task(TASK, template="linear-chain")
+        assert [e.payload for e in orch.trace.trace().events_of_type("warning")] == [
+            {"reason": "invalid-plan", "error": "plan must list at least one subtask"}]
+
     def test_cyclic_plan_exhausts_reasks_and_raises(self):
         cyclic = [
             {"id": "a", "description": "First.", "dependencies": ["b"]},
@@ -612,6 +659,23 @@ class TestOptimizeSubtasks:
         plan = orch.optimize_subtasks(self.coarse_plan())
         assert [s.id for s in plan.subtasks] == ["coarse", "report"]
         assert len(warnings_with_reason(orch, "split-not-preserving")) == 1
+        assert optimized_snapshots(orch) == []
+
+    @pytest.mark.parametrize("pieces", [
+        [],
+        SPLIT_PIECES[:1],
+        # the first piece is as coarse as the subtask it splits
+        [{"id": "coarse.1", "description": COARSE_DESCRIPTION}, SPLIT_PIECES[3]],
+    ], ids=["no-pieces", "one-piece", "still-too-coarse"])
+    def test_too_few_or_too_coarse_pieces_are_an_invalid_split(self, pieces):
+        rules = [prefix_json(ap.OPTIMIZER_SPLIT_MARK, "Subtask: coarse",
+                             {"action": "split", "subtasks": pieces})]
+        orch = make_orchestrator(ScriptedGenerator(prefix_rules=rules))
+        plan = orch.optimize_subtasks(self.coarse_plan())
+        assert [s.id for s in plan.subtasks] == ["coarse", "report"]
+        [warning] = warnings_with_reason(orch, "invalid-split")
+        assert warning.payload == {"reason": "invalid-split", "subtask_id": "coarse",
+                                   "error": "pieces missing or still too coarse"}
         assert optimized_snapshots(orch) == []
 
     def fine_plan(self):
@@ -992,6 +1056,16 @@ class TestSubtaskPrompt:
         assert (prompt.knowledge, prompt.history) == ("note beta", "")
         assert len(warnings_with_reason(orch, "knowledge-failed")) == 1
 
+
+    def test_blank_knowledge_degrades_to_notes_only(self):
+        sub = Subtask(id="k3", description="Derive the total.", injected_notes=("note gamma",))
+        orch = make_orchestrator(ScriptedGenerator(
+            behaviors=[point_mass(ap.knowledge_prompt(sub), "   ")]))
+        prompt = orch.build_subtask_prompt(sub)
+        assert prompt.knowledge == "note gamma"
+        [warning] = warnings_with_reason(orch, "knowledge-failed")
+        assert warning.payload == {"reason": "knowledge-failed", "subtask_id": "k3",
+                                   "error": "empty"}
 
 class TestUpdatePlan:
     def fan_plan(self, a_status=SubtaskStatus.EXECUTED_OK,
@@ -1535,6 +1609,23 @@ class TestRunPipeline:
         state = replay_trace(orch.run_pipeline(TASK, template="linear-chain"))
         assert state.run_status == "failed"
         assert state.plan is None
+
+    def test_a_backend_that_always_fails_fails_the_run_after_two_calls(self):
+        # the classifier's call fails, so the default template stands; then
+        # the planner's call fails, which is no plan
+        counting = CountingGenerator(TransportFailingGenerator())
+        orch = make_orchestrator(counting, self.settings())
+        state = replay_trace(orch.run_pipeline(TASK))
+        assert (state.run_status, counting.calls) == ("failed", 2)
+        assert [e.payload for e in orch.trace.trace().events_of_type("warning")] == [
+            {"reason": "agent-call-failed", "purpose": "template-selection",
+             "subtask_id": "__plan__", "error": "connection reset"},
+            {"reason": "template-fallback", "proposed": None, "fallback": ap.DEFAULT_TEMPLATE},
+            {"reason": "agent-call-failed", "purpose": "planning", "subtask_id": "__plan__",
+             "error": "connection reset"},
+            {"reason": "planning-failure",
+             "error": "planner produced no valid plan: no parseable response"},
+        ]
 
     @pytest.mark.parametrize("mark, reply, reason", MALFORMED_REPLIES,
                              ids=[f"{r}-{i}" for i, (_, _, r) in enumerate(MALFORMED_REPLIES)])
