@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .config import MODULE_KEYS, PipelineConfig, _load, _read_json
 from .errors import BackendError, ConfigError, MalformedTraceError, MetricError
-from .orchestrator import KL, MAX_SAMPLE_COUNT, SEMANTIC, Orchestrator
+from .metrics import KL, SEMANTIC
+from .orchestrator import MAX_SAMPLE_COUNT, Orchestrator
 from .prompt import ModularPrompt
 from .reports import compute_run_metrics, render_run_report
 from .trace import TraceWriter, read_trace
@@ -78,12 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_flags(ev)
     ev.set_defaults(func=cmd_eval_stability)
 
-    rep = commands.add_parser("replay", help="rebuild the report from a trace")
-    rep.add_argument("--trace", required=True, help="trace JSONL file")
-    rep.add_argument("--out", default=None, help="write the report here instead of stdout")
-    rep.set_defaults(func=cmd_replay)
-
-    report = commands.add_parser("report", help="aggregate metrics over traces")
+    # replay names the same command for the report of one trace
+    report = commands.add_parser("report", aliases=["replay"],
+                                 help="rebuild the report from traces")
     report.add_argument("--trace", action="append", required=True,
                         help="trace file or directory of *.jsonl (repeatable)")
     report.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -152,12 +150,6 @@ def _trace_files(paths: list[str]) -> list[Path]:
     if not files:
         raise ConfigError("no trace files found")
     return files
-
-
-def cmd_replay(args) -> int:
-    trace = read_trace(args.trace)
-    _emit(render_run_report(compute_run_metrics([trace])), args.out)
-    return EXIT_OK
 
 
 def cmd_report(args) -> int:

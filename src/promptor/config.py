@@ -26,9 +26,7 @@ from .backends import (
 from .errors import ConfigError
 from .orchestrator import OrchestratorSettings, RefinementConfig
 from .prompt import _read_record, _write_field
-
-EXACT = "exact"
-NUMERIC_MATCH = "numeric"
+from .reports import DEFAULT_TOLERANCE, EXACT, _check_reference_fields
 
 MODULE_KEYS = ("subtask_optimizer", "reviewer", "plan_updater", "knowledge_generator")
 
@@ -154,7 +152,7 @@ class PipelineConfig:
     )
     reference_answer: str | None = None
     reference_match: str = EXACT
-    reference_tolerance: float = 1e-6
+    reference_tolerance: float = DEFAULT_TOLERANCE
     generator: dict = field(default_factory=lambda: {"kind": SCRIPTED})
     embedder: dict = field(default_factory=lambda: {"kind": HASH_EMBEDDER})
     settings: OrchestratorSettings = field(init=False)
@@ -165,12 +163,8 @@ class PipelineConfig:
         if self.template is not None and self.template not in TEMPLATES:
             raise ConfigError(f"unknown template {self.template!r}:"
                               f" expected one of {sorted(TEMPLATES)}")
-        if self.reference_match not in (EXACT, NUMERIC_MATCH):
-            raise ConfigError(
-                f"reference_match must be '{EXACT}' or '{NUMERIC_MATCH}'"
-            )
-        if self.reference_tolerance < 0:
-            raise ConfigError("reference_tolerance must be >= 0")
+        _check_reference_fields(self.reference_answer, self.reference_match,
+                                self.reference_tolerance, ConfigError)
         unknown = sorted(set(self.modules) - set(MODULE_KEYS))
         if unknown:
             raise ConfigError(f"unknown module toggles: {unknown}")
@@ -198,7 +192,10 @@ class PipelineConfig:
                 knowledge_enabled=modules["knowledge_generator"],
             )
         except ValueError as exc:
-            raise ConfigError(f"invalid config settings: {exc}") from exc
+            # the message opens with its field, which is the config key but for samples
+            field, _, rule = str(exc).partition(" ")
+            key = {"sample_count": "samples"}.get(field, field)
+            raise ConfigError(f"invalid config settings: {key} {rule}") from exc
         object.__setattr__(self, "settings", settings)
 
     @classmethod
@@ -206,9 +203,7 @@ class PipelineConfig:
         return _load(cls, data, "config")
 
     def build_backends(self) -> tuple[Generator, Embedder]:
-        return build_generator(self.generator, run_seed=self.seed), build_embedder(
-            self.embedder
-        )
+        return build_generator(self.generator, run_seed=self.seed), build_embedder(self.embedder)
 
     def header(self) -> dict:
         """The trace header: every field, defaults included, so that it says

@@ -21,6 +21,14 @@ from .errors import (
     ZeroVectorError,
 )
 
+SEMANTIC = "semantic"
+KL = "kl"
+
+# each metric's largest distance, the one a blank sample gets from every
+# other, so that its scores lie in [1 - largest, 1]
+LARGEST_DISTANCE = {SEMANTIC: 2.0, KL: 1.0}
+
+
 @dataclass(frozen=True)
 class EmbeddingVector:
     """A dense semantic vector for one text sample."""
@@ -205,7 +213,7 @@ def semantic_stability(vectors: Sequence, rows: Sequence[int] | None = None) -> 
     computed.
     """
     distances = _cosine_distances(vectors) if len(vectors) else np.empty(0)
-    return _score(rows, len(vectors), distances, 2.0)
+    return _score(rows, len(vectors), distances, LARGEST_DISTANCE[SEMANTIC])
 
 
 def tokenize(text: str) -> list[str]:
@@ -259,7 +267,8 @@ def kl_stability_score(
     repeated samples onto one output leaves every divergence unchanged.
     """
     divergences = _kl_divergences(outputs, alpha)
-    return _score(rows, len(outputs), divergences / (1.0 + divergences), 1.0)
+    return _score(rows, len(outputs), divergences / (1.0 + divergences),
+                  LARGEST_DISTANCE[KL])
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -42,7 +42,7 @@ from .errors import (
     StateError,
     TransportError,
 )
-from .metrics import StabilityScore, kl_stability_score, semantic_stability
+from .metrics import KL, SEMANTIC, StabilityScore, kl_stability_score, semantic_stability
 from .plan import (
     NO_OP,
     PROPAGATE_SUCCESS,
@@ -67,9 +67,6 @@ from .prompt import (
 from .trace import ExecutionTrace, TraceWriter
 
 T = TypeVar("T")
-
-SEMANTIC = "semantic"
-KL = "kl"
 
 # the endings of refine_until_stable
 STABILIZED = "stabilized"
@@ -105,15 +102,17 @@ class RefinementConfig:
     kl_alpha: float = 1.0
 
     def __post_init__(self):
+        # each message opens with the one field it checks, which PipelineConfig reads
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
         if not 2 <= self.sample_count <= MAX_SAMPLE_COUNT:
             raise ValueError(f"sample_count must lie in [2, {MAX_SAMPLE_COUNT}]")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (0 <= self.reviewer_temperature < math.inf
-                and 0 <= self.stability_temperature < math.inf):
-            raise ValueError("temperatures must be finite and >= 0")
+        if not 0 <= self.reviewer_temperature < math.inf:
+            raise ValueError("reviewer_temperature must be finite and >= 0")
+        if not 0 <= self.stability_temperature < math.inf:
+            raise ValueError("stability_temperature must be finite and >= 0")
         if self.metric not in (SEMANTIC, KL):
             raise ValueError(f"metric must be '{SEMANTIC}' or '{KL}'")
         if not 0 < self.kl_alpha < math.inf:
@@ -184,8 +183,11 @@ class OrchestratorSettings:
     knowledge_enabled: bool = True
 
     def __post_init__(self):
-        if self.reask_budget < 0 or self.augmentation_retries < 0:
-            raise ValueError("budgets must be >= 0")
+        # each message opens with the one field it checks, which PipelineConfig reads
+        if self.reask_budget < 0:
+            raise ValueError("reask_budget must be >= 0")
+        if self.augmentation_retries < 0:
+            raise ValueError("augmentation_retries must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if not 0 < self.target_granularity < math.inf:

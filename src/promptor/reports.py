@@ -12,27 +12,39 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .config import EXACT, NUMERIC_MATCH
 from .deviation import AggregationSpec, aggregate_variance
 from .errors import InsufficientSamplesError, MalformedTraceError, UndefinedCorrelationError
 from .metrics import pearson_correlation
 from .plan import SubtaskStatus
 from .trace import ExecutionTrace, ReplayState, replay_trace
 
-TERMINAL_RUN_STATUSES = ("succeeded", "failed")
+# the reference judge's modes, and the numeric mode's default tolerance
+EXACT = "exact"
+NUMERIC_MATCH = "numeric"
+DEFAULT_TOLERANCE = 1e-6
 
 
-def normalize_whitespace(text: str) -> str:
-    return " ".join(text.split())
+def _check_reference_fields(answer, match, tolerance, error: type[Exception]) -> None:
+    """A run's reference_answer, reference_match and reference_tolerance, from
+    a config file or a trace header: a string or null, one of the judge's
+    modes, and a number at least 0 that is not a boolean; else error names
+    the first field that is not."""
+    if not isinstance(answer, (str, type(None))):
+        raise error(f"reference_answer must be a string or null, got {answer!r}")
+    if match not in (EXACT, NUMERIC_MATCH):
+        raise error(f"reference_match must be '{EXACT}' or '{NUMERIC_MATCH}', got {match!r}")
+    # type(...) in: a boolean is an int, but never a tolerance
+    if not (type(tolerance) in (int, float) and tolerance >= 0):
+        raise error(f"reference_tolerance must be a number >= 0, got {tolerance!r}")
 
 
 def reference_check(
-    output: str, reference: str, match: str = EXACT, tolerance: float = 1e-6
+    output: str, reference: str, match: str = EXACT, tolerance: float = DEFAULT_TOLERANCE
 ) -> bool:
     """Default judge: exact match after whitespace normalization; numeric
     mode parses both sides and compares within the tolerance."""
     if match == EXACT:
-        return normalize_whitespace(output) == normalize_whitespace(reference)
+        return output.split() == reference.split()
     if match == NUMERIC_MATCH:
         try:
             return abs(float(output.strip()) - float(reference.strip())) <= tolerance
@@ -101,40 +113,31 @@ def _final_path_variance(state: ReplayState) -> tuple[float | None, str | None]:
 
 def digest_trace(trace: ExecutionTrace) -> TraceDigest:
     state = replay_trace(trace)
-    if state.run_status not in TERMINAL_RUN_STATUSES:
+    if state.run_status not in ("succeeded", "failed"):
         raise MalformedTraceError(
             f"trace lacks a terminal run status (got {state.run_status!r})"
         )
-    subtasks = []
-    if state.plan is not None:
-        for sub in state.plan.subtasks:
-            subtasks.append(
-                SubtaskDigest(
-                    subtask_id=sub.id,
-                    final_status=sub.status.value,
-                    stability_trajectory=tuple(state.scores.get(sub.id, ())),
-                    refinement_count=state.refinements.get(sub.id, 0),
-                    augmentation_count=state.augmentations.get(sub.id, 0),
-                    executed_stability=state.executed_scores.get(sub.id),
-                )
-            )
+    subtasks = () if state.plan is None else tuple(
+        SubtaskDigest(
+            subtask_id=sub.id,
+            final_status=sub.status.value,
+            stability_trajectory=tuple(state.scores.get(sub.id, ())),
+            refinement_count=state.refinements.get(sub.id, 0),
+            augmentation_count=state.augmentations.get(sub.id, 0),
+            executed_stability=state.executed_scores.get(sub.id),
+        )
+        for sub in state.plan.subtasks)
     reference = trace.header.get("reference_answer")
     match = trace.header.get("reference_match", EXACT)
-    tolerance = trace.header.get("reference_tolerance", 1e-6)
-    # type(...) in: a boolean is an int, but never a tolerance
-    if not (isinstance(reference, (str, type(None))) and match in (EXACT, NUMERIC_MATCH)
-            and type(tolerance) in (int, float) and tolerance >= 0):
-        raise MalformedTraceError(
-            "header reference fields must be a string reference_answer, a "
-            f"reference_match of '{EXACT}' or '{NUMERIC_MATCH}' and a reference_tolerance >= 0: "
-            f"got {reference!r}, {match!r}, {tolerance!r}")
+    tolerance = trace.header.get("reference_tolerance", DEFAULT_TOLERANCE)
+    _check_reference_fields(reference, match, tolerance, MalformedTraceError)
     passed = None if reference is None else reference_check(
         state.final_output, reference, match, tolerance)
     d, reason = _final_path_variance(state)
     return TraceDigest(
         run_status=state.run_status,
         final_output=state.final_output,
-        subtasks=tuple(subtasks),
+        subtasks=subtasks,
         reference_passed=passed,
         aggregate_variance=d,
         no_variance_reason=reason,

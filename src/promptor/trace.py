@@ -66,6 +66,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import MalformedTraceError
+from .metrics import LARGEST_DISTANCE, SEMANTIC
 from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
 from .prompt import ModularPrompt, PromptComponentKind, replace_component
 
@@ -85,9 +86,6 @@ EVENT_TYPES = (
 # an event line's keys, from version 7 on and before it
 _EVENT_KEYS = {"payload", "ts", "type"}
 _EVENT_KEYS_BEFORE_7 = {"kind", "seq", "ts", "type", "payload"}
-
-# the range of each metric's score value
-_SCORE_RANGES = {"semantic": (-1, 1), "kl": (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -440,15 +438,15 @@ def replay_trace(trace: ExecutionTrace) -> ReplayState:
                 if type(value) not in (int, float):
                     raise MalformedTraceError(f"event {event.seq}: score value {value!r}"
                                               " is not a number")
-                bounds = _SCORE_RANGES.get(metric)
-                if bounds is not None and not bounds[0] <= value <= bounds[1]:
+                largest = LARGEST_DISTANCE.get(metric)
+                if largest is not None and not 1 - largest <= value <= 1:
                     raise MalformedTraceError(f"event {event.seq}: {metric} score value"
-                                              f" {value!r} is outside [{bounds[0]}, {bounds[1]}]")
+                                              f" {value!r} is outside [{1 - largest:g}, 1]")
                 if type(value) is float and not math.isfinite(value):
                     raise MalformedTraceError(f"event {event.seq}: score value {value!r}"
                                               " is not finite")
                 state.scores.setdefault(sid, []).append(value)
-                if metric != "semantic":
+                if metric != SEMANTIC:
                     variance = f"was scored by {metric}"
                 elif any(not text.strip() for text in outputs or ()):
                     variance = "had a blank stability sample"

@@ -108,6 +108,14 @@ def test_two_outcome_empirical_frequency():
     assert abs(freq_a - 0.5) <= 0.02
 
 
+def test_a_draw_past_the_last_cumulative_weight_picks_the_last_outcome():
+    # the weights may sum to a hair below 1, so a draw can pass every
+    # cumulative weight
+    behavior = ScriptedBehavior.for_prompt(PROMPT, [("A", 0.5), ("B", 0.4999999999)])
+    assert ScriptedGenerator._pick(behavior, 0.49) == "A"
+    assert ScriptedGenerator._pick(behavior, 0.99999999995) == "B"
+
+
 def test_scripted_determinism_across_instances():
     outcomes = [("A", 0.3), ("B", 0.7)]
     first = scripted(outcomes, run_seed=5).generate(
@@ -409,6 +417,8 @@ def in_ten_seconds() -> str:
     (503, "2", 5.0, (2.0, 2.0)),
     # an HTTP-date has whole seconds, so the wait is a little under 10 s
     (429, in_ten_seconds, 60.0, (8.0, 10.0)),
+    # "-0000" states no zone: the date is read as UTC
+    (503, lambda: in_ten_seconds().replace("GMT", "-0000"), 60.0, (8.0, 10.0)),
     # capped at the descriptor's timeout
     (503, "120", 5.0, (5.0, 5.0)),
     # unparseable or negative: the fixed first backoff

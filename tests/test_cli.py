@@ -33,7 +33,7 @@ def behavior(**entry):
 def malformed(command, changes, path, spec=""):
     """One malformed input: its subcommand, the keys changed in a valid input
     file and the field path the error names. Its id is the subcommand and the
-    field path, and spec, the backend spec, where two rows share those."""
+    field path, and spec, such as the backend spec, where two rows share those."""
     return pytest.param(command, changes, path, id="-".join(filter(None, (command, path, spec))))
 
 
@@ -60,6 +60,8 @@ MALFORMED_INPUTS = [
     malformed("eval-stability", {"requirements": "abc"}, "requirements"),
     malformed("eval-stability", {"requirements": ["Say it.", 5]}, "requirements[1]"),
     malformed("eval-stability", {"revision": 2.9}, "revision"),
+    malformed("eval-stability", {"revision": -1}, "revision", "negative"),
+    malformed("eval-stability", {"role": "  "}, "role", "blank"),
     malformed("eval-stability", {"io_spec": {"input_schema": 5}}, "io_spec.input_schema"),
     malformed("eval-stability", {"io_spec": {"required_keys": 5}}, "io_spec.required_keys"),
     malformed("eval-stability", {"io_spec": {"output_fromat": "numeric"}},
@@ -70,6 +72,8 @@ MALFORMED_INPUTS = [
               "endpoint_url", "generator"),
     malformed("run", {"embedder": {**HTTP_SPEC, "endpoint_url": "ftp://h/v1"}},
               "endpoint_url", "embedder"),
+    malformed("run", {"generator": {**HTTP_SPEC, "max_retries": -1}}, "max_retries",
+              "generator"),
 ]
 
 
@@ -303,6 +307,15 @@ class TestReplayAndReport:
         code, replay_report, _ = invoke(["replay", "--trace", trace_path], capsys)
         assert (code, replay_report) == (0, run_report)
 
+    def test_replay_reads_every_trace_it_is_given(self, capsys):
+        # replay is another name for report: each --trace is one more run
+        argv = ["--trace", str(DATA / "trace_v6_strategy_shift.jsonl"),
+                "--trace", str(DATA / "trace_v7_strategy_shift.jsonl")]
+        code, out, err = invoke(["replay", *argv], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("runs: 2\n") and "\nrun 2: succeeded\n" in out
+        assert invoke(["report", *argv], capsys) == (0, out, "")
+
     def test_report_aggregates_a_directory(self, tmp_path, config_path, capsys):
         runs = tmp_path / "runs"
         runs.mkdir()
@@ -397,10 +410,13 @@ def test_readme_cli_synopsis_names_every_subcommand_and_option():
     named: dict[str, set[str]] = {}
     for line in block.splitlines():
         if line.startswith("promptor "):
-            options = named.setdefault(line.split()[1], set())
+            # "report|replay": a subcommand and its aliases share their options
+            options = set()
+            named.update(dict.fromkeys(line.split()[1].split("|"), options))
         options |= set(re.findall(r"--[a-z-]+", line))
     commands = next(action for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
+    assert commands.choices["replay"] is commands.choices["report"]
     defined = {name: {option for action in parser._actions for option in action.option_strings
                       if option.startswith("--") and option != "--help"}
                for name, parser in commands.choices.items()}
@@ -486,6 +502,14 @@ def eval_against_stub(tmp_path, capsys, backend, body):
     return code, err
 
 
+def bad_config(overrides, named, *flags, id=None):
+    """A config mistake: the keys changed in the fixture config (or a whole
+    document that is no object), the text its error names and the flags given
+    with it. Its id is that text, the flags and id, where rows share those."""
+    return pytest.param(overrides, list(flags), named,
+                        id="-".join(filter(None, (named, *flags, id))))
+
+
 class TestExitCodes:
     # correlate and simulate-bound are no subcommands: every report prints
     # the correlation and each run's deviation bound itself
@@ -528,32 +552,44 @@ class TestExitCodes:
             assert code == 2
             assert err.startswith("config error:")
 
-    @pytest.mark.parametrize("overrides", [
-        {"modules": {"reviewer": "false"}},
-        {"modules": {"plan_updater": 0}},
-        {"modules": {"subtask_optimizer": None}},
-        {"generator": {"kind": "scripted",
-                       "behaviors": [{"prompt": 5, "outcomes": [["a", 1.0]]}]}},
-        {"generator": {"kind": "scripted", "behaviors": [5]}},
-        {"generator": {"kind": "scripted", "behaviors": "abc"}},
-        {"generator": {"kind": "scripted", "prefix_rules": [{"prefix": None}]}},
-        {"generator": {**HTTP_SPEC, "max_retries": 2.7}},
-        {"generator": {**HTTP_SPEC, "max_retries": "5"}},
-        {"embedder": {**HTTP_SPEC, "timeout": True}},
-        {"embedder": {**HTTP_SPEC, "endpoint_url": 5}},
-        {"generator": {**HTTP_SPEC, "max_inflght": 8}},
+    @pytest.mark.parametrize("overrides, flags, named", [
+        bad_config({"modules": {"reviewer": "false"}}, "modules.reviewer"),
+        bad_config({"modules": {"plan_updater": 0}}, "modules.plan_updater"),
+        bad_config({"modules": {"subtask_optimizer": None}}, "modules.subtask_optimizer"),
+        bad_config({"generator": {"kind": "scripted",
+                                  "behaviors": [{"prompt": 5, "outcomes": [["a", 1.0]]}]}},
+                   "behaviors[0].prompt"),
+        bad_config({"generator": {"kind": "scripted", "behaviors": [5]}}, "behaviors[0]"),
+        bad_config({"generator": {"kind": "scripted", "behaviors": "abc"}}, "behaviors"),
+        bad_config({"generator": {"kind": "scripted", "prefix_rules": [{"prefix": None}]}},
+                   "prefix_rules[0].prefix"),
+        bad_config({"generator": {**HTTP_SPEC, "max_retries": 2.7}}, "max_retries", id="2.7"),
+        bad_config({"generator": {**HTTP_SPEC, "max_retries": "5"}}, "max_retries", id="str"),
+        bad_config({"embedder": {**HTTP_SPEC, "timeout": True}}, "timeout"),
+        bad_config({"embedder": {**HTTP_SPEC, "endpoint_url": 5}}, "endpoint_url"),
+        bad_config({"generator": {**HTTP_SPEC, "max_inflght": 8}}, "max_inflght"),
         # a row that is no object is the whole document
-        [pipeline_config_dict()],
+        bad_config([pipeline_config_dict()], "must hold a JSON object"),
+        # each range check names the config key, which for the sample count
+        # is samples, in the file or as a flag
+        bad_config({"samples": 1}, "samples"),
+        bad_config({}, "samples", "--samples", "1"),
+        bad_config({"reviewer_temperature": -1}, "reviewer_temperature"),
+        bad_config({"stability_temperature": -1}, "stability_temperature"),
+        bad_config({"reask_budget": -1}, "reask_budget"),
+        bad_config({"augmentation_retries": -1}, "augmentation_retries"),
     ])
-    def test_malformed_config_exits_before_the_trace(self, tmp_path, capsys, overrides):
-        # failure injection: a config mistake stops the run before a trace is opened
+    def test_malformed_config_exits_before_the_trace(self, tmp_path, capsys, overrides, flags,
+                                                    named):
+        # failure injection: a config mistake stops the run before a trace is
+        # opened, and the error names what is wrong as the config writes it
         document = pipeline_config_dict(**overrides) if type(overrides) is dict else overrides
         config = write_json(tmp_path / "bad.json", document)
         trace_path = tmp_path / "never.jsonl"
-        code, _, err = invoke(["run", "--config", config, "--trace", str(trace_path)],
+        code, _, err = invoke(["run", "--config", config, "--trace", str(trace_path), *flags],
                               capsys)
         assert code == 2
-        assert err.startswith("config error:")
+        assert err.startswith("config error:") and named in err
         assert not trace_path.exists()
 
     @pytest.mark.parametrize("command,changes,path", MALFORMED_INPUTS)
@@ -580,7 +616,7 @@ class TestExitCodes:
                                "--samples", str(MAX_SAMPLE_COUNT + 1),
                                "--trace", str(trace_path)], capsys)
         assert code == 2
-        assert err.startswith("config error:") and "sample_count" in err
+        assert err.startswith("config error:") and "samples" in err
         assert not trace_path.exists()
 
     @pytest.mark.parametrize("tau", ["nan", "2"])
@@ -679,6 +715,9 @@ class TestExitCodes:
           for index in ([0, True, 0.0], [0, 1.0, 1], {"0": 0, "1": 1, "2": 0})],
         (6, "header", {"version": TRACE_VERSION + 1},
          f"trace version {TRACE_VERSION + 1} is not supported"),
+        (7, "shift", {"update": {"kind": "strategy-shift", "payload": "Sum the amounts.",
+                                 "source_subtask": "parse", "targets": ["net"]}},
+         "replay failed: strategy-shift must target exactly the failed subtask"),
     ])
     def test_a_field_of_the_wrong_type_is_a_malformed_trace(self, tmp_path, capsys, version,
                                                             kind, change, message):
@@ -692,7 +731,8 @@ class TestExitCodes:
         picks = {"score": lambda p: "value" in p,
                  "final": lambda p: p.get("to") == "succeeded",
                  "execution": lambda p: p.get("purpose") == "execution",
-                 "stability": lambda p: p.get("purpose") == "stability"}
+                 "stability": lambda p: p.get("purpose") == "stability",
+                 "shift": lambda p: p.get("note") == "strategy-shift"}
         if kind == "header":
             header, where = json.dumps({**json.loads(header), **change}), ""
         else:
@@ -738,6 +778,12 @@ class TestExitCodes:
         code, out, err = invoke(["replay", "--trace", str(broken)], capsys)
         assert (code, out) == (4, "")
         assert err.startswith("malformed trace:") and "subtasks[0].granularity" in err
+
+    def test_out_into_a_missing_directory_is_a_config_error(self, tmp_path, capsys):
+        trace, out = DATA / "trace_v7_strategy_shift.jsonl", tmp_path / "absent" / "report.txt"
+        code, stdout, err = invoke(["replay", "--trace", str(trace), "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("config error:") and str(out) in err
 
     def test_missing_trace_file(self, tmp_path, capsys):
         code, _, err = invoke(

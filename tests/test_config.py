@@ -105,9 +105,9 @@ class TestPipelineConfig:
         ("tau", 1.5, "tau"),
         ("max_iterations", 0, "max_iterations"),
         ("kl_alpha", 0, "kl_alpha"),
-        ("stability_temperature", -1, "temperatures"),
+        ("stability_temperature", -1, "stability_temperature"),
         ("execution_temperature", -0.5, "execution_temperature"),
-        ("reask_budget", -1, "budgets"),
+        ("reask_budget", -1, "reask_budget"),
         ("target_granularity", 0, "target_granularity"),
         ("max_tokens", 0, "max_tokens"),
         ("template", "no-such-template", "template"),
@@ -128,7 +128,8 @@ class TestPipelineConfig:
         assert RefinementConfig(sample_count=MAX_SAMPLE_COUNT).sample_count == MAX_SAMPLE_COUNT
         with pytest.raises(ValueError, match="sample_count"):
             RefinementConfig(sample_count=MAX_SAMPLE_COUNT + 1)
-        with pytest.raises(ConfigError, match="sample_count"):
+        # the config error names the config key, not the settings field
+        with pytest.raises(ConfigError, match="samples must"):
             PipelineConfig.from_json_dict({"task": "t", "samples": MAX_SAMPLE_COUNT + 1})
 
 

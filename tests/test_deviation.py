@@ -107,6 +107,15 @@ def test_aggregation_weights_must_be_finite(u, v):
         AggregationSpec(u, v)
 
 
+@pytest.mark.parametrize("u, v, error", [
+    ((1.0, 1.0), (1.0,), DimensionMismatchError),
+    ((), (), ValueError),
+], ids=["unequal", "empty"])
+def test_aggregation_vectors_must_be_of_one_length_at_least_1(u, v, error):
+    with pytest.raises(error, match="length"):
+        AggregationSpec(u, v)
+
+
 def test_a_square_past_the_float_range_gives_the_bound_its_limit():
     # D and eps^2 are infinite: the bound tends to 1 as D grows, to 0 as eps grows
     assert deviation_bound(AggregationSpec((1e200,), (1.0,)), (1.0,), 0.5) == 1.0

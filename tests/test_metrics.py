@@ -514,12 +514,14 @@ def test_value_sum_is_exact_at_the_largest_multiplicity():
     ([np.ones((2, 2)), (1.0, 0.0)], DimensionMismatchError),
     ([np.ones((2, 2)), np.ones((2, 2))], DimensionMismatchError),
     ([EmbeddingVector((0.0, 0.0)), (1.0, 0.0)], ZeroVectorError),
+    # a component that is no number: numpy's own error, the dims agreeing
+    ([(1.0, "x"), (1.0, 0.0)], ValueError),
 ])
 def test_cosine_input_errors_keep_their_classes(vectors, error):
-    # DimensionMismatchError is a ValueError, so a bare numpy ValueError
-    # would not match
-    with pytest.raises(error):
-        _cosine_distances(vectors)
+    # DimensionMismatchError is a ValueError, so the class must be the very one
+    with pytest.raises(error) as raised:
+        semantic_stability(vectors)
+    assert type(raised.value) is error
 
 
 def test_cosine_mixes_tuples_and_arrays_of_one_dimension():

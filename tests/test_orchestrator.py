@@ -18,13 +18,16 @@ from promptor.errors import (
     TransportError,
     ZeroVectorError,
 )
-from promptor.metrics import EmbeddingVector, semantic_stability
+from promptor.metrics import EmbeddingVector, StabilityScore, semantic_stability
 from promptor.orchestrator import (
+    STABILIZED,
     ExecutionResult,
     Orchestrator,
     OrchestratorSettings,
     PlanUpdate,
     RefinementConfig,
+    RefinementHistory,
+    Summary,
     _history,
 )
 from promptor.plan import Plan, Subtask, SubtaskStatus
@@ -491,6 +494,16 @@ class TestDecomposeTask:
         plan = orch.decompose_task(TASK)
         assert plan.interaction_template == "fan-out-fan-in"
         assert warnings_with_reason(orch, "template-violation") == []
+
+    def test_a_reply_with_a_stray_brace_before_its_object_is_read(self):
+        # the first "{" opens no JSON object, so the reply is read from the next
+        reply = 'Template {fan-out}: {"template": "linear-chain"}'
+        gen = ScriptedGenerator(behaviors=[point_mass(ap.classifier_prompt(TASK), reply),
+                                           planner_behavior(PIPELINE_SUBTASKS)])
+        orch = make_orchestrator(gen)
+        plan = orch.decompose_task(TASK)
+        assert plan.interaction_template == "linear-chain"
+        assert warnings_with_reason(orch, "template-fallback") == []
 
     def test_unknown_classifier_answer_falls_back(self):
         gen = ScriptedGenerator(
@@ -1259,6 +1272,8 @@ MALFORMED_REPLIES = [
      "invalid-plan"),
     # read as its Python repr, the list would pass for a summary
     (ap.SUMMARIZER_MARK, {"summary": ["Rows parsed."]}, "summary-fallback"),
+    (ap.PLANNER_MARK, {"subtasks": [{"id": " ", "description": "Do it."}]}, "invalid-plan"),
+    (ap.PLANNER_MARK, {"subtasks": [{"id": "a", "description": " "}]}, "invalid-plan"),
 ]
 
 
@@ -1687,4 +1702,16 @@ HTTP = dict(kind="http", endpoint_url="http://localhost:1", model_name="m")
 ])
 def test_a_range_check_rejects_nan_and_infinity(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RefinementHistory((), "abandoned", StabilityScore(1.0, 2, (0.0, 0.0)), TAU),
+     "unknown outcome: 'abandoned'"),
+    (lambda: RefinementHistory((), STABILIZED, StabilityScore(0.5, 2, (0.5, 0.5)), TAU),
+     "at or above tau"),
+    (lambda: Summary("a", " \n"), "non-empty text"),
+], ids=["unknown-outcome", "stabilized-below-tau", "blank-summary"])
+def test_a_record_built_against_its_invariants_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
         build()

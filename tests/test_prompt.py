@@ -136,6 +136,12 @@ def test_replace_empty_role_rejected():
         replace_component(sample_prompt(), PromptComponentKind.ROLE, "")
 
 
+def test_replace_a_kind_that_is_no_component_kind_rejected():
+    # the kind's value is not enough: a replacement names the enum member
+    with pytest.raises(InvalidComponentError, match="unknown component kind"):
+        replace_component(sample_prompt(), "role", "You are a meticulous auditor.")
+
+
 def test_prompt_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         sample_prompt().role = "other"
