@@ -85,7 +85,9 @@ class Generator(Protocol):
 class Embedder(Protocol):
     """Returns one vector per text. Like Generator.generate, embed may be
     called from up to orchestrator.MAX_PARALLEL threads at once, so an
-    implementation must be thread-safe."""
+    implementation must be thread-safe. A stability gate embeds each text
+    once and reuses its vector for the gate's later measurements, so a
+    text's vector must not change within one gate."""
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
 

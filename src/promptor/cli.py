@@ -79,13 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_flags(ev)
     ev.set_defaults(func=cmd_eval_stability)
 
-    # replay names the same command for the report of one trace
-    report = commands.add_parser("report", aliases=["replay"],
-                                 help="rebuild the report from traces")
-    report.add_argument("--trace", action="append", required=True,
-                        help="trace file or directory of *.jsonl (repeatable)")
-    report.add_argument("--out", default=None, help="write the report here instead of stdout")
-    report.set_defaults(func=cmd_report)
+    # replay is another name for report; each name has its own parser, so
+    # that usage and errors name the command that was typed
+    for name, summary in (("report", "rebuild the report from traces"),
+                          ("replay", "another name for report")):
+        report = commands.add_parser(name, help=summary)
+        report.add_argument("--trace", action="append", required=True,
+                            help="trace file or directory of *.jsonl (repeatable)")
+        report.add_argument("--out", default=None,
+                            help="write the report here instead of stdout")
+        report.set_defaults(func=cmd_report)
 
     return parser
 

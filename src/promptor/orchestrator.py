@@ -32,6 +32,7 @@ from typing import Callable, TypeVar
 from . import agent_prompts as ap
 from .backends import (
     Embedder,
+    EmbeddingVector,
     GenerationRequest,
     Generator,
     prompt_fingerprint,
@@ -610,11 +611,14 @@ class Orchestrator:
 
     # -- stability and refinement ---------------------------------------------
 
-    def _measure(self, p: ModularPrompt, subtask_id: str) -> tuple[StabilityScore, tuple]:
+    def _measure(
+        self, p: ModularPrompt, subtask_id: str, vectors: dict[str, EmbeddingVector]
+    ) -> tuple[StabilityScore, tuple]:
         """The score of N samples of p, and (outputs, sample_index,
         output_distances): the distinct outputs, each sample's position among
         them, and each output's mean distance to the other samples, taken
-        from its first sample."""
+        from its first sample. vectors is the gate's memo from text to
+        embedding: only the texts it lacks are embedded, and added to it."""
         cfg = self.settings.refinement
         rendered = render_prompt(p)
         outputs, sample_index = self._generate(
@@ -624,19 +628,23 @@ class Orchestrator:
             purpose="stability",
             subtask_id=subtask_id,
         )
-        # each distinct text is embedded and scored once; a blank sample is
-        # scored as maximally distant, not embedded
+        # each distinct text is embedded once per gate and scored once; a
+        # blank sample is scored as maximally distant, not embedded
         texts, output_rows = _group_samples(outputs, drop_blank=True)
         rows = [output_rows[k] for k in sample_index]
         if cfg.metric == SEMANTIC:
-            vectors = self._backend(self.embedder.embed, texts) if texts else []
-            if vectors:
+            if new := [text for text in texts if text not in vectors]:
+                reply = self._backend(self.embedder.embed, new)
+                dims = {v.dim for v in reply} | {v.dim for v in vectors.values()}
+                if len(dims) > 1:
+                    raise BackendError(f"embedding dimensions disagree: {sorted(dims)}")
+                vectors.update(zip(new, reply))
                 self.trace.emit(
                     "embedding",
                     {"subtask_id": subtask_id, "purpose": "stability",
-                     "count": len(vectors), "dim": vectors[0].dim},
+                     "count": len(reply), "dim": reply[0].dim},
                 )
-            score = semantic_stability(vectors, rows=rows)
+            score = semantic_stability([vectors[text] for text in texts], rows=rows)
         else:
             score = kl_stability_score(texts, alpha=cfg.kl_alpha, rows=rows)
         first = {}  # output position -> its first sample
@@ -656,7 +664,7 @@ class Orchestrator:
         """N samples of the rendered prompt, each distinct one embedded and
         scored once. The samples come back from one generate() call, so
         concurrency in the backend cannot reorder them."""
-        score, _ = self._measure(p, subtask_id)
+        score, _ = self._measure(p, subtask_id, {})
         return score
 
     def _pick_component(self, named) -> PromptComponentKind | None:
@@ -708,7 +716,9 @@ class Orchestrator:
         reviewer-disabled warning when the reviewer is off."""
         cfg = self.settings.refinement
         reviewer = self.settings.reviewer_enabled
-        current, (score, outputs) = p, self._measure(p, subtask_id)
+        # the gate's own memo, so no state is shared between run-ahead steps
+        vectors: dict[str, EmbeddingVector] = {}
+        current, (score, outputs) = p, self._measure(p, subtask_id, vectors)
         best_prompt, best_value = current, score.value
         steps: list[RefinementStep] = []
         while score.value < cfg.tau:
@@ -731,7 +741,7 @@ class Orchestrator:
             self._emit_prompt("revision", subtask_id, current, revised_prompt,
                               {"component": kind.value,
                                "value": _write_field(revised_prompt, kind.value)})
-            new_score, outputs = self._measure(revised_prompt, subtask_id)
+            new_score, outputs = self._measure(revised_prompt, subtask_id, vectors)
             steps.append(
                 RefinementStep(revised_prompt.revision, kind.value, score, new_score)
             )

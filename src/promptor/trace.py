@@ -18,7 +18,10 @@ sample_index gives, for each of the sample_count samples, its text's
 position in outputs. Without sample_index, as in earlier versions, outputs
 lists every sample. Either way an execution's output is outputs[0]. An
 embedding event's count is the number of texts embedded, which from
-version 4 on is the distinct non-blank samples.
+version 4 on is the distinct non-blank samples. Since a stability gate
+embeds each text once, a version 7 trace may count only the texts new to
+the gate, and a measurement with none writes no embedding event; replay
+does not read count.
 
 Version 5 scores the same way but records a score event per distinct
 output: output_distances holds one mean distance per entry of outputs in

@@ -19,6 +19,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 class StubConfig:
     canned_text: str = "canned completion"
     embedding_dim: int = 4
+    later_embedding_dim: int | None = None  # the dimension of every /embeddings reply but the first
     fail_first: int = 0  # reply 500 to this many requests before succeeding
     always_fail: bool = False
     fail_status: int = 500  # the status of the induced failures above
@@ -87,8 +88,12 @@ class _Handler(BaseHTTPRequestHandler):
                 n = cfg.choices_override if cfg.choices_override is not None else parsed.get("n", 1)
                 payload = {"choices": [{"message": {"content": cfg.canned_text}} for _ in range(n)]}
             elif self.path.endswith("/embeddings"):
+                with server.lock:
+                    server.embedding_replies += 1
+                    later = server.embedding_replies > 1
+                dim = later and cfg.later_embedding_dim or cfg.embedding_dim
                 rows = [
-                    {"embedding": [float(i + 1)] + [0.0] * (cfg.embedding_dim - 1)}
+                    {"embedding": [float(i + 1)] + [0.0] * (dim - 1)}
                     for i in range(len(parsed["input"]))
                 ]
                 if cfg.drop_last_embedding and rows:
@@ -128,6 +133,7 @@ class StubApiServer:
         self._httpd.inflight = 0
         self._httpd.max_inflight_seen = 0
         self._httpd.request_count = 0
+        self._httpd.embedding_replies = 0
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
         self._thread.start()
         return self

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from promptor import agent_prompts as ap
 from promptor.cli import build_parser, main
 from promptor.config import PipelineConfig
 from promptor.errors import ZeroVectorError
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
-from promptor.trace import TRACE_VERSION, canonical_trace_bytes, read_trace
+from promptor.trace import TRACE_VERSION, canonical_trace_bytes, read_trace, replay_trace
 
 from .pipeline_fixture import executor_prompt, pipeline_config_dict
 from .stub_server import StubApiServer, StubConfig
@@ -277,6 +278,18 @@ class TestRun:
             assert any(e.type == "score" and e.payload["subtask_id"] == "parse" for e in events)
 
 
+    def test_a_revision_that_repeats_its_outputs_sends_no_embedding_request(self, tmp_path,
+                                                                            capsys):
+        # parse's second measurement draws only texts its gate has embedded
+        code, err, trace, requests = run_against_embedding_stub(tmp_path, capsys, "100")
+        assert (code, err) == (0, "")
+        assert replay_trace(trace).run_status == "succeeded"
+        measured = [e.payload["subtask_id"] for e in trace.events_of_type("score")]
+        assert measured == ["parse", "parse", "net", "balance"]
+        assert requests == len(measured) - 1
+        assert [e.payload["count"] for e in trace.events_of_type("embedding")] == [1, 1, 1]
+
+
 class TestReplayAndReport:
     def test_replay_reproduces_the_run_report(self, tmp_path, config_path, capsys):
         trace_path = tmp_path / "run.jsonl"
@@ -315,6 +328,19 @@ class TestReplayAndReport:
         assert (code, err) == (0, "")
         assert out.startswith("runs: 2\n") and "\nrun 2: succeeded\n" in out
         assert invoke(["report", *argv], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("name", ["report", "replay"])
+    def test_usage_names_the_command_typed(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: promptor {name} [-h] --trace TRACE")
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--out", "report.txt"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: promptor {name} [-h]")
+        assert f"\npromptor {name}: error: the following arguments are required: --trace" in err
 
     def test_report_aggregates_a_directory(self, tmp_path, config_path, capsys):
         runs = tmp_path / "runs"
@@ -416,7 +442,9 @@ def test_readme_cli_synopsis_names_every_subcommand_and_option():
         options |= set(re.findall(r"--[a-z-]+", line))
     commands = next(action for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
-    assert commands.choices["replay"] is commands.choices["report"]
+    # replay is another name for report: the same handler and options
+    report, replay = commands.choices["report"], commands.choices["replay"]
+    assert replay.get_default("func") is report.get_default("func")
     defined = {name: {option for action in parser._actions for option in action.option_strings
                       if option.startswith("--") and option != "--help"}
                for name, parser in commands.choices.items()}
@@ -500,6 +528,28 @@ def eval_against_stub(tmp_path, capsys, backend, body):
         config_path = write_json(tmp_path / "http.json", cfg)
         code, _, err = invoke(["eval-stability", prompt_path, "--config", config_path], capsys)
     return code, err
+
+
+def run_against_embedding_stub(tmp_path, capsys, revised_text, **stub):
+    """`run` of the fixture pipeline with its embedder served by a stub: its
+    exit code, stderr, trace and the stub's request count. parse's
+    samples mix "100" with blanks, so its gate goes to the reviewer once;
+    the revision's samples mix revised_text with blanks."""
+    config = pipeline_config_dict(execution_temperature=0.0, samples=4, max_iterations=1)
+    config["generator"]["behaviors"][1]["outcomes"] = [["100", 0.5], ["  ", 0.5]]
+    config["generator"]["prefix_rules"] += [
+        {"prefix": "## Role\nYou are the executor agent for subtask 'parse'.\n",
+         "outcomes": [[revised_text, 0.5], ["  ", 0.5]]},
+        {"prefix": f"{ap.REVIEWER_STABILITY_MARK}\nSubtask: parse\n",
+         "outcomes": [[json.dumps({"component": "requirements",
+                                   "replacement": "Print the total."}), 1.0]]}]
+    trace_path = tmp_path / "run.jsonl"
+    with StubApiServer(StubConfig(**stub)) as server:
+        config["embedder"] = {"kind": "http", "endpoint_url": server.base_url,
+                              "model_name": "m", "max_retries": 0}
+        code, _, err = invoke(["run", "--config", write_json(tmp_path / "cfg.json", config),
+                               "--trace", str(trace_path)], capsys)
+    return code, err, read_trace(trace_path), server.request_count
 
 
 def bad_config(overrides, named, *flags, id=None):
@@ -661,6 +711,17 @@ class TestExitCodes:
                                                                  backend, body, message):
         code, err = eval_against_stub(tmp_path, capsys, backend, body)
         assert (code, err) == (3, f"backend error: {message}\n")
+
+    def test_a_later_embedding_reply_of_another_dimension_is_a_backend_error(self, tmp_path,
+                                                                             capsys):
+        # the revision's new text is embedded in a second request, whose
+        # vectors the gate scores with the first reply's
+        code, err, trace, requests = run_against_embedding_stub(
+            tmp_path, capsys, "one hundred", embedding_dim=2, later_embedding_dim=3)
+        assert (code, err, requests) == (3, "backend error: embedding dimensions disagree: "
+                                            "[2, 3]\n", 2)
+        assert [e.payload["dim"] for e in trace.events_of_type("embedding")] == [2]
+        assert replay_trace(trace).run_status == "failed"
 
     def test_malformed_trace(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.jsonl"

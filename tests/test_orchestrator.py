@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import pytest
 
@@ -55,6 +56,7 @@ from .pipeline_fixture import (
     prefix_json,
     strategy_shift_generator,
 )
+from .test_trace import written_strings
 
 TAU = 0.7
 
@@ -124,6 +126,71 @@ class SequenceGenerator:
 class TransportFailingGenerator:
     def generate(self, request):
         raise TransportError("connection reset")
+
+
+class FixedSamples:
+    """Answers every request with the same samples."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+    def generate(self, request):
+        return list(self.samples)
+
+
+class CountingEmbedder:
+    """Wraps an embedder and records every text it is sent."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.texts = []
+        self._lock = threading.Lock()
+
+    def embed(self, texts):
+        with self._lock:
+            self.texts.extend(texts)
+        return self.inner.embed(texts)
+
+
+def measured_alone(samples, subtask_id):
+    """The score payload of one measurement of samples with nothing embedded
+    before it: every distinct non-blank sample is embedded."""
+    settings = OrchestratorSettings(refinement=RefinementConfig(sample_count=len(samples)))
+    orch = make_orchestrator(FixedSamples(samples), settings)
+    orch.evaluate_prompt_stability(ModularPrompt(role="You repeat."), subtask_id)
+    return orch.trace.trace().events_of_type("score")[0].payload
+
+
+def gate_embeddings(trace):
+    """Walks trace's semantic stability measurements with one memo per gate,
+    opened at its subtask's initial revision. Each measurement is followed by
+    an embedding event counting its texts new to the gate, or by its score
+    when it has none, and each score equals that of measuring its samples
+    alone. Returns the texts embedded, gate by gate, and the number of
+    measurements that embedded nothing."""
+    events, strings = trace.events, iter(written_strings(trace))
+    memos, embedded, idle = {}, [], 0
+    for k, event in enumerate(events):
+        sub = event.payload.get("subtask_id")
+        if event.type == "revision" and event.payload["component"] == "initial":
+            memos[sub] = set()
+        if event.type != "generation":
+            continue
+        outputs = next(strings)[1:]
+        if event.payload["purpose"] != "stability":
+            continue
+        memo = memos.setdefault(sub, set())
+        new = [text for text in outputs if text.strip() and text not in memo]
+        memo.update(new)
+        score = events[k + 1]
+        if new:
+            assert (score.type, score.payload["count"]) == ("embedding", len(new))
+            score = events[k + 2]
+        idle += not new
+        embedded += new
+        index = event.payload.get("sample_index", range(len(outputs)))
+        assert score.payload == measured_alone([outputs[i] for i in index], sub)
+    return embedded, idle
 
 
 # four pairwise-distinct outcomes make an all-identical 5-sample draw rare;
@@ -241,6 +308,29 @@ class TestRefineUntilStable:
         last = orch.trace.trace().events[-1]
         assert last.payload == {"reason": "gate-exhausted", "subtask_id": "sC",
                                 "best_score": best}
+
+    def test_a_gate_embeds_each_distinct_text_once(self):
+        # as in the exhaustion test, each revision leaves the rendered prompt
+        # as it was, so every measurement draws from the same four texts; one
+        # sample of each is blank and never embedded
+        base = ModularPrompt(role="You answer questions about colors.",
+                             requirements=("Pick a color word.",), knowledge="Colors vary.")
+        behaviors = [ScriptedBehavior.for_prompt(render_prompt(base), UNSTABLE_OUTCOMES)]
+        rules = [prefix_json(ap.REVIEWER_STABILITY_MARK, "Subtask: sE",
+                             {"component": "knowledge", "replacement": "Colors vary."})]
+        embedder = CountingEmbedder(HashEmbedder())
+        generator = BlankingGenerator(
+            ScriptedGenerator(behaviors=behaviors, prefix_rules=rules), position=1)
+        orch = Orchestrator(generator, embedder, TraceWriter({"run": "test"}),
+                            OrchestratorSettings(refinement=RefinementConfig(max_iterations=3)))
+        _, history = orch.refine_until_stable(base, subtask_id="sE")
+        assert (history.outcome, len(history.steps)) == ("exhausted", 3)
+        trace = orch.trace.trace()
+        embedded, idle = gate_embeddings(trace)
+        assert embedder.texts == embedded
+        assert sorted(embedded) == sorted(text for text, _ in UNSTABLE_OUTCOMES)
+        assert idle == len(trace.events_of_type("score")) - len(
+            trace.events_of_type("embedding")) > 0
 
     def test_reviewer_disabled_exhausts_without_steps(self):
         base = ModularPrompt(role="You pick colors.", requirements=("Pick one.",))

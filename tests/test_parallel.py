@@ -26,6 +26,7 @@ from promptor.trace import TraceWriter, canonical_trace_bytes, replay_trace
 
 from .pipeline_fixture import TASK, pipeline_generator, planner_behavior
 from .stub_server import StubApiServer, StubConfig
+from .test_orchestrator import CountingEmbedder, gate_embeddings
 from .test_trace import written_strings
 
 BRANCHES = [f"b{i}" for i in range(6)]
@@ -108,7 +109,8 @@ class JitterGenerator:
         return self.inner.generate(request)
 
 
-def run(generator, width, monkeypatch, settings=SETTINGS, template="fan-out-fan-in"):
+def run(generator, width, monkeypatch, settings=SETTINGS, template="fan-out-fan-in",
+        embedder=None):
     """The run's trace at the given width; a run that raises returns the
     exception with the trace written so far."""
     monkeypatch.setattr(orchestrator, "MAX_PARALLEL", width)
@@ -117,7 +119,7 @@ def run(generator, width, monkeypatch, settings=SETTINGS, template="fan-out-fan-
 
     def pipeline():
         try:
-            Orchestrator(generator, HashEmbedder(), writer, settings).run_pipeline(
+            Orchestrator(generator, embedder or HashEmbedder(), writer, settings).run_pipeline(
                 TASK, template=template)
         except Exception as exc:
             errors.append(exc)
@@ -194,6 +196,22 @@ def test_trace_bytes_are_equal_at_every_width(conflict, monkeypatch, pools, freq
                for o in e.payload["outputs"])
     assert len(warnings_of(trace, "invariant-violation")) == (1 if conflict else 0)
     assert state.plan.subtask("b4").injected_notes == ("Keep the units.",)
+
+
+def test_each_gate_embeds_a_text_once_at_every_width(monkeypatch, frequent_switches):
+    # the reviewer's revisions keep the executor rule, so they draw from the
+    # same three texts as the first prompt
+    traces, sent = {}, {}
+    for width in (1, 4):
+        embedder = CountingEmbedder(HashEmbedder())
+        trace, error = run(JitterGenerator(fan_out_generator(), seed=width), width,
+                           monkeypatch, embedder=embedder)
+        assert error is None
+        traces[width] = canonical_trace_bytes(trace)
+        embedded, idle = gate_embeddings(trace)
+        sent[width] = sorted(embedder.texts)
+        assert sent[width] == sorted(embedded) and idle > 0
+    assert traces[4] == traces[1] and sent[4] == sent[1]
 
 
 class Overlaps:

@@ -16,10 +16,10 @@ from promptor import (
     StateError,
     Subtask,
     SubtaskStatus,
-    estimate_granularity,
     with_status,
     with_subtask,
 )
+from promptor.plan import estimate_granularity
 from promptor.prompt import _JsonRecord, _reader
 
 
