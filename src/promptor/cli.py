@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import MODULE_KEYS, PipelineConfig, _load, _read_json
 from .errors import BackendError, ConfigError, MalformedTraceError, MetricError
-from .metrics import KL, SEMANTIC
+from .metrics import LARGEST_DISTANCE
 from .orchestrator import MAX_SAMPLE_COUNT, Orchestrator
 from .prompt import ModularPrompt
 from .reports import compute_run_metrics, render_run_report
@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_override_flags(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sub.add_argument("--metric", choices=(SEMANTIC, KL), default=None,
+    sub.add_argument("--metric", choices=tuple(LARGEST_DISTANCE), default=None,
                      help="override the stability metric")
     sub.add_argument("--tau", type=float, default=None,
                      help="override the stability gate threshold")

@@ -116,15 +116,17 @@ class StabilityScore:
     The mean of sample_distances is 1 - value, up to rounding."""
 
     value: float
-    sample_count: int
     sample_distances: tuple[float, ...]
 
     def __post_init__(self):
         d = self.sample_distances
-        if len(d) != self.sample_count:
-            raise ValueError(f"expected {self.sample_count} sample distances, got {len(d)}")
-        if d and not (0.0 <= min(d) and max(d) <= 2.0):
-            raise ValueError(f"sample distances outside [0, 2]: {min(d)}..{max(d)}")
+        largest = max(LARGEST_DISTANCE.values())
+        if d and not (0.0 <= min(d) and max(d) <= largest):
+            raise ValueError(f"sample distances outside [0, {largest:g}]: {min(d)}..{max(d)}")
+
+    @property
+    def sample_count(self) -> int:
+        return len(self.sample_distances)
 
 
 @functools.lru_cache(maxsize=8)
@@ -193,8 +195,7 @@ def _score(rows: Sequence[int] | None, k: int, distances: np.ndarray,
     inputs[a, b] = inputs[b, a] = distances
     gathered = table.take(rows[i] * (k + 1) + rows[j])
     totals = np.bincount(i, gathered, n) + np.bincount(j, gathered, n)
-    return StabilityScore(value=value, sample_count=n,
-                          sample_distances=tuple((totals / (n - 1)).tolist()))
+    return StabilityScore(value=value, sample_distances=tuple((totals / (n - 1)).tolist()))
 
 
 def semantic_stability(vectors: Sequence, rows: Sequence[int] | None = None) -> StabilityScore:

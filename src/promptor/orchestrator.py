@@ -43,7 +43,13 @@ from .errors import (
     StateError,
     TransportError,
 )
-from .metrics import KL, SEMANTIC, StabilityScore, kl_stability_score, semantic_stability
+from .metrics import (
+    LARGEST_DISTANCE,
+    SEMANTIC,
+    StabilityScore,
+    kl_stability_score,
+    semantic_stability,
+)
 from .plan import (
     NO_OP,
     PROPAGATE_SUCCESS,
@@ -59,7 +65,6 @@ from .plan import (
 from .prompt import (
     ModularPrompt,
     PromptComponentKind,
-    ValidationResult,
     _write_field,
     render_prompt,
     replace_component,
@@ -114,53 +119,59 @@ class RefinementConfig:
             raise ValueError("reviewer_temperature must be finite and >= 0")
         if not 0 <= self.stability_temperature < math.inf:
             raise ValueError("stability_temperature must be finite and >= 0")
-        if self.metric not in (SEMANTIC, KL):
-            raise ValueError(f"metric must be '{SEMANTIC}' or '{KL}'")
+        if self.metric not in LARGEST_DISTANCE:
+            raise ValueError("metric must be " + " or ".join(map(repr, LARGEST_DISTANCE)))
         if not 0 < self.kl_alpha < math.inf:
             raise ValueError("kl_alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
-class RefinementStep:
-    revision: int
-    component: str
-    score_before: StabilityScore
-    score_after: StabilityScore
-
-
-@dataclass(frozen=True)
 class RefinementHistory:
-    """How a gate ended: its reviewer steps, its outcome (stabilized,
-    exhausted or review-failed) and the score of the last prompt measured."""
+    """How a gate ended: the score of its first prompt and then of each
+    revision (the last is final_score), the component each revision
+    replaced, and its outcome (stabilized, exhausted or review-failed)."""
 
-    steps: tuple[RefinementStep, ...]
+    scores: tuple[StabilityScore, ...]
+    components: tuple[str, ...]
     outcome: str
-    final_score: StabilityScore
     tau: float
 
     def __post_init__(self):
+        if len(self.scores) != len(self.components) + 1:
+            raise ValueError("a history holds one more score than components")
         if self.outcome not in (STABILIZED, EXHAUSTED, REVIEW_FAILED):
             raise ValueError(f"unknown outcome: {self.outcome!r}")
         if self.outcome == STABILIZED and self.final_score.value < self.tau:
             raise ValueError("a stabilized history must end at or above tau")
 
+    @property
+    def final_score(self) -> StabilityScore:
+        return self.scores[-1]
+
+
+TRANSPORT = "transport"
+
 
 @dataclass(frozen=True)
 class ExecutionResult:
+    """One execution's output and why it failed: None on success, else the
+    validator's reason or TRANSPORT when the generation failed in transport."""
+
     subtask_id: str
-    status: SubtaskStatus
     output: str
-    validation: ValidationResult | None
-    cause: str | None = None  # "format" | "transport" on failure
+    reason: str | None = None
 
     @property
     def ok(self) -> bool:
-        return self.status is SubtaskStatus.EXECUTED_OK
+        return self.reason is None
+
+    @property
+    def status(self) -> SubtaskStatus:
+        return SubtaskStatus.EXECUTED_OK if self.ok else SubtaskStatus.EXECUTED_FAILED
 
 
 @dataclass(frozen=True)
 class Summary:
-    source_subtask: str
     structured_text: str
     preserved_keys: tuple[str, ...] = ()
 
@@ -230,12 +241,11 @@ def _reply_text(response: dict | None, key: str) -> str:
     return value.strip() if isinstance(value, str) else ""
 
 
-def _group_samples(texts: list[str], drop_blank: bool = False) -> tuple[list[str], list[int]]:
+def _group_samples(texts: list[str]) -> tuple[list[str], list[int]]:
     """The distinct texts in first-seen order, and each text's position among
-    them. With drop_blank, a blank text is left out and its position is -1."""
+    them."""
     position: dict[str, int] = {}
-    rows = [-1 if drop_blank and not text.strip() else position.setdefault(text, len(position))
-            for text in texts]
+    rows = [position.setdefault(text, len(position)) for text in texts]
     return list(position), rows
 
 
@@ -630,8 +640,9 @@ class Orchestrator:
         )
         # each distinct text is embedded once per gate and scored once; a
         # blank sample is scored as maximally distant, not embedded
-        texts, output_rows = _group_samples(outputs, drop_blank=True)
-        rows = [output_rows[k] for k in sample_index]
+        texts = [text for text in outputs if text.strip()]
+        position = {text: k for k, text in enumerate(texts)}
+        rows = [position.get(outputs[k], -1) for k in sample_index]
         if cfg.metric == SEMANTIC:
             if new := [text for text in texts if text not in vectors]:
                 reply = self._backend(self.embedder.embed, new)
@@ -720,35 +731,35 @@ class Orchestrator:
         vectors: dict[str, EmbeddingVector] = {}
         current, (score, outputs) = p, self._measure(p, subtask_id, vectors)
         best_prompt, best_value = current, score.value
-        steps: list[RefinementStep] = []
+        scores, components = [score], []
         while score.value < cfg.tau:
-            if len(steps) == (cfg.max_iterations if reviewer else 0):
+            if len(components) == (cfg.max_iterations if reviewer else 0):
                 if not reviewer:
                     self.trace.warning("reviewer-disabled", subtask_id=subtask_id,
                                        value=score.value)
                 # executing below tau is always visible in the trace
                 self.trace.warning("gate-exhausted", subtask_id=subtask_id,
                                    best_score=best_value)
-                return best_prompt, RefinementHistory(tuple(steps), EXHAUSTED, score, cfg.tau)
+                return best_prompt, RefinementHistory(
+                    tuple(scores), tuple(components), EXHAUSTED, cfg.tau)
             revised = self._reviewer_revision(current, score, outputs, subtask_id)
             if revised is None:
                 self.trace.warning(
                     "review-failure", subtask_id=subtask_id,
                     error=f"reviewer produced no usable revision for {subtask_id!r}")
                 return best_prompt, RefinementHistory(
-                    tuple(steps), REVIEW_FAILED, score, cfg.tau)
+                    tuple(scores), tuple(components), REVIEW_FAILED, cfg.tau)
             revised_prompt, kind = revised
             self._emit_prompt("revision", subtask_id, current, revised_prompt,
                               {"component": kind.value,
                                "value": _write_field(revised_prompt, kind.value)})
-            new_score, outputs = self._measure(revised_prompt, subtask_id, vectors)
-            steps.append(
-                RefinementStep(revised_prompt.revision, kind.value, score, new_score)
-            )
-            current, score = revised_prompt, new_score
+            score, outputs = self._measure(revised_prompt, subtask_id, vectors)
+            current = revised_prompt
+            scores.append(score)
+            components.append(kind.value)
             if score.value > best_value:
                 best_prompt, best_value = current, score.value
-        return current, RefinementHistory(tuple(steps), STABILIZED, score, cfg.tau)
+        return current, RefinementHistory(tuple(scores), tuple(components), STABILIZED, cfg.tau)
 
     # -- execution --------------------------------------------------------------
 
@@ -767,16 +778,8 @@ class Orchestrator:
             )
         except TransportError as exc:
             self.trace.warning("transport-failure", subtask_id=sub.id, error=str(exc))
-            return ExecutionResult(
-                sub.id, SubtaskStatus.EXECUTED_FAILED, "", None, cause="transport"
-            )
-        output = outputs[0]
-        validation = validate_output(output, sub.io_spec)
-        if validation.ok:
-            return ExecutionResult(sub.id, SubtaskStatus.EXECUTED_OK, output, validation)
-        return ExecutionResult(
-            sub.id, SubtaskStatus.EXECUTED_FAILED, output, validation, cause="format"
-        )
+            return ExecutionResult(sub.id, "", TRANSPORT)
+        return ExecutionResult(sub.id, outputs[0], validate_output(outputs[0], sub.io_spec).reason)
 
     def augment_requirements(
         self, p: ModularPrompt, failure: ExecutionResult
@@ -785,9 +788,8 @@ class Orchestrator:
         problem the prompt comes back unchanged with a warning recorded."""
         if failure.ok:
             raise StateError("augment_requirements needs a failed result")
-        reason = failure.validation.reason if failure.validation else failure.cause
         response = self._ask_json(
-            ap.reviewer_failure_prompt(failure.subtask_id, p, reason or "", failure.output),
+            ap.reviewer_failure_prompt(failure.subtask_id, p, failure.reason, failure.output),
             temperature=self.settings.refinement.reviewer_temperature,
             purpose="augmentation", subtask_id=failure.subtask_id,
         )
@@ -805,7 +807,7 @@ class Orchestrator:
         """Distill a completed subtask's output; short outputs pass through
         verbatim, and so does anything whose summarization fails."""
         if len(raw_output) <= SUMMARY_PASS_THROUGH_LIMIT:
-            return Summary(sub.id, raw_output)
+            return Summary(raw_output)
         response = self._ask_json(
             ap.summarizer_prompt(plan, sub, raw_output),
             temperature=0.0, purpose="summarize", subtask_id=sub.id,
@@ -815,8 +817,8 @@ class Orchestrator:
         if (not text or len(text) >= len(raw_output) or not isinstance(keys, list)
                 or not all(isinstance(key, str) for key in keys)):
             self.trace.warning("summary-fallback", subtask_id=sub.id)
-            return Summary(sub.id, raw_output)
-        return Summary(sub.id, text, preserved_keys=tuple(keys))
+            return Summary(raw_output)
+        return Summary(text, preserved_keys=tuple(keys))
 
     def generate_domain_knowledge(self, sub: Subtask) -> str:
         try:
@@ -884,11 +886,7 @@ class Orchestrator:
             targets = tuple(map(str, targets)) if isinstance(targets, list) else (str(targets),)
             return PlanUpdate(source.id, PROPAGATE_SUCCESS, targets or tuple(pending), payload)
         response = self._ask_json(
-            ap.plan_update_failure_prompt(
-                plan, source,
-                (result.validation.reason if result.validation else result.cause) or "",
-                result.output,
-            ),
+            ap.plan_update_failure_prompt(plan, source, result.reason, result.output),
             temperature=0.0, purpose="plan-update", subtask_id=source.id,
         )
         description = _reply_text(response, "description")
@@ -974,7 +972,7 @@ class Orchestrator:
         retries = 0
         while (
             not result.ok
-            and result.cause == "format"
+            and result.reason != TRANSPORT
             and retries < self.settings.augmentation_retries
             and self.settings.reviewer_enabled
         ):
@@ -1050,15 +1048,16 @@ class Orchestrator:
         gone when this returns or raises; the trace is the same at any width.
 
         The run's terminal status is written in one place, whatever happens:
-        an unexpected exception is recorded as a run-aborted warning, the run
-        ends failed, and the exception propagates."""
+        an unexpected exception, a KeyboardInterrupt or SystemExit included,
+        is recorded as a run-aborted warning, the run ends failed, and the
+        exception propagates."""
         self.trace.emit(
             "status-change", {"subtask_id": "__run__", "from": None, "to": "running"}
         )
         status, final_output = "failed", ""
         try:
             status, final_output = self._run_plan(task, template)
-        except Exception as exc:
+        except BaseException as exc:
             self.trace.warning("run-aborted", error=f"{type(exc).__name__}: {exc}")
             raise
         finally:

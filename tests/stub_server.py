@@ -134,7 +134,9 @@ class StubApiServer:
         self._httpd.max_inflight_seen = 0
         self._httpd.request_count = 0
         self._httpd.embedding_replies = 0
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll, 0.5 s by default
+        self._thread = threading.Thread(target=self._httpd.serve_forever, args=(0.01,),
+                                        daemon=True)
         self._thread.start()
         return self
 

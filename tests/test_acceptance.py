@@ -178,7 +178,8 @@ def test_criterion_5_refinement_step_counts():
         ScriptedGenerator(behaviors=[point_mass(render_prompt(stable), "7")])
     )
     refined, history = orch.refine_until_stable(stable, subtask_id="sA")
-    assert (refined, history.outcome, len(history.steps)) == (stable, "stabilized", 0)
+    assert (refined, history.outcome, history.components) == (stable, "stabilized", ())
+    assert len(history.scores) == 1
 
     # one reviewer step lands on a point mass
     base = ModularPrompt(
@@ -198,8 +199,9 @@ def test_criterion_5_refinement_step_counts():
                           "replacement": "Respond with the word omega only."})]
     orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, prefix_rules=rules))
     refined, history = orch.refine_until_stable(base, subtask_id="sB")
-    assert (history.outcome, len(history.steps)) == ("stabilized", 1)
-    assert history.steps[0].score_before.value < TAU
+    assert (history.outcome, history.components) == ("stabilized", ("requirements",))
+    assert len(history.scores) == 2
+    assert history.scores[0].value < TAU
     assert history.final_score.value == pytest.approx(1.0)
     assert refined == revised
 
@@ -218,10 +220,9 @@ def test_criterion_5_refinement_step_counts():
         OrchestratorSettings(refinement=RefinementConfig(max_iterations=3)),
     )
     refined, history = orch.refine_until_stable(looping, subtask_id="sC")
-    assert (history.outcome, len(history.steps)) == ("exhausted", 3)
-    seen = [history.steps[0].score_before.value]
-    seen.extend(step.score_after.value for step in history.steps)
-    assert all(value < TAU for value in seen)
+    assert (history.outcome, history.components) == ("exhausted", ("knowledge",) * 3)
+    assert len(history.scores) == 4
+    assert all(score.value < TAU for score in history.scores)
     _passed("criterion 5: refinement fixtures hit exact step counts "
             "(0, 1, budget)", t0, budget=5.0)
 

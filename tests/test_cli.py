@@ -10,6 +10,7 @@ from promptor import agent_prompts as ap
 from promptor.cli import build_parser, main
 from promptor.config import PipelineConfig
 from promptor.errors import ZeroVectorError
+from promptor.metrics import LARGEST_DISTANCE
 from promptor.orchestrator import MAX_SAMPLE_COUNT
 from promptor.prompt import render_prompt
 from promptor.trace import TRACE_VERSION, canonical_trace_bytes, read_trace, replay_trace
@@ -450,6 +451,20 @@ def test_readme_cli_synopsis_names_every_subcommand_and_option():
                for name, parser in commands.choices.items()}
     assert named == defined
 
+
+
+def test_the_metric_choices_are_the_metrics_with_a_largest_distance(tmp_path, capsys):
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name in ("run", "eval-stability"):
+        [metric] = [action for action in commands.choices[name]._actions
+                    if "--metric" in action.option_strings]
+        assert metric.choices == tuple(LARGEST_DISTANCE)
+    # a metric outside that list is a config error that names the key
+    config_path = write_json(tmp_path / "judge.json", pipeline_config_dict(metric="judge"))
+    code, out, err = invoke(["run", "--config", config_path], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and "metric must be 'semantic' or 'kl'" in err
 
 class TestEvalStability:
     def make_prompt_file(self, tmp_path):

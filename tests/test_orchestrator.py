@@ -36,7 +36,6 @@ from promptor.prompt import (
     IoSpec,
     ModularPrompt,
     PromptComponentKind,
-    ValidationResult,
     render_prompt,
     replace_component,
 )
@@ -225,7 +224,7 @@ class TestRefineUntilStable:
         refined, history = orch.refine_until_stable(prompt, subtask_id="sA")
         assert refined == prompt
         assert history.outcome == "stabilized"
-        assert history.steps == ()
+        assert history.components == ()
         assert history.final_score.value == 1.0
         events = orch.trace.trace()
         assert len(events.events_of_type("score")) == 1
@@ -262,9 +261,8 @@ class TestRefineUntilStable:
         orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, prefix_rules=rules))
         refined, history = orch.refine_until_stable(base, subtask_id="sB")
         assert history.outcome == "stabilized"
-        assert len(history.steps) == 1
-        assert history.steps[0].component == "requirements"
-        assert history.steps[0].score_before.value < TAU
+        assert history.components == ("requirements",)
+        assert history.scores[0].value < TAU
         assert history.final_score.value == pytest.approx(1.0)
         assert refined == revised
         assert refined.revision == 1
@@ -295,10 +293,8 @@ class TestRefineUntilStable:
         )
         refined, history = orch.refine_until_stable(base, subtask_id="sC")
         assert history.outcome == "exhausted"
-        assert len(history.steps) == 3
-        assert [s.revision for s in history.steps] == [1, 2, 3]
-        seen = [history.steps[0].score_before.value]
-        seen.extend(s.score_after.value for s in history.steps)
+        assert history.components == ("knowledge",) * 3
+        seen = [score.value for score in history.scores]
         assert all(v < TAU for v in seen)
         # the returned prompt is the earliest revision achieving the best score
         best = max(seen)
@@ -324,7 +320,7 @@ class TestRefineUntilStable:
         orch = Orchestrator(generator, embedder, TraceWriter({"run": "test"}),
                             OrchestratorSettings(refinement=RefinementConfig(max_iterations=3)))
         _, history = orch.refine_until_stable(base, subtask_id="sE")
-        assert (history.outcome, len(history.steps)) == ("exhausted", 3)
+        assert (history.outcome, len(history.components)) == ("exhausted", 3)
         trace = orch.trace.trace()
         embedded, idle = gate_embeddings(trace)
         assert embedder.texts == embedded
@@ -343,7 +339,7 @@ class TestRefineUntilStable:
         refined, history = orch.refine_until_stable(base, subtask_id="sD")
         assert refined == base
         assert history.outcome == "exhausted"
-        assert history.steps == ()
+        assert history.components == ()
         # reviewer-disabled first, then the gate's own gate-exhausted
         warnings = [e.payload for e in orch.trace.trace().events_of_type("warning")]
         value = history.final_score.value
@@ -363,7 +359,7 @@ class TestRefineUntilStable:
         refined, history = orch.refine_until_stable(base, subtask_id="sE")
         assert refined == base
         assert history.outcome == "review-failed"
-        assert history.steps == ()
+        assert history.components == ()
         # one initial ask plus reask_budget identical retries
         assert len(warnings_with_reason(orch, "unparseable-agent-response")) == 3
         # the gate's last event records why it ended below tau
@@ -445,7 +441,7 @@ class TestRefineUntilStable:
         orch = make_orchestrator(ScriptedGenerator(behaviors=behaviors, prefix_rules=rules))
         refined, history = orch.refine_until_stable(base, subtask_id="sG")
         assert history.outcome == "stabilized"
-        assert history.steps[0].component == "knowledge"
+        assert history.components == ("knowledge",)
         assert refined.knowledge == "Only omega exists."
 
     def test_kl_metric_gates_without_embedder(self):
@@ -928,7 +924,7 @@ class TestExecuteSubtask:
         result = orch.execute_subtask(sub, prompt)
         assert result.ok
         assert result.output == "42"
-        assert result.validation.ok
+        assert result.reason is None
         generation = orch.trace.trace().events_of_type("generation")[0].payload
         assert generation["purpose"] == "execution"
 
@@ -941,8 +937,7 @@ class TestExecuteSubtask:
         orch = make_orchestrator(gen)
         result = orch.execute_subtask(sub, prompt)
         assert not result.ok
-        assert result.cause == "format"
-        assert result.validation.reason == "non-numeric"
+        assert result.reason == "non-numeric"
 
     def test_transport_failure_reported_in_band(self):
         sub = ready_subtask()
@@ -950,8 +945,7 @@ class TestExecuteSubtask:
         orch = make_orchestrator(TransportFailingGenerator())
         result = orch.execute_subtask(sub, prompt)
         assert not result.ok
-        assert result.cause == "transport"
-        assert result.validation is None
+        assert (result.reason, result.output) == ("transport", "")
         assert len(warnings_with_reason(orch, "transport-failure")) == 1
 
     def test_wrong_status_rejected(self):
@@ -964,13 +958,7 @@ class TestExecuteSubtask:
 
 class TestAugmentRequirements:
     def failed(self, output="about six"):
-        return ExecutionResult(
-            subtask_id="calc",
-            status=SubtaskStatus.EXECUTED_FAILED,
-            output=output,
-            validation=ValidationResult(ok=False, reason="non-numeric"),
-            cause="format",
-        )
+        return ExecutionResult(subtask_id="calc", output=output, reason="non-numeric")
 
     def test_appends_reviewer_clause(self):
         prompt = executor_prompt("calc", "Compute the sum.")
@@ -1023,8 +1011,7 @@ class TestAugmentRequirements:
 
     def test_successful_result_rejected(self):
         prompt = executor_prompt("calc", "Compute the sum.")
-        ok = ExecutionResult("calc", SubtaskStatus.EXECUTED_OK, "6",
-                             ValidationResult(ok=True))
+        ok = ExecutionResult("calc", "6")
         orch = make_orchestrator(ScriptedGenerator())
         with pytest.raises(StateError):
             orch.augment_requirements(prompt, ok)
@@ -1040,7 +1027,6 @@ class TestSummarize:
         orch = make_orchestrator(counting)
         summary = orch.summarize("final: 42", self.plan_with(sub), sub)
         assert summary.structured_text == "final: 42"
-        assert summary.source_subtask == "a"
         assert counting.calls == 0
 
     def test_long_output_distilled(self):
@@ -1185,14 +1171,10 @@ class TestUpdatePlan:
         )
 
     def ok_result(self):
-        return ExecutionResult("a", SubtaskStatus.EXECUTED_OK, "100",
-                               ValidationResult(ok=True))
+        return ExecutionResult("a", "100")
 
     def failed_result(self):
-        return ExecutionResult(
-            "a", SubtaskStatus.EXECUTED_FAILED, "nope",
-            ValidationResult(ok=False, reason="non-numeric"), cause="format",
-        )
+        return ExecutionResult("a", "nope", "non-numeric")
 
     def test_success_payload_reaches_named_targets(self):
         rules = [
@@ -1252,7 +1234,7 @@ class TestUpdatePlan:
         before = Plan(task_description=TASK, subtasks=before.subtasks + (
             Subtask(id="d", description="Use the left branch.", dependencies=frozenset({"b"})),
         ))
-        result = ExecutionResult("b", SubtaskStatus.EXECUTED_OK, "7", ValidationResult(ok=True))
+        result = ExecutionResult("b", "7")
         plan, update = orch.update_plan(before, result, "7")
         assert update.kind == "no-op"
         assert plan.subtask("c").injected_notes == plan.subtask("d").injected_notes == ()
@@ -1594,6 +1576,61 @@ class TestRunPipeline:
         ]
         assert len(executions) == 2
 
+    @staticmethod
+    def failing_calc_run(orch_settings, execution_fails):
+        """A run of one numeric subtask whose executions all fail: each
+        execution prompt goes to execution_fails, every other prompt to a
+        script whose stability draws agree, whose reviewer adds a clause and
+        whose plan updater reformulates the subtask. Returns the trace and
+        every prompt sent."""
+        solo = [{"id": "calc", "description": "Compute the sum.",
+                 "dependencies": [], "io_spec": {"output_format": "numeric"}}]
+        executor = "## Role\nYou are the executor agent for subtask 'calc'."
+        script = ScriptedGenerator(
+            behaviors=[planner_behavior(solo)],
+            prefix_rules=[
+                (executor, ScriptedBehavior(prompt_fingerprint=f"prefix:{executor}",
+                                            outcomes=(("about six", 1.0),))),
+                prefix_json(ap.REVIEWER_FAILURE_MARK, "Subtask: calc",
+                            {"clause": "Print one integer only."}),
+                prefix_json(ap.PLAN_UPDATE_FAILURE_MARK, "Subtask: calc",
+                            {"description": "Add the numbers."}),
+            ],
+        )
+        prompts = []
+
+        class Recording:
+            def generate(self, request):
+                prompts.append(request.prompt_text)
+                if request.prompt_text.startswith(executor) and request.sample_count == 1:
+                    return execution_fails(request)
+                return script.generate(request)
+
+        orch = make_orchestrator(Recording(), orch_settings)
+        return orch.run_pipeline(TASK, template="linear-chain"), prompts
+
+    def test_a_format_failure_names_its_reason_to_the_reviewer_and_the_updater(self):
+        trace, prompts = self.failing_calc_run(self.settings(), lambda request: ["about six"])
+        assert replay_trace(trace).run_status == "failed"
+        for mark in (ap.REVIEWER_FAILURE_MARK, ap.PLAN_UPDATE_FAILURE_MARK):
+            asked = [p for p in prompts if p.startswith(mark)]
+            assert asked and all("\nFailure reason: non-numeric\n" in p for p in asked)
+
+    def test_a_transport_failure_gets_no_augmentation_retry(self):
+        def hang_up(request):
+            raise TransportError("connection reset")
+
+        trace, prompts = self.failing_calc_run(self.settings(), hang_up)
+        assert replay_trace(trace).run_status == "failed"
+        assert not any(p.startswith(ap.REVIEWER_FAILURE_MARK) for p in prompts)
+        assert trace.events_of_type("augmentation") == ()
+        # the plan updater still hears why, and the reformulated retry fails alike
+        [updater] = [p for p in prompts if p.startswith(ap.PLAN_UPDATE_FAILURE_MARK)]
+        assert "\nFailure reason: transport\n" in updater
+        failures = [e for e in trace.events_of_type("warning")
+                    if e.payload["reason"] == "transport-failure"]
+        assert len(failures) == 2
+
     def test_strategy_shift_retries_reformulated_subtask(self):
         solo = [{"id": "calc", "description": "Compute the sum.",
                  "dependencies": [], "io_spec": {"output_format": "numeric"}}]
@@ -1796,12 +1833,15 @@ def test_a_range_check_rejects_nan_and_infinity(build):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: RefinementHistory((), "abandoned", StabilityScore(1.0, 2, (0.0, 0.0)), TAU),
+    (lambda: RefinementHistory((StabilityScore(1.0, (0.0, 0.0)),), (), "abandoned", TAU),
      "unknown outcome: 'abandoned'"),
-    (lambda: RefinementHistory((), STABILIZED, StabilityScore(0.5, 2, (0.5, 0.5)), TAU),
+    (lambda: RefinementHistory((StabilityScore(0.5, (0.5, 0.5)),), (), STABILIZED, TAU),
      "at or above tau"),
-    (lambda: Summary("a", " \n"), "non-empty text"),
-], ids=["unknown-outcome", "stabilized-below-tau", "blank-summary"])
+    (lambda: RefinementHistory((StabilityScore(1.0, (0.0, 0.0)),), ("role",), STABILIZED, TAU),
+     "one more score than components"),
+    (lambda: Summary(" \n"), "non-empty text"),
+], ids=["unknown-outcome", "stabilized-below-tau", "scores-and-components-disagree",
+        "blank-summary"])
 def test_a_record_built_against_its_invariants_is_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -12,6 +12,7 @@ import pytest
 
 from promptor import agent_prompts as ap
 from promptor import orchestrator
+from promptor.cli import main
 from promptor.backends import (
     BackendDescriptor,
     HashEmbedder,
@@ -22,7 +23,7 @@ from promptor.backends import (
 from promptor.errors import TransportError, UnknownPromptError
 from promptor.orchestrator import Orchestrator, OrchestratorSettings, RefinementConfig
 from promptor.plan import SubtaskStatus
-from promptor.trace import TraceWriter, canonical_trace_bytes, replay_trace
+from promptor.trace import TraceWriter, canonical_trace_bytes, read_trace, replay_trace
 
 from .pipeline_fixture import TASK, pipeline_generator, planner_behavior
 from .stub_server import StubApiServer, StubConfig
@@ -110,18 +111,20 @@ class JitterGenerator:
 
 
 def run(generator, width, monkeypatch, settings=SETTINGS, template="fan-out-fan-in",
-        embedder=None):
-    """The run's trace at the given width; a run that raises returns the
-    exception with the trace written so far."""
+        embedder=None, path=None):
+    """The run's trace at the given width, also written to path if given; a
+    run that raises, even a KeyboardInterrupt, returns the exception with the
+    trace written so far."""
     monkeypatch.setattr(orchestrator, "MAX_PARALLEL", width)
-    writer = TraceWriter({"run": "parallel"})
+    writer = TraceWriter({"run": "parallel"}, path=path)
     errors = []
 
     def pipeline():
         try:
-            Orchestrator(generator, embedder or HashEmbedder(), writer, settings).run_pipeline(
-                TASK, template=template)
-        except Exception as exc:
+            with writer:
+                Orchestrator(generator, embedder or HashEmbedder(), writer,
+                             settings).run_pipeline(TASK, template=template)
+        except BaseException as exc:
             errors.append(exc)
 
     before = set(threading.enumerate())
@@ -480,3 +483,36 @@ def test_transport_error_in_stability_sampling_aborts_as_at_width_one(monkeypatc
 
         assert_abort_parity(make, monkeypatch, TransportError)
         assert server.request_count >= 2
+
+
+class InterruptingGenerator:
+    """Raises KeyboardInterrupt at its nth call, as a Ctrl-C would land
+    there, and passes every other call to inner."""
+
+    def __init__(self, inner, at):
+        self.inner, self.at, self.calls = inner, at, 0
+        self._lock = threading.Lock()
+
+    def generate(self, request):
+        with self._lock:
+            self.calls += 1
+            interrupted = self.calls == self.at
+        if interrupted:
+            raise KeyboardInterrupt
+        return self.inner.generate(request)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_an_interrupted_run_ends_failed_with_its_reason(monkeypatch, tmp_path, capsys, width):
+    path = tmp_path / "interrupted.jsonl"
+    trace, error = run(InterruptingGenerator(JitterGenerator(fan_out_generator()), at=6),
+                       width, monkeypatch, path=path)
+    assert isinstance(error, KeyboardInterrupt)
+    # the run-aborted warning, then the run's one terminal status
+    aborted, closed = (e.payload for e in trace.events[-2:])
+    assert aborted["reason"] == "run-aborted"
+    assert aborted["error"].startswith("KeyboardInterrupt")
+    assert (closed["subtask_id"], closed["to"]) == ("__run__", "failed")
+    assert read_trace(path).events == trace.events
+    assert main(["report", "--trace", str(path)]) == 0
+    assert "run 1: failed" in capsys.readouterr().out.splitlines()
