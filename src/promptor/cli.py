@@ -128,9 +128,17 @@ def cmd_eval_stability(args) -> int:
     prompt = _load(ModularPrompt, _read_json(args.prompt, "prompt"), f"prompt {args.prompt}")
     cfg = _read_config(args)
     generator, embedder = cfg.build_backends()
+    score = None
+
+    def evaluate():
+        nonlocal score
+        score = orch.evaluate_prompt_stability(prompt, subtask_id="eval")
+        return "succeeded", ""
+
     with TraceWriter(cfg.header(), path=args.trace) as writer:
         orch = Orchestrator(generator, embedder, writer, cfg.settings)
-        score = orch.evaluate_prompt_stability(prompt, subtask_id="eval")
+        # a run that ends succeeded, with no final output, once the score is written
+        orch._as_run(evaluate)
     verdict = "stable" if score.value >= cfg.tau else "unstable"
     _emit(
         f"stability: {score.value:.10f}\n"

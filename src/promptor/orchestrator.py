@@ -3,7 +3,9 @@ stability-gated refinement, execution with requirement augmentation,
 summarization, and feedback-driven plan updates.
 
 Every backend interaction and state change is emitted to the trace exactly
-once, so a run can be replayed and audited from the trace alone.
+once, so a run can be replayed and audited from the trace alone. An event
+is emitted whole, a prompt change with the prompt after it; the TraceWriter
+alone picks the form it is written in.
 
 A pipeline runs one step per subtask and commits the steps strictly in plan
 order. The step at the head of that order runs inline; up to MAX_PARALLEL - 1
@@ -65,7 +67,6 @@ from .plan import (
 from .prompt import (
     ModularPrompt,
     PromptComponentKind,
-    _write_field,
     render_prompt,
     replace_component,
     validate_output,
@@ -241,14 +242,6 @@ def _reply_text(response: dict | None, key: str) -> str:
     return value.strip() if isinstance(value, str) else ""
 
 
-def _group_samples(texts: list[str]) -> tuple[list[str], list[int]]:
-    """The distinct texts in first-seen order, and each text's position among
-    them."""
-    position: dict[str, int] = {}
-    rows = [position.setdefault(text, len(position)) for text in texts]
-    return list(position), rows
-
-
 class _EventBuffer:
     """The trace sink of a run-ahead step: its events wait here until the
     commit loop writes them to the run's TraceWriter."""
@@ -259,8 +252,7 @@ class _EventBuffer:
     def emit(self, event_type: str, payload: dict) -> None:
         self.events.append((event_type, payload))
 
-    def warning(self, reason: str, **payload) -> None:
-        self.emit("warning", {"reason": reason, **payload})
+    warning = TraceWriter.warning
 
 
 def _always() -> bool:
@@ -283,6 +275,7 @@ class _Turns:
 
     def __init__(self):
         self._cond = threading.Condition()
+        self._closed = False
         self._running = True   # a thread holds the turn
         # per thread waiting for a turn: the condition it waits for besides
         self._wanting: list[Callable[[], bool]] = []
@@ -305,7 +298,7 @@ class _Turns:
         # with the lock held
         self._wanting.append(ready)
         self._changed()
-        self._cond.wait_for(lambda: ready() and self._free())
+        self._cond.wait_for(lambda: self._closed or ready() and self._free())
         self._wanting.remove(ready)
         self._running = True
 
@@ -317,6 +310,13 @@ class _Turns:
         with self._cond:
             self._running = False
             self._changed()
+
+    def close(self) -> None:
+        """End the turns: every wait returns. An exception that interrupts a
+        wait can leave state that would hold every other thread forever."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
     def wait_until(self, ready: Callable[[], bool]) -> None:
         """Give up the turn until ready() holds and take it again. Only a
@@ -334,7 +334,7 @@ class _Turns:
             self._waiting += 1
             batch = self._batches
             self._changed()
-            self._cond.wait_for(lambda: self._batches != batch)
+            self._cond.wait_for(lambda: self._closed or self._batches != batch)
         try:
             return fn(*args)
         finally:
@@ -379,9 +379,6 @@ class Orchestrator:
         self.settings = settings or OrchestratorSettings()
         # set while steps run ahead
         self._turns: _Turns | None = None
-        # each subtask's prompt as its last revision or augmentation left it;
-        # only a subtask's own step reads or writes its entry
-        self._traced_prompts: dict[str, ModularPrompt] = {}
 
     # -- backend plumbing -------------------------------------------------
 
@@ -402,19 +399,18 @@ class Orchestrator:
             subtask_id=subtask_id,
         )
         outputs = self._backend(self.generator.generate, request)
-        distinct, sample_index = _group_samples(outputs)
-        payload = {
+        position: dict[str, int] = {}
+        sample_index = [position.setdefault(text, len(position)) for text in outputs]
+        distinct = list(position)
+        self.trace.emit("generation", {
             "subtask_id": subtask_id,
             "purpose": purpose,
             "fingerprint": prompt_fingerprint(prompt_text),
             "temperature": temperature,
             "sample_count": sample_count,
             "outputs": distinct,
-        }
-        # outputs lists every sample unless one repeats
-        if len(distinct) < len(outputs):
-            payload["sample_index"] = sample_index
-        self.trace.emit("generation", payload)
+            "sample_index": sample_index,
+        })
         return distinct, sample_index
 
     def _ask_json(
@@ -750,9 +746,8 @@ class Orchestrator:
                 return best_prompt, RefinementHistory(
                     tuple(scores), tuple(components), REVIEW_FAILED, cfg.tau)
             revised_prompt, kind = revised
-            self._emit_prompt("revision", subtask_id, current, revised_prompt,
-                              {"component": kind.value,
-                               "value": _write_field(revised_prompt, kind.value)})
+            self.trace.emit("revision", {"subtask_id": subtask_id, "component": kind.value,
+                                         "prompt_after": revised_prompt})
             score, outputs = self._measure(revised_prompt, subtask_id, vectors)
             current = revised_prompt
             scores.append(score)
@@ -779,7 +774,7 @@ class Orchestrator:
         except TransportError as exc:
             self.trace.warning("transport-failure", subtask_id=sub.id, error=str(exc))
             return ExecutionResult(sub.id, "", TRANSPORT)
-        return ExecutionResult(sub.id, outputs[0], validate_output(outputs[0], sub.io_spec).reason)
+        return ExecutionResult(sub.id, outputs[0], validate_output(outputs[0], sub.io_spec))
 
     def augment_requirements(
         self, p: ModularPrompt, failure: ExecutionResult
@@ -800,7 +795,8 @@ class Orchestrator:
         augmented = replace_component(
             p, PromptComponentKind.REQUIREMENTS, p.requirements + (clause,)
         )
-        self._emit_prompt("augmentation", failure.subtask_id, p, augmented, {"clause": clause})
+        self.trace.emit("augmentation", {"subtask_id": failure.subtask_id, "clause": clause,
+                                         "prompt_after": augmented})
         return augmented
 
     def summarize(self, raw_output: str, plan: Plan, sub: Subtask) -> Summary:
@@ -946,21 +942,9 @@ class Orchestrator:
             history=history,
             io_spec=sub.io_spec,
         )
-        self._emit_prompt("revision", sub.id, None, prompt, {"component": "initial"})
+        self.trace.emit("revision", {"subtask_id": sub.id, "component": "initial",
+                                     "prompt_after": prompt})
         return prompt
-
-    def _emit_prompt(
-        self, event_type: str, subtask_id: str, before: ModularPrompt | None,
-        after: ModularPrompt, change: dict,
-    ) -> None:
-        """Record a subtask's prompt change from before to after: change
-        alone when before is the prompt the trace last holds for the subtask,
-        else with after in full as prompt_after."""
-        payload = {"subtask_id": subtask_id, **change}
-        if before is None or self._traced_prompts.get(subtask_id) is not before:
-            payload["prompt_after"] = after.to_json_dict()
-        self.trace.emit(event_type, payload)
-        self._traced_prompts[subtask_id] = after
 
     def _execute_with_augmentation(
         self, plan: Plan, subtask_id: str, history: str
@@ -1009,12 +993,10 @@ class Orchestrator:
         self, pool: ThreadPoolExecutor, plan: Plan, subtask_id: str, history: str
     ) -> _RunAhead:
         """Start a subtask's step on the pool against plan, on a copy of this
-        orchestrator whose trace is a private buffer and whose prompt table
-        is its own."""
+        orchestrator whose trace is a private buffer."""
         started = _RunAhead()
         worker = copy.copy(self)
         worker.trace = started.buffer
-        worker._traced_prompts = {}
         turns = self._turns
 
         def step():
@@ -1045,18 +1027,22 @@ class Orchestrator:
         summarize with feedback plan updates; failed subtasks get one
         strategy-shift retry when the plan updater is enabled. Independent
         subtasks run ahead on up to MAX_PARALLEL - 1 threads, which are all
-        gone when this returns or raises; the trace is the same at any width.
+        gone when this returns or raises; the trace is the same at any width."""
+        self._as_run(lambda: self._run_plan(task, template))
+        return self.trace.trace()
 
-        The run's terminal status is written in one place, whatever happens:
-        an unexpected exception, a KeyboardInterrupt or SystemExit included,
-        is recorded as a run-aborted warning, the run ends failed, and the
-        exception propagates."""
+    def _as_run(self, body: Callable[[], tuple[str, str]]) -> None:
+        """body() as the trace's run, ending with the status and final output
+        it returns. The one place a run's terminal status is written: any
+        exception, a KeyboardInterrupt or SystemExit included, is recorded as
+        a run-aborted warning, the run ends failed, and the exception
+        propagates."""
         self.trace.emit(
             "status-change", {"subtask_id": "__run__", "from": None, "to": "running"}
         )
         status, final_output = "failed", ""
         try:
-            status, final_output = self._run_plan(task, template)
+            status, final_output = body()
         except BaseException as exc:
             self.trace.warning("run-aborted", error=f"{type(exc).__name__}: {exc}")
             raise
@@ -1066,7 +1052,6 @@ class Orchestrator:
                 {"subtask_id": "__run__", "from": "running", "to": status,
                  "final_output": final_output},
             )
-        return self.trace.trace()
 
     def _run_plan(self, task: str, template: str | None) -> tuple[str, str]:
         """Plan and execute the task; returns the run's terminal status and
@@ -1122,7 +1107,7 @@ class Orchestrator:
                         heapq.heappush(ready, plan.position(dependent.id))
         finally:
             if pool is not None:
-                self._turns.release()
+                self._turns.close()
                 self._turns = None
                 pool.shutdown(cancel_futures=True)
         succeeded = all(s.status is SubtaskStatus.EXECUTED_OK for s in plan.subtasks)

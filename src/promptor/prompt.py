@@ -243,15 +243,6 @@ class IoSpec(_JsonRecord):
 
 
 @dataclass(frozen=True)
-class ValidationResult:
-    """In-band outcome of validate_output; never raised."""
-
-    ok: bool
-    reason: str | None = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class ModularPrompt(_JsonRecord):
     """The unit of refinement: role, requirement clauses, domain knowledge,
     history, and an I/O spec, with a monotone revision counter."""
@@ -342,38 +333,28 @@ _FENCED_BLOCK = re.compile(r"```[^\n`]*\n.*?```", re.DOTALL)
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?\Z")
 
 
-def validate_output(output: str, spec: IoSpec) -> ValidationResult:
-    """Check an output against the spec's format constraint. Pure: repeated
-    calls agree. Failures are in-band (never raised), with machine-readable
-    reasons format-mismatch, missing-key, or non-numeric.
+def validate_output(output: str, spec: IoSpec) -> str | None:
+    """Check an output against the spec's format constraint: None when it
+    holds, else the machine-readable reason it fails, format-mismatch,
+    missing-key or non-numeric. Pure: repeated calls agree. Failures are
+    in-band (never raised).
 
     Only decidable format checks happen here; semantic constraint checking is
     the reviewer's job. A blank output fails every format.
     """
     if not output.strip():
-        return ValidationResult(ok=False, reason=FORMAT_MISMATCH, detail="empty output")
+        return FORMAT_MISMATCH
     if spec.output_format == FREE_TEXT:
-        return ValidationResult(ok=True)
+        return None
     if spec.output_format == NUMERIC:
-        if _NUMBER.match(output.strip()):
-            return ValidationResult(ok=True)
-        return ValidationResult(ok=False, reason=NON_NUMERIC, detail="output is not a number")
+        return None if _NUMBER.match(output.strip()) else NON_NUMERIC
     if spec.output_format == CODE_BLOCK:
-        if _FENCED_BLOCK.search(output):
-            return ValidationResult(ok=True)
-        return ValidationResult(
-            ok=False, reason=FORMAT_MISMATCH, detail="no fenced code block found"
-        )
+        return None if _FENCED_BLOCK.search(output) else FORMAT_MISMATCH
     # json-object
     try:
         parsed = json.loads(output)
     except (ValueError, TypeError):
-        return ValidationResult(ok=False, reason=FORMAT_MISMATCH, detail="not valid JSON")
+        return FORMAT_MISMATCH
     if not isinstance(parsed, dict):
-        return ValidationResult(ok=False, reason=FORMAT_MISMATCH, detail="JSON is not an object")
-    missing = [key for key in spec.required_keys if key not in parsed]
-    if missing:
-        return ValidationResult(
-            ok=False, reason=MISSING_KEY, detail="missing: " + ", ".join(missing)
-        )
-    return ValidationResult(ok=True)
+        return FORMAT_MISMATCH
+    return MISSING_KEY if any(key not in parsed for key in spec.required_keys) else None

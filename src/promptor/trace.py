@@ -15,13 +15,13 @@ sample (sample_distances) where earlier versions listed every pair
 Version 4 stores each distinct output of a generation event once: outputs
 holds the distinct texts in first-seen order, and when some sample repeats,
 sample_index gives, for each of the sample_count samples, its text's
-position in outputs. Without sample_index, as in earlier versions, outputs
-lists every sample. Either way an execution's output is outputs[0]. An
-embedding event's count is the number of texts embedded, which from
-version 4 on is the distinct non-blank samples. Since a stability gate
-embeds each text once, a version 7 trace may count only the texts new to
-the gate, and a measurement with none writes no embedding event; replay
-does not read count.
+position in outputs; else the writer drops it and, as in earlier versions,
+outputs lists every sample. Either way an execution's output is
+outputs[0]. An embedding event's count is the number of texts embedded,
+which from version 4 on is the distinct non-blank samples. Since a
+stability gate embeds each text once, a version 7 trace may count only the
+texts new to the gate, and a measurement with none writes no embedding
+event; replay does not read count.
 
 Version 5 scores the same way but records a score event per distinct
 output: output_distances holds one mean distance per entry of outputs in
@@ -36,15 +36,16 @@ the same.
 Version 6 writes each output text and each prompt once. The writer numbers
 the texts of generation outputs 0, 1, 2... in the order they first appear
 in the trace; a text new to the trace is written in full, and a later copy
-as its ordinal, a JSON int. A reviewer revision writes its component and
-value, the component's JSON form after replace_component, and an
-augmentation its clause; replay applies each to the subtask's current
-prompt with replace_component. The initial revision, and a change to a
-prompt other than the one the trace last holds for the subtask, also write
-the full prompt_after, which replay then takes as it is. Replay checks that
-every output is a text (from version 6 on, or the ordinal of an earlier
-one), that a score's value is a number, a semantic score's within [-1, 1],
-and that a run's final_output is a text.
+as its ordinal, a JSON int. A revision or augmentation reaches the writer
+with its change (a reviewer revision's component, an augmentation's clause)
+and prompt_after, the ModularPrompt after it. The writer writes the change
+alone, a revision's with its value (the component's JSON form after
+replace_component), exactly when replay's _changed_prompt gives prompt_after
+back from the subtask's prompt so far; else prompt_after in full, as for an
+initial revision, which replay takes as it is. Replay checks that every
+output is a text (from version 6 on, or the ordinal of an earlier one),
+that a score's value is a number, a semantic score's within [-1, 1], and
+that a run's final_output is a text.
 
 Version 7 writes an event line as exactly its type, payload and ts: ts is
 the whole microseconds since the writer opened, read from a monotonic
@@ -71,7 +72,7 @@ from typing import Iterable
 from .errors import MalformedTraceError
 from .metrics import LARGEST_DISTANCE, SEMANTIC
 from .plan import Plan, PlanUpdate, SubtaskStatus, with_status, with_update
-from .prompt import ModularPrompt, PromptComponentKind, replace_component
+from .prompt import ModularPrompt, PromptComponentKind, _write_field, replace_component
 
 TRACE_VERSION = 7
 
@@ -118,7 +119,9 @@ class ExecutionTrace:
 
 class TraceWriter:
     """Single ordered sink for one run. Concurrent emitters funnel through an
-    internal lock that orders the events; optional live file append."""
+    internal lock that orders the events; optional live file append. It
+    alone picks each event's compact form (see the notes above); a payload
+    with none is written as it is."""
 
     def __init__(self, header: dict, path: str | Path | None = None):
         # the version is the format this writer writes, whatever header says
@@ -132,6 +135,8 @@ class TraceWriter:
         self._lock = threading.Lock()
         # each generation fingerprint and output text written so far -> its ordinal
         self._ordinals: dict[str, int] = {}
+        # each subtask's prompt as replay holds it after the events so far
+        self._prompts: dict[str, ModularPrompt] = {}
         self._file = open(path, "w", encoding="utf-8") if path is not None else None
         if self._file is not None:
             self._file.write(json.dumps({"kind": "header", **self._header}, sort_keys=True) + "\n")
@@ -141,6 +146,9 @@ class TraceWriter:
         with self._lock:
             if event_type == "generation":
                 payload = self._by_reference(payload)
+            elif event_type in ("revision", "augmentation") and isinstance(
+                    payload.get("prompt_after"), ModularPrompt):
+                payload = self._prompt_change(event_type, payload)
             ts = (time.monotonic_ns() - self._opened_ns) // 1000
             event = TraceEvent(seq=len(self._events), type=event_type, payload=payload, ts=ts)
             self._events.append(event)
@@ -160,8 +168,9 @@ class TraceWriter:
 
     def _by_reference(self, payload: dict) -> dict:
         """payload with its fingerprint, then each output text, replaced by
-        its ordinal where the trace already holds it; payload itself when
-        every one is new."""
+        its ordinal where the trace already holds it, and without a
+        sample_index that maps every sample to its own output; payload
+        itself when nothing changes."""
         changed = {}
         fingerprint, outputs = payload.get("fingerprint"), payload.get("outputs")
         if type(fingerprint) is str and (ordinal := self._ordinal(fingerprint)) is not None:
@@ -171,7 +180,24 @@ class TraceWriter:
             if ordinals.count(None) < len(ordinals):
                 changed["outputs"] = [text if ordinal is None else ordinal
                                       for text, ordinal in zip(outputs, ordinals)]
+        index = payload.get("sample_index")
+        if type(index) is list and index == list(range(len(index))):
+            return {key: v for key, v in {**payload, **changed}.items() if key != "sample_index"}
         return {**payload, **changed} if changed else payload
+
+    def _prompt_change(self, event_type: str, payload: dict) -> dict:
+        """A prompt change's payload as the version 6 note above writes it,
+        given the ModularPrompt after the change as prompt_after."""
+        sid, after = payload["subtask_id"], payload["prompt_after"]
+        before, self._prompts[sid] = self._prompts.get(sid), after
+        change = {key: value for key, value in payload.items() if key != "prompt_after"}
+        if before is not None and change.get("component") != "initial":
+            if event_type == "revision":
+                change["value"] = _write_field(after, change["component"])
+            if _changed_prompt(TraceEvent(len(self._events), event_type, change, 0),
+                               before) == after:
+                return change
+        return {**payload, "prompt_after": after.to_json_dict()}
 
     def warning(self, reason: str, **payload) -> TraceEvent:
         return self.emit("warning", {"reason": reason, **payload})

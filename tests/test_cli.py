@@ -424,9 +424,14 @@ def test_readme_pipeline_config_runs_replays_and_scores_the_prompt_file(tmp_path
     assert "run 1: succeeded" in report and "reference check: pass" in report
     assert read_trace(trace_path).events_of_type("warning") == ()
     assert invoke(["replay", "--trace", trace_path], capsys) == (0, report, "")
-    code, out, err = invoke(["eval-stability", prompt, "--config", cfg], capsys)
+    eval_path = str(tmp_path / "eval.jsonl")
+    code, out, err = invoke(["eval-stability", prompt, "--config", cfg, "--trace", eval_path],
+                            capsys)
     assert (code, err) == (0, "")
     assert out.endswith("verdict: stable\n")
+    code, out, err = invoke(["report", "--trace", eval_path], capsys)
+    assert (code, err) == (0, "")
+    assert "run 1: succeeded" in out.splitlines()
 
 
 def test_readme_cli_synopsis_names_every_subcommand_and_option():
@@ -511,6 +516,40 @@ class TestEvalStability:
         assert code == 0
         assert "samples: 7" in out
         assert "tau: 0.99" in out
+
+    def test_its_trace_is_a_run_that_ends_succeeded(self, tmp_path, capsys):
+        prompt, prompt_path = self.make_prompt_file(tmp_path)
+        cfg = self.scripted_config(tmp_path, prompt, [["omega", 1.0]])
+        path = str(tmp_path / "eval.jsonl")
+        code, _, _ = invoke(["eval-stability", prompt_path, "--config", cfg, "--trace", path],
+                            capsys)
+        assert code == 0
+        events = read_trace(path).events
+        assert [e.type for e in events] == [
+            "status-change", "generation", "embedding", "score", "status-change"]
+        assert events[0].payload == {"subtask_id": "__run__", "from": None, "to": "running"}
+        assert events[-1].payload == {"subtask_id": "__run__", "from": "running",
+                                      "to": "succeeded", "final_output": ""}
+        code, out, err = invoke(["report", "--trace", path], capsys)
+        assert (code, err) == (0, "")
+        assert "run 1: succeeded" in out.splitlines()
+
+    def test_a_backend_error_ends_its_trace_failed(self, tmp_path, capsys):
+        # the generator knows no behavior for the prompt
+        prompt, prompt_path = self.make_prompt_file(tmp_path)
+        cfg = self.scripted_config(tmp_path, executor_prompt("other", "Say it."),
+                                   [["omega", 1.0]])
+        path = str(tmp_path / "eval.jsonl")
+        code, out, err = invoke(["eval-stability", prompt_path, "--config", cfg,
+                                 "--trace", path], capsys)
+        assert (code, out) == (3, "") and err.startswith("backend error: ")
+        aborted, closed = (e.payload for e in read_trace(path).events[-2:])
+        assert aborted["reason"] == "run-aborted"
+        assert aborted["error"].startswith("UnknownPromptError")
+        assert (closed["to"], closed["final_output"]) == ("failed", "")
+        code, out, err = invoke(["report", "--trace", path], capsys)
+        assert (code, err) == (0, "")
+        assert "run 1: failed" in out.splitlines()
 
     def test_unreadable_prompt_is_config_error(self, tmp_path, config_path, capsys):
         code, _, err = invoke(

@@ -1462,28 +1462,29 @@ class TestRunPipeline:
                          else {"component": "role", "replacement": new_role})
                 return [json.dumps(reply)] * request.sample_count
 
-        def run(path, in_full):
-            orch = make_orchestrator(Reviewer(), self.settings(
-                plan_updater_enabled=False, subtask_optimizer_enabled=False), path=path)
-            if in_full:
-                class NoPromptTraced(dict):
-                    def get(self, subtask_id, default=None):
-                        return None
+        class Recording(TraceWriter):
+            """A writer that also keeps each payload as it was emitted."""
 
-                # as if the trace held no prompt of calc: every change in full
-                orch._traced_prompts = NoPromptTraced()
-            executed = []
+            def __init__(self, header, path):
+                super().__init__(header, path=path)
+                self.emitted = []
 
-            def execute(sub, prompt):
-                executed.append(prompt)
-                return Orchestrator.execute_subtask(orch, sub, prompt)
+            def emit(self, event_type, payload):
+                self.emitted.append((event_type, payload))
+                return super().emit(event_type, payload)
 
-            orch.execute_subtask = execute
-            trace = orch.run_pipeline(TASK, template="linear-chain")
-            orch.trace.close()
-            return trace, executed
+        writer = Recording({"run": "test"}, tmp_path / "deltas.jsonl")
+        orch = Orchestrator(Reviewer(), HashEmbedder(), writer, self.settings(
+            plan_updater_enabled=False, subtask_optimizer_enabled=False))
+        executed = []
 
-        trace, executed = run(tmp_path / "deltas.jsonl", in_full=False)
+        def execute(sub, prompt):
+            executed.append(prompt)
+            return Orchestrator.execute_subtask(orch, sub, prompt)
+
+        orch.execute_subtask = execute
+        trace = orch.run_pipeline(TASK, template="linear-chain")
+        writer.close()
         assert executed == [required, augmented]
         changes = [e.payload for e in trace.events if e.type in ("revision", "augmentation")]
         assert changes[1:] == [
@@ -1495,11 +1496,17 @@ class TestRunPipeline:
         assert state.prompts == {"calc": augmented}
         assert (state.refinements, state.augmentations) == ({"calc": 2}, {"calc": 1})
         assert replay_trace(read_trace(tmp_path / "deltas.jsonl")) == state
-        full, _ = run(tmp_path / "full.jsonl", in_full=True)
-        assert [e.payload.get("prompt_after") for e in full.events
+        # the same events, each change written by a writer that holds no
+        # prompt of calc, so in full
+        full = TraceWriter({"run": "test"})
+        for event_type, payload in writer.emitted:
+            if event_type in ("revision", "augmentation"):
+                payload = TraceWriter({"run": "test"}).emit(event_type, payload).payload
+            full.emit(event_type, payload)
+        assert [e.payload.get("prompt_after") for e in full.trace().events
                 if e.type in ("revision", "augmentation")] == [
             p.to_json_dict() for p in (initial, role, required, augmented)]
-        assert replay_trace(full) == state
+        assert replay_trace(full.trace()) == state
 
     def test_augmenting_an_earlier_revision_writes_it_in_full(self):
         # the role revision scores below the initial prompt, so the exhausted

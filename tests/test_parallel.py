@@ -3,10 +3,13 @@ in plan order, so a trace is byte-identical at any width."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -272,8 +275,8 @@ def test_only_backend_calls_overlap(monkeypatch, frequent_switches):
 
 def test_a_run_ahead_step_shares_only_the_backends_and_the_turns(monkeypatch):
     # a worker is a copy of the commit loop's orchestrator: its trace buffer
-    # and its prompt table are its own, the settings are frozen, and its
-    # History comes in as a string built when it starts
+    # is its own, the settings are frozen, and its History comes in as a
+    # string built when it starts
     commit_loop, shared = [], []
     run_plan, step = Orchestrator._run_plan, Orchestrator._step
 
@@ -516,3 +519,76 @@ def test_an_interrupted_run_ends_failed_with_its_reason(monkeypatch, tmp_path, c
     assert read_trace(path).events == trace.events
     assert main(["report", "--trace", str(path)]) == 0
     assert "run 1: failed" in capsys.readouterr().out.splitlines()
+
+
+# Runs the fan-out fixture at width 4 once per cut point given on the command
+# line. SIGUSR1 raises KeyboardInterrupt in the main thread, as a Ctrl-C
+# does, and the nth backend call made on a worker thread sends it, so the
+# interrupt lands wherever the main thread is then: in its own backend
+# call, or waiting for its turn or for its batch of calls to go out. Each
+# run writes its trace to <directory>/<cut>.jsonl.
+SIGNALLED_RUNS = """
+import os, signal, sys, threading
+from promptor import orchestrator
+from promptor.backends import HashEmbedder
+from promptor.orchestrator import Orchestrator
+from promptor.trace import TraceWriter
+from tests.test_parallel import SETTINGS, TASK, JitterGenerator, fan_out_generator
+
+def interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+class Signalling:
+    def __init__(self, inner, at):
+        self.inner, self.at, self.calls = inner, at, 0
+        self.lock = threading.Lock()
+
+    def generate(self, request):
+        if threading.current_thread() is not threading.main_thread():
+            with self.lock:
+                self.calls += 1
+                now = self.calls == self.at
+            if now:
+                os.kill(os.getpid(), signal.SIGUSR1)
+        return self.inner.generate(request)
+
+signal.signal(signal.SIGUSR1, interrupt)
+orchestrator.MAX_PARALLEL = 4
+directory, *cuts = sys.argv[1:]
+for at in map(int, cuts):
+    generator = Signalling(JitterGenerator(fan_out_generator(), seed=at), at)
+    with TraceWriter({"run": "signalled"}, path=f"{directory}/{at}.jsonl") as writer:
+        try:
+            Orchestrator(generator, HashEmbedder(), writer, SETTINGS).run_pipeline(
+                TASK, template="fan-out-fan-in")
+        except KeyboardInterrupt:
+            pass
+        else:
+            sys.exit(f"cut {at}: the run was not interrupted")
+    left = [t for t in threading.enumerate() if t is not threading.main_thread()]
+    if left:
+        sys.exit(f"cut {at}: threads left: {left}")
+"""
+
+
+def test_a_signal_during_run_ahead_ends_the_run_failed(tmp_path, capsys):
+    # an interrupt that lands while the main thread waits on the turns must
+    # not leave the run-ahead threads waiting for it forever
+    cuts = [1, 5, 10, 20, 30, 40]
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", SIGNALLED_RUNS, str(tmp_path), *map(str, cuts)],
+            cwd=root, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("an interrupted run hung")
+    assert result.returncode == 0, result.stderr
+    for at in cuts:
+        trace = read_trace(tmp_path / f"{at}.jsonl")
+        aborted, closed = (e.payload for e in trace.events[-2:])
+        assert (aborted["reason"], aborted["error"]) == ("run-aborted", "KeyboardInterrupt: ")
+        assert (closed["subtask_id"], closed["to"]) == ("__run__", "failed")
+        assert main(["report", "--trace", str(tmp_path / f"{at}.jsonl")]) == 0
+        assert "run 1: failed" in capsys.readouterr().out.splitlines()

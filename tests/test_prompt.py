@@ -171,7 +171,7 @@ def test_revision_counts_edits(edits):
 def test_validate_free_text_always_passes():
     # any text passes; a blank output is no text (next test)
     for output in ("x", " not json, no number ", "```"):
-        assert validate_output(output, IoSpec(output_format="free-text")).ok
+        assert validate_output(output, IoSpec(output_format="free-text")) is None
 
 
 @pytest.mark.parametrize("spec", [
@@ -182,48 +182,41 @@ def test_validate_free_text_always_passes():
 ], ids=lambda spec: spec.output_format)
 def test_validate_blank_output_fails_every_format(spec):
     for output in ("", "  ", "\n\t"):
-        result = validate_output(output, spec)
-        assert (result.ok, result.reason, result.detail) == (False, "format-mismatch", "empty output")
+        assert validate_output(output, spec) == "format-mismatch"
 
 
 def test_validate_json_object_pass():
     spec = IoSpec(output_format="json-object", required_keys=("answer",))
-    assert validate_output('{"answer": 3}', spec).ok
+    assert validate_output('{"answer": 3}', spec) is None
 
 
 def test_validate_json_object_missing_key():
     spec = IoSpec(output_format="json-object", required_keys=("answer",))
-    result = validate_output('{"x": 1}', spec)
-    assert not result.ok
-    assert result.reason == "missing-key"
+    assert validate_output('{"x": 1}', spec) == "missing-key"
 
 
 def test_validate_json_object_not_json():
     spec = IoSpec(output_format="json-object", required_keys=("answer",))
-    result = validate_output("not json at all", spec)
-    assert not result.ok
-    assert result.reason == "format-mismatch"
+    assert validate_output("not json at all", spec) == "format-mismatch"
 
 
 def test_validate_json_array_is_mismatch():
     spec = IoSpec(output_format="json-object", required_keys=("answer",))
-    assert validate_output("[1, 2]", spec).reason == "format-mismatch"
+    assert validate_output("[1, 2]", spec) == "format-mismatch"
 
 
 def test_validate_numeric():
     spec = IoSpec(output_format="numeric")
-    assert validate_output(" 42.5 ", spec).ok
-    assert validate_output("-1e-3", spec).ok
-    result = validate_output("hello", spec)
-    assert not result.ok
-    assert result.reason == "non-numeric"
-    assert validate_output("42 apples", spec).reason == "non-numeric"
+    assert validate_output(" 42.5 ", spec) is None
+    assert validate_output("-1e-3", spec) is None
+    assert validate_output("hello", spec) == "non-numeric"
+    assert validate_output("42 apples", spec) == "non-numeric"
 
 
 def test_validate_code_block():
     spec = IoSpec(output_format="code-block")
-    assert validate_output("```python\nprint(1)\n```", spec).ok
-    assert validate_output("print(1)", spec).reason == "format-mismatch"
+    assert validate_output("```python\nprint(1)\n```", spec) is None
+    assert validate_output("print(1)", spec) == "format-mismatch"
 
 
 def test_validate_is_pure():

@@ -9,7 +9,7 @@ from promptor.errors import InsufficientSamplesError, MalformedTraceError
 from promptor.metrics import EmbeddingVector
 from promptor.orchestrator import Orchestrator, OrchestratorSettings, RefinementConfig
 from promptor.plan import Plan, Subtask
-from promptor.prompt import render_prompt
+from promptor.prompt import PromptComponentKind, render_prompt, replace_component
 from promptor.reports import (
     compute_run_metrics,
     digest_trace,
@@ -63,7 +63,9 @@ def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=N
                     earlier_scores=()):
     """Minimal single-subtask trace with a chosen stability score and
     outcome, for exercising report arithmetic directly, written to path.
-    Each of earlier_scores is measured and scored before stability."""
+    Each of earlier_scores is measured and scored before stability. Its
+    prompt changes are emitted as the orchestrator emits them, with the
+    prompt after each as a ModularPrompt."""
     writer = TraceWriter({"task": "synthetic"}, path=path)
     plan = Plan(task_description="synthetic",
                 subtasks=(Subtask(id="s", description="Do the step."),))
@@ -71,11 +73,11 @@ def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=N
     writer.emit("plan-update", {"note": "created", "update": None,
                                 "plan_after": plan.to_json_dict(), "run_status": None})
     prompt = executor_prompt("s", "Do the step.")
-    writer.emit("revision", {"subtask_id": "s", "component": "initial", "revision": 0,
-                             "prompt_after": prompt.to_json_dict()})
+    writer.emit("revision", {"subtask_id": "s", "component": "initial", "prompt_after": prompt})
     for k in range(refinements):
+        prompt = replace_component(prompt, PromptComponentKind.REQUIREMENTS, f"Do step {k}.")
         writer.emit("revision", {"subtask_id": "s", "component": "requirements",
-                                 "revision": k + 1, "prompt_after": prompt.to_json_dict()})
+                                 "prompt_after": prompt})
     for value in (*earlier_scores, stability):
         # five distinct samples, each at the mean distance 1 - value
         writer.emit("generation", {"subtask_id": "s", "purpose": "stability",
@@ -85,10 +87,11 @@ def synthetic_trace(stability, succeeded, refinements=0, augmentations=0, path=N
                               "sample_count": 5, "output_distances": [1.0 - value] * 5})
     writer.emit("status-change", {"subtask_id": "s", "from": "pending",
                                   "to": "stable-prompt-ready"})
-    for k in range(augmentations):
+    for _ in range(augmentations):
+        prompt = replace_component(prompt, PromptComponentKind.REQUIREMENTS,
+                                   prompt.requirements + ("Be brief.",))
         writer.emit("augmentation", {"subtask_id": "s", "clause": "Be brief.",
-                                     "revision": refinements + k + 1,
-                                     "prompt_after": prompt.to_json_dict()})
+                                     "prompt_after": prompt})
     terminal = "executed-ok" if succeeded else "executed-failed"
     writer.emit("status-change", {"subtask_id": "s", "from": "stable-prompt-ready",
                                   "to": terminal})

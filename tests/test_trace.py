@@ -214,6 +214,47 @@ class TestWriter:
         seqs = [e.seq for e in writer.trace().events]
         assert seqs == list(range(200))
 
+    @given(st.lists(st.tuples(
+        st.integers(0, 2),  # the subtask
+        st.sampled_from(["initial", "revision", "augmentation"]),
+        st.integers(0, 3),  # how many prompts back the change starts from
+        st.sampled_from(list(PromptComponentKind)),
+        st.sampled_from(["a", "b", "a b", "c\nd"]),
+    ), max_size=12))
+    def test_every_prompt_change_replays_to_its_prompt_after(self, tmp_path_factory, steps):
+        path = tmp_path_factory.getbasetemp() / "prompts.jsonl"
+        emitted: dict[str, list[ModularPrompt]] = {}
+        expected, from_the_last = [], []
+        with TraceWriter({"run": "p"}, path=path) as writer:
+            for k, op, back, kind, text in steps:
+                sid, prompts = f"s{k}", emitted.setdefault(f"s{k}", [])
+                base = prompts[max(len(prompts) - 1 - back, 0)] if prompts else None
+                if op == "initial" or base is None:
+                    after = ModularPrompt(role=f"role {text}", knowledge=text)
+                    event_type, change = "revision", {"component": "initial"}
+                elif op == "revision":
+                    value = [text] if kind is PromptComponentKind.REQUIREMENTS else text
+                    after = replace_component(base, kind, value)
+                    event_type, change = "revision", {"component": kind.value}
+                else:
+                    after = replace_component(base, PromptComponentKind.REQUIREMENTS,
+                                              base.requirements + (text,))
+                    event_type, change = "augmentation", {"clause": text}
+                writer.emit(event_type, {"subtask_id": sid, **change, "prompt_after": after})
+                from_the_last.append(base is not None and base is prompts[-1]
+                                     and change.get("component") != "initial")
+                prompts.append(after)
+                expected.append((sid, after))
+            in_memory = writer.trace()
+        for trace in (in_memory, read_trace(path)):
+            for n, (sid, after) in enumerate(expected, start=1):
+                prefix = ExecutionTrace(trace.header, trace.events[:n])
+                assert replay_trace(prefix).prompts[sid] == after
+        # a change to the prompt the trace holds is written as the change alone
+        for event, delta in zip(in_memory.events, from_the_last):
+            if delta:
+                assert "prompt_after" not in event.payload
+
 
 # texts that look like ordinals or like other JSON values, blanks among them
 OUTPUT_TEXTS = st.one_of(st.sampled_from(["", " ", "\n", "0", "1", "7", "-1", "1.0", "true",
